@@ -52,7 +52,7 @@ for d in (0, 10, 20, 30, 40, 50):
     pred_d = predict_key_rate(cfg_d)
     print(f"{d:>4} {fiber_transmission(hw_d.fiber):>13.5f} "
           f"{pred_d.bits_per_pulse:>12.3e} {analytic_ber(hw_d):>9.4f} "
-          f"{rep.key_rate_bits_per_pulse:>14.3e}")
+          f"{rep.sifted_fraction:>14.3e}")
 
 threshold = 0.05
 crossing = ber_crossing_distance(hw, threshold)

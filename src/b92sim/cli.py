@@ -105,7 +105,7 @@ def _session_config(args) -> SessionConfig:
 def _cmd_session(args) -> int:
     cfg = _session_config(args)
     report = run_session(cfg, n_blocks=args.blocks)
-    rate_s = report.key_rate_bits_per_pulse * cfg.hardware.source.pulse_rate
+    rate_s = report.sifted_fraction * cfg.hardware.source.pulse_rate
     print(f"mode={cfg.mode.value} eve={cfg.eve.value} "
           f"blocks={args.blocks} bits_per_block={cfg.bits_per_block}")
     print(f"rounds:          {report.n_rounds}")
@@ -114,7 +114,7 @@ def _cmd_session(args) -> int:
     print(f"ber estimate:    {report.ber_estimate:.6f}")
     print(f"zero bias:       {report.zero_bias:.6f}")
     print(f"reconciled bits: {len(report.reconciled_key)}")
-    print(f"key rate:        {report.key_rate_bits_per_pulse:.6f} bits/pulse "
+    print(f"key rate:        {report.sifted_fraction:.6f} bits/pulse "
           f"| {rate_s:.2f} bits/s")
     print(f"alarm:           {report.alarm_reason if report.alarm else 'no'}")
     if args.out:
@@ -170,7 +170,7 @@ def _cmd_sweep(args) -> int:
                            error_sample_fraction=0.0)
             rep = run_session(mcfg)
             print(f"{r['distance_km']:g} km: analytic {r['key_rate_bits_per_pulse']:.4g} "
-                  f"bits/pulse, monte-carlo {rep.key_rate_bits_per_pulse:.4g} "
+                  f"bits/pulse, monte-carlo {rep.sifted_fraction:.4g} "
                   f"({len(rep.sifted_key_alice)} hits in {args.pulses} pulses), "
                   f"ber {r['ber']:.4g}")
         crossing = next((r["distance_km"] for r in rows if r["alarm"]), None)

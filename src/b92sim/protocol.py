@@ -8,25 +8,24 @@ hit/miss record crosses the public channel, both sides keep the hit
 positions (sifting), a disclosed sample estimates the error rate, and
 block parities reconcile the remainder.
 
-Two deployment shapes share all of this code:
+A wire cannot carry a qubit, so a session has one shape: the sender's
+side owns the physics. It rebuilds the receiver's bit stream from the
+shared seed, simulates the whole quantum layer, and sends the hit
+flags as Results frames; the receiver learns nothing beyond what the
+message schema carries. The receiver's session is a generator that
+yields wherever it waits for the sender, and the sender calls an
+injected ``peer_step`` wherever it waits for the receiver.
+``run_session`` drives both parties in one thread over a loopback
+channel; ``b92sim chat`` runs each in its own process over TCP, where
+every receive blocks on the socket instead.
 
-* in-process: the receiver's side owns the physics RNG and reports
-  hits over a loopback queue, like the real apparatus would;
-* two-process (TCP): a wire cannot carry a qubit, so the sender's
-  process simulates the whole quantum layer (rebuilding the
-  receiver's bit stream from the shared seed) and streams the hit
-  flags; the receiver learns nothing beyond what the message schema
-  carries.
-
-Either way each party's decisions depend only on its own bits plus
-schema-level messages, and sessions are bit-for-bit reproducible from
-the (alice, bob, physics) seed triple.
+Each party's decisions depend only on its own bits plus schema-level
+messages, and sessions are bit-for-bit reproducible from the
+(alice, bob, physics) seed triple.
 """
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -35,7 +34,6 @@ import numpy as np
 from . import qstate
 from .channel import (
     MessagePipe,
-    PublicMessage,
     loopback_pair,
     recv_bit_frames,
     send_bit_frames,
@@ -54,10 +52,7 @@ from .hardware import (
     default_profile,
     fiber_transmission,
     gate_detector,
-    sample_photon_count,
-    thin_photons,
 )
-from .photonics import effective_hit_prob
 from .qstate import DOWN, P_DOWN, P_LEFT, P_UP, RIGHT, UP, StateVector, measure, pass_probability
 
 
@@ -136,16 +131,6 @@ class SessionConfig:
         ) & 0x7FFFFFFF
 
 
-@dataclass(frozen=True)
-class RoundLog:
-    index: int
-    alice_bit: int
-    bob_bit: int
-    photon_count: int
-    eve_guess: int | None
-    hit: bool
-
-
 class RoundLogs:
     """Columnar per-round record; eve_guess is -1 where Eve saw nothing."""
 
@@ -165,17 +150,6 @@ class RoundLogs:
         self.photon_counts = np.concatenate([self.photon_counts, photon_counts])
         self.eve_guesses = np.concatenate([self.eve_guesses, eve_guesses])
         self.hits = np.concatenate([self.hits, hits])
-
-    def row(self, i: int) -> RoundLog:
-        g = int(self.eve_guesses[i])
-        return RoundLog(
-            index=i,
-            alice_bit=int(self.alice_bits[i]),
-            bob_bit=int(self.bob_bits[i]),
-            photon_count=int(self.photon_counts[i]),
-            eve_guess=None if g < 0 else g,
-            hit=bool(self.hits[i]),
-        )
 
     def write_csv(self, path) -> None:
         import csv
@@ -203,11 +177,10 @@ class SessionReport:
     ber_estimate: float
     zero_bias: float
     reconciled_key: np.ndarray
-    key_rate_bits_per_pulse: float
     alarm: bool
     alarm_reason: str | None
     n_rounds: int
-    round_logs: RoundLogs | None = None
+    round_logs: RoundLogs
 
 
 # ---------------------------------------------------------------------------
@@ -386,49 +359,6 @@ class PhysicsKernel:
         return hits, state
 
 
-def transmit_round(
-    alice_bit: int,
-    bob_bit: int,
-    cfg: SessionConfig,
-    detector_state: DetectorState,
-    rng: np.random.Generator,
-) -> tuple[bool, RoundLog, DetectorState]:
-    """One pulse end to end, as a standalone scalar operation.
-
-    Ideal mode sends a single perfect qubit through the eavesdropper
-    and measures it; Physical mode draws a photon count, lets Eve act
-    on the logical signal, thins through the fiber, and gates the
-    detector on the central-window probability.
-    """
-    hw = cfg.hardware
-    if cfg.mode is Mode.IDEAL:
-        state = alice_prepare(alice_bit)
-        guess, forwarded = eve_intercept(state, cfg.eve, rng)
-        hit, _ = measure(forwarded, bob_projector(bob_bit), rng)
-        log = RoundLog(0, alice_bit, bob_bit, 1, guess, hit)
-        return hit, log, detector_state
-    count = sample_photon_count(hw.source, rng)
-    guess = None
-    if cfg.eve is not EveStrategy.NONE and count > 0:
-        state = alice_prepare(alice_bit)
-        guess, forwarded = eve_intercept(state, cfg.eve, rng)
-        q = pass_probability(forwarded, bob_projector(bob_bit))
-        p_window = float(_central_window_prob(q, hw.interferometer.visibility))
-    else:
-        p_window = effective_hit_prob(alice_bit, bob_bit, hw.interferometer.visibility)
-    survivors = thin_photons(count, fiber_transmission(hw.fiber), rng)
-    det = hw.detector
-    eta = det.efficiency
-    if survivors > 0 and eta > 0.0:
-        p_eff = (1.0 - (1.0 - p_window * eta) ** survivors) / eta
-    else:
-        p_eff = 0.0
-    now = detector_state.last_avalanche_time + 1.0 / hw.source.pulse_rate
-    hit, new_state = gate_detector(survivors > 0, p_eff, det, detector_state, now, rng)
-    log = RoundLog(0, alice_bit, bob_bit, count, guess, hit)
-    return hit, log, new_state
-
-
 # ---------------------------------------------------------------------------
 # classical post-processing
 
@@ -439,51 +369,6 @@ def _sift(bits: np.ndarray, hits: np.ndarray) -> np.ndarray:
             f"hit record of {len(hits)} entries against {len(bits)} bits"
         )
     return bits[hits == 1]
-
-
-def sift(logs: RoundLogs, results_msg: PublicMessage):
-    """Keep exactly the hit positions named by a Results message.
-
-    Returns (alice_key, bob_key, kept_indices).
-    """
-    if results_msg.kind != "Results":
-        raise ProtocolDesyncError(f"expected a Results message, got {results_msg.kind}")
-    payload = results_msg.payload
-    total = int(payload["total"])
-    if int(payload.get("offset", 0)) != 0 or total != len(logs):
-        raise ProtocolDesyncError(
-            f"Results covers {total} rounds, log has {len(logs)}"
-        )
-    from .channel import hex_to_bits
-
-    hits = hex_to_bits(payload["bits"], total)
-    kept = np.nonzero(hits)[0]
-    return logs.alice_bits[kept], logs.bob_bits[kept], kept
-
-
-def estimate_ber(
-    alice_key: np.ndarray,
-    bob_key: np.ndarray,
-    fraction: float,
-    rng: np.random.Generator,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Disclose a random sample of positions and compare them.
-
-    The disclosed positions are removed from both returned keys, since
-    their values are now public.
-    """
-    if len(alice_key) != len(bob_key):
-        raise ProtocolDesyncError("keys differ in length")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1)")
-    k = int(fraction * len(alice_key))
-    if k == 0:
-        raise InsufficientKeyError("error-check sample is empty")
-    idx = np.sort(rng.choice(len(alice_key), size=k, replace=False))
-    ber = float(np.mean(alice_key[idx] != bob_key[idx]))
-    keep = np.ones(len(alice_key), dtype=bool)
-    keep[idx] = False
-    return ber, alice_key[keep], bob_key[keep]
 
 
 def zero_bias(bob_key: np.ndarray) -> float:
@@ -565,29 +450,48 @@ def _hello_payload(cfg: SessionConfig) -> dict:
     }
 
 
-class AliceEngine:
-    """Sender-side state machine.
+class _Party:
+    """What both parties keep: the configuration, the public channel,
+    the party's own bit stream, and the per-block keys."""
 
-    With ``link`` set (in-process) the prepared bit blocks go down the
-    quantum-link queue and the hit record comes back over the public
-    channel. Without a link (two-process) this side owns the physics:
-    it rebuilds the receiver's bit stream from the shared seed, runs
-    the kernel, and streams the hit flags out as Results frames.
-    """
-
-    def __init__(self, cfg: SessionConfig, pipe: MessagePipe, link: queue.Queue | None = None):
+    def __init__(self, cfg: SessionConfig, pipe: MessagePipe, seed: int):
         self.cfg = cfg
         self.pipe = pipe
-        self.link = link
-        self.rng = np.random.default_rng(cfg.seed_alice)
-        self.kernel: PhysicsKernel | None = None
-        if link is None:
-            self.kernel = PhysicsKernel(cfg, np.random.default_rng(cfg.seed_physics))
-            self._bob_replica_rng = np.random.default_rng(cfg.seed_bob)
-        self.blocks_done = 0
-        self.rounds_sent = 0
+        self.rng = np.random.default_rng(seed)
         self.sifted_blocks: list[np.ndarray] = []
         self.reconciled_blocks: list[np.ndarray] = []
+
+    def sifted_key(self) -> np.ndarray:
+        return np.concatenate(self.sifted_blocks) if self.sifted_blocks else np.zeros(0, np.uint8)
+
+    def reconciled_key(self) -> np.ndarray:
+        return (
+            np.concatenate(self.reconciled_blocks)
+            if self.reconciled_blocks
+            else np.zeros(0, np.uint8)
+        )
+
+
+class AliceEngine(_Party):
+    """Sender-side state machine; it owns the physics.
+
+    Each block it draws its bits, rebuilds the receiver's from the
+    shared seed, runs both through the PhysicsKernel, and sends the
+    hit flags as Results frames. ``peer_step`` is called wherever the
+    sender waits for the receiver: before receiving its Hello, its
+    ErrorCheckValues and its DiscardList, and after sending Done.
+    ``run_session`` passes one that advances the receiver's
+    ``steps()`` in the same thread; over TCP the receiver runs in its
+    own process and the default does nothing.
+    """
+
+    def __init__(self, cfg: SessionConfig, pipe: MessagePipe, peer_step=lambda: None):
+        super().__init__(cfg, pipe, cfg.seed_alice)
+        self.peer_step = peer_step
+        self.kernel = PhysicsKernel(cfg, np.random.default_rng(cfg.seed_physics))
+        self._bob_replica_rng = np.random.default_rng(cfg.seed_bob)
+        self.blocks_done = 0
+        self.rounds_sent = 0
         self.disclosed_total = 0
         self.mismatch_total = 0
         self.bob_bias: float | None = None
@@ -596,6 +500,7 @@ class AliceEngine:
         self.alarm_reason: str | None = None
 
     def handshake(self) -> None:
+        self.peer_step()
         hello = self.pipe.recv(expect_kind="Hello")
         if hello.payload != _hello_payload(self.cfg):
             raise SessionAbort(
@@ -606,16 +511,9 @@ class AliceEngine:
     def run_block(self) -> None:
         cfg = self.cfg
         bits = generate_bits(cfg.bits_per_block, self.rng)
-        if self.kernel is not None:
-            bob_bits = generate_bits(cfg.bits_per_block, self._bob_replica_rng)
-            phys = self.kernel.transmit_block(bits, bob_bits)
-            hits = phys.hits
-            send_bit_frames(self.pipe, "Results", hits)
-        else:
-            self.link.put(bits)
-            hits, _ = recv_bit_frames(self.pipe, "Results")
-            if len(hits) != len(bits):
-                raise ProtocolDesyncError("Results length does not match the block")
+        bob_bits = generate_bits(cfg.bits_per_block, self._bob_replica_rng)
+        hits = self.kernel.transmit_block(bits, bob_bits).hits
+        send_bit_frames(self.pipe, "Results", hits)
         key = _sift(bits, hits)
         self.rounds_sent += len(bits)
         self.sifted_blocks.append(key)
@@ -626,6 +524,7 @@ class AliceEngine:
             idx = self.rng.choice(len(key), size=k, replace=False)
             mask[idx] = 1
         send_bit_frames(self.pipe, "ErrorCheckIndices", mask)
+        self.peer_step()
         values, head = recv_bit_frames(self.pipe, "ErrorCheckValues")
         self.bob_bias = head.get("bias")
         mine = key[mask == 1]
@@ -639,6 +538,7 @@ class AliceEngine:
         send_bit_frames(
             self.pipe, "Parities", parities, extra={"block_size": cfg.reconcile_block_size}
         )
+        self.peer_step()
         drop_mask, _ = recv_bit_frames(self.pipe, "DiscardList")
         self.reconciled_blocks.append(
             apply_block_verdicts(trimmed, drop_mask, cfg.reconcile_block_size)
@@ -660,6 +560,7 @@ class AliceEngine:
                 "reason": self.alarm_reason,
             },
         )
+        self.peer_step()
 
     def run(self, continue_fn) -> "AliceEngine":
         self.handshake()
@@ -670,64 +571,35 @@ class AliceEngine:
             if not more:
                 return self
 
-    def sifted_key(self) -> np.ndarray:
-        return np.concatenate(self.sifted_blocks) if self.sifted_blocks else np.zeros(0, np.uint8)
 
-    def reconciled_key(self) -> np.ndarray:
-        return (
-            np.concatenate(self.reconciled_blocks)
-            if self.reconciled_blocks
-            else np.zeros(0, np.uint8)
-        )
-
-
-class BobEngine:
+class BobEngine(_Party):
     """Receiver-side state machine.
 
-    With ``link`` set (in-process) this side owns the physics kernel,
-    detects each block, and reports the hit record over the public
-    channel; without one it receives the hit flags as Results frames.
-    Decisions here read only this party's bits and the messages.
+    It receives the hit record as Results frames; its decisions read
+    only this party's bits and the messages. ``steps()`` is the whole
+    session as a generator that yields wherever the receiver waits for
+    the sender. ``run_session`` advances it from the sender's
+    ``peer_step`` in one thread; ``run`` (TCP) exhausts it, and each
+    receive blocks on the socket.
     """
 
-    def __init__(self, cfg: SessionConfig, pipe: MessagePipe, link: queue.Queue | None = None):
-        self.cfg = cfg
-        self.pipe = pipe
-        self.link = link
-        self.rng = np.random.default_rng(cfg.seed_bob)
-        self.kernel: PhysicsKernel | None = None
-        if link is not None:
-            self.kernel = PhysicsKernel(cfg, np.random.default_rng(cfg.seed_physics))
-        self.sifted_blocks: list[np.ndarray] = []
-        self.reconciled_blocks: list[np.ndarray] = []
+    def __init__(self, cfg: SessionConfig, pipe: MessagePipe):
+        super().__init__(cfg, pipe, cfg.seed_bob)
         self.zeros_total = 0
         self.sifted_total = 0
         self.final: dict | None = None
 
-    def handshake(self) -> None:
-        self.pipe.send("Hello", _hello_payload(self.cfg))
-        reply = self.pipe.recv(expect_kind="Hello")
-        if not reply.payload.get("ok"):
-            raise SessionAbort("peer rejected the session configuration")
-
     def _bias(self) -> float | None:
         return self.zeros_total / self.sifted_total if self.sifted_total else None
 
-    def run_block(self) -> None:
+    def run_block(self):
+        """One block, as a generator that yields while the sender
+        answers the disclosed values with its Parities."""
         cfg = self.cfg
         bits = generate_bits(cfg.bits_per_block, self.rng)
-        if self.kernel is not None:
-            try:
-                alice_bits = self.link.get(timeout=30.0)
-            except queue.Empty as exc:
-                raise ChannelError("quantum link stayed empty") from exc
-            phys = self.kernel.transmit_block(alice_bits, bits)
-            hits = phys.hits
-            send_bit_frames(self.pipe, "Results", hits)
-        else:
-            hits, _ = recv_bit_frames(self.pipe, "Results")
-            if len(hits) != len(bits):
-                raise ProtocolDesyncError("Results length does not match the block")
+        hits, _ = recv_bit_frames(self.pipe, "Results")
+        if len(hits) != len(bits):
+            raise ProtocolDesyncError("Results length does not match the block")
         key = _sift(bits, hits)
         self.sifted_blocks.append(key)
         self.zeros_total += int(np.sum(key == 0))
@@ -740,6 +612,7 @@ class BobEngine:
             self.pipe, "ErrorCheckValues", key[mask == 1], extra={"bias": self._bias()}
         )
         trimmed = key[mask == 0]
+        yield
 
         parities_a, head = recv_bit_frames(self.pipe, "Parities")
         if int(head.get("block_size", -1)) != cfg.reconcile_block_size:
@@ -753,24 +626,27 @@ class BobEngine:
             apply_block_verdicts(trimmed, drop, cfg.reconcile_block_size)
         )
 
-    def run(self) -> "BobEngine":
-        self.handshake()
+    def steps(self):
+        """The whole session; yields wherever the receiver waits for
+        the sender: for the Hello reply, the Parities, the Done, and
+        after a Done that asks for more, the next block's Results."""
+        self.pipe.send("Hello", _hello_payload(self.cfg))
+        yield
+        if not self.pipe.recv(expect_kind="Hello").payload.get("ok"):
+            raise SessionAbort("peer rejected the session configuration")
         while True:
-            self.run_block()
+            yield from self.run_block()
+            yield
             done = self.pipe.recv(expect_kind="Done")
             self.final = done.payload
             if not done.payload.get("more"):
-                return self
+                return
+            yield
 
-    def sifted_key(self) -> np.ndarray:
-        return np.concatenate(self.sifted_blocks) if self.sifted_blocks else np.zeros(0, np.uint8)
-
-    def reconciled_key(self) -> np.ndarray:
-        return (
-            np.concatenate(self.reconciled_blocks)
-            if self.reconciled_blocks
-            else np.zeros(0, np.uint8)
-        )
+    def run(self) -> "BobEngine":
+        for _ in self.steps():
+            pass
+        return self
 
 
 def run_session(
@@ -778,62 +654,43 @@ def run_session(
     channel: tuple | None = None,
     n_blocks: int = 1,
 ) -> SessionReport:
-    """Run a complete in-process session and assemble its report.
+    """Run a complete session in one thread and assemble its report.
 
-    ``channel`` may supply a (alice_transport, bob_transport) pair so
-    tests can watch the frames; by default a loopback pair is built.
-    The two parties run as two logical threads joined by the blocking
-    message channel and the quantum-link queue.
+    Both parties speak the wire protocol of ``b92sim chat``: the
+    sender's ``peer_step`` advances the receiver's ``steps()`` at each
+    point where the sender waits for it. ``channel`` may supply a
+    (alice_transport, bob_transport) pair so tests can watch the
+    frames; by default a loopback pair is built. A failure of the
+    channel or the protocol raises SessionAbort with the sender's
+    partial state; other errors, such as a ConfigError or a
+    ModelValidityError from the physics, propagate unchanged.
     """
     if n_blocks < 1:
         raise ConfigError("n_blocks must be >= 1")
-    if channel is None:
-        t_a, t_b = loopback_pair()
-    else:
-        t_a, t_b = channel
+    t_a, t_b = channel if channel is not None else loopback_pair()
     sid = cfg.session_id()
-    alice = AliceEngine(cfg, MessagePipe(t_a, sid), link=queue.Queue())
-    bob = BobEngine(cfg, MessagePipe(t_b, sid), link=alice.link)
-    failures: list[Exception] = []
-
-    def bob_main():
-        try:
-            bob.run()
-        except Exception as exc:  # propagate to the main thread
-            failures.append(exc)
-            t_b.close()
-
-    worker = threading.Thread(target=bob_main, daemon=True)
-    worker.start()
+    bob = BobEngine(cfg, MessagePipe(t_b, sid))
+    bob_steps = bob.steps()
+    alice = AliceEngine(cfg, MessagePipe(t_a, sid), peer_step=lambda: next(bob_steps, None))
     try:
         alice.run(lambda eng: eng.blocks_done < n_blocks)
-    except Exception as exc:
-        t_a.close()
-        worker.join(timeout=5.0)
+    except (ChannelError, ProtocolDesyncError, SessionAbort) as exc:
         raise SessionAbort(f"session failed: {exc}", partial=alice) from exc
-    worker.join(timeout=30.0)
-    if failures:
-        raise SessionAbort(f"receiver failed: {failures[0]}", partial=alice) from failures[0]
-    if worker.is_alive():
-        raise SessionAbort("receiver thread did not finish", partial=alice)
 
     sifted_a = alice.sifted_key()
-    sifted_b = bob.sifted_key()
-    kernel = bob.kernel if bob.kernel is not None else alice.kernel
     n_rounds = alice.rounds_sent
     bias = bob._bias()
     return SessionReport(
         sifted_key_alice=sifted_a,
-        sifted_key_bob=sifted_b,
+        sifted_key_bob=bob.sifted_key(),
         sifted_fraction=len(sifted_a) / n_rounds,
         ber_estimate=alice.ber,
         zero_bias=float("nan") if bias is None else bias,
         reconciled_key=alice.reconciled_key(),
-        key_rate_bits_per_pulse=len(sifted_a) / n_rounds,
         alarm=alice.alarm,
         alarm_reason=alice.alarm_reason,
         n_rounds=n_rounds,
-        round_logs=kernel.logs if kernel is not None else None,
+        round_logs=alice.kernel.logs,
     )
 
 

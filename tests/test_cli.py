@@ -69,6 +69,14 @@ def test_bad_config_exits_2(capsys):
     assert code == 2
 
 
+def test_model_validity_error_exits_2_with_its_cause(capsys):
+    # the physics rejects the dark-count rate; that cause must reach the
+    # user as a configuration error, not as a closed channel
+    code, _, err = run_cli(["session", "--mode", "physical", "--dark-hz", "1e9"], capsys)
+    assert code == 2
+    assert "dark_rate * gate_window" in err
+
+
 def test_sweep_csv(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli(

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from b92sim.channel import (
+    CHUNK_BITS,
     MessagePipe,
-    PublicMessage,
     bits_to_hex,
     decode_frame,
     encode_frame,
+    hex_to_bits,
     loopback_pair,
 )
 from b92sim.errors import (
@@ -26,6 +27,9 @@ from b92sim.hardware import (
     HardwareProfile,
     InterferometerConfig,
     SourceParams,
+    fiber_transmission,
+    gate_detector,
+    thin_photons,
 )
 from b92sim.protocol import (
     AliceEngine,
@@ -33,22 +37,20 @@ from b92sim.protocol import (
     EveStrategy,
     Mode,
     PhysicsKernel,
-    RoundLogs,
     SessionConfig,
+    _sift,
     alice_prepare,
     analytic_ber,
     ber_crossing_distance,
     bob_projector,
-    estimate_ber,
     eve_intercept,
     generate_bits,
     predict_key_rate,
     reconcile_block_parity,
     run_session,
-    sift,
-    transmit_round,
     zero_bias,
 )
+from b92sim.photonics import effective_hit_prob
 from b92sim.qstate import DOWN, P_LEFT, RIGHT, UP, inner, pass_probability, states_equal
 
 
@@ -157,146 +159,116 @@ def test_eve_guess_statistics_over_random_stream():
 
 
 # ---------------------------------------------------------------------------
-# transmit_round
+# transmission through the physics kernel, on constant-bit blocks
+
+
+def transmit(cfg, alice_bit, bob_bit, n, seed):
+    kernel = PhysicsKernel(cfg, np.random.default_rng(seed))
+    return kernel.transmit_block(
+        np.full(n, alice_bit, dtype=np.uint8), np.full(n, bob_bit, dtype=np.uint8)
+    )
 
 
 def test_transmit_round_ideal_differing_bits_never_hit():
     cfg = make_cfg()
-    rng = np.random.default_rng(7)
-    st = DetectorState()
-    for _ in range(2000):
-        hit, log, st = transmit_round(0, 1, cfg, st, rng)
-        assert not hit
-        hit, log, st = transmit_round(1, 0, cfg, st, rng)
-        assert not hit
+    assert not transmit(cfg, 0, 1, 2000, 7).hits.any()
+    assert not transmit(cfg, 1, 0, 2000, 7).hits.any()
 
 
 def test_transmit_round_ideal_same_bits_half():
-    cfg = make_cfg()
-    rng = np.random.default_rng(8)
-    st = DetectorState()
-    hits = 0
-    n = 20_000
-    for _ in range(n):
-        hit, _, st = transmit_round(0, 0, cfg, st, rng)
-        hits += hit
-    assert hits / n == pytest.approx(0.5, abs=0.015)
+    hits = transmit(make_cfg(), 0, 0, 20_000, 8).hits
+    assert hits.mean() == pytest.approx(0.5, abs=0.015)
 
 
 def test_transmit_round_post_fail_state_passes_zero_measurement_half():
     # after Eve's fail branch the forwarded down state meets the
     # receiver's 0-measurement: it passes half the time, against a
     # strict never without the eavesdropper
-    cfg = make_cfg(eve=EveStrategy.FIXED_PROJECTION)
-    rng = np.random.default_rng(9)
-    st = DetectorState()
-    hits = 0
-    fails = 0
-    for _ in range(40_000):
-        hit, log, st = transmit_round(1, 0, cfg, st, rng)
-        if log.eve_guess == 1:
-            fails += 1
-            hits += hit
-    assert fails > 15_000
-    assert hits / fails == pytest.approx(0.5, abs=0.015)
+    out = transmit(make_cfg(eve=EveStrategy.FIXED_PROJECTION), 1, 0, 40_000, 9)
+    fails = out.eve_guesses == 1
+    assert fails.sum() > 15_000
+    assert out.hits[fails].mean() == pytest.approx(0.5, abs=0.015)
 
 
 def test_transmit_round_physical_noiseless():
     cfg = make_cfg(mode=Mode.PHYSICAL, hardware=noiseless_hw())
-    rng = np.random.default_rng(10)
-    st = DetectorState()
-    hits = same = 0
-    for _ in range(20_000):
-        hit, _, st = transmit_round(0, 0, cfg, st, rng)
-        hits += hit
-        same += 1
-    assert hits / same == pytest.approx(0.125, abs=0.01)
-    for _ in range(2000):
-        hit, _, st = transmit_round(0, 1, cfg, st, rng)
-        assert not hit
+    assert transmit(cfg, 0, 0, 20_000, 10).hits.mean() == pytest.approx(0.125, abs=0.01)
+    assert not transmit(cfg, 0, 1, 2000, 10).hits.any()
 
 
 # ---------------------------------------------------------------------------
 # sifting
 
 
-def make_logs(alice_bits, bob_bits, hits):
-    logs = RoundLogs()
-    n = len(alice_bits)
-    logs.extend(
-        np.array(alice_bits, dtype=np.uint8),
-        np.array(bob_bits, dtype=np.uint8),
-        np.ones(n, dtype=np.int64),
-        np.full(n, -1, dtype=np.int8),
-        np.array(hits, dtype=np.uint8),
-    )
-    return logs
-
-
-def results_message(hits):
-    bits = np.array(hits, dtype=np.uint8)
-    return PublicMessage(
-        kind="Results",
-        payload={"total": len(bits), "offset": 0, "bits": bits_to_hex(bits)},
-        session_id=1,
-        sequence=1,
-    )
-
-
 def test_sift_four_bit_example():
     # the textbook walk-through: differing bits on rounds 1 and 4,
     # matching on 2 and 3, a single hit on round 3
-    logs = make_logs([1, 0, 1, 0], [0, 0, 1, 1], [0, 0, 1, 0])
-    alice_key, bob_key, kept = sift(logs, results_message([0, 0, 1, 0]))
-    assert alice_key.tolist() == [1]
-    assert bob_key.tolist() == [1]
-    assert kept.tolist() == [2]
+    hits = np.array([0, 0, 1, 0], dtype=np.uint8)
+    assert _sift(np.array([1, 0, 1, 0], dtype=np.uint8), hits).tolist() == [1]
+    assert _sift(np.array([0, 0, 1, 1], dtype=np.uint8), hits).tolist() == [1]
+    assert _sift(np.arange(4), hits).tolist() == [2]
 
 
 def test_sift_no_hits():
-    logs = make_logs([1, 0], [0, 1], [0, 0])
-    alice_key, bob_key, kept = sift(logs, results_message([0, 0]))
-    assert len(alice_key) == 0 and len(bob_key) == 0 and len(kept) == 0
+    hits = np.zeros(2, dtype=np.uint8)
+    assert len(_sift(np.array([1, 0], dtype=np.uint8), hits)) == 0
+    assert len(_sift(np.array([0, 1], dtype=np.uint8), hits)) == 0
 
 
 def test_sift_length_mismatch():
-    logs = make_logs([1, 0, 1], [0, 0, 1], [0, 0, 1])
+    # a Results message of the wrong kind is refused by the pipe
+    # (test_channel.py::test_pipe_sequence_and_session_checks)
     with pytest.raises(ProtocolDesyncError):
-        sift(logs, results_message([0, 0]))
-    with pytest.raises(ProtocolDesyncError):
-        sift(logs, PublicMessage("Done", {}, 1, 1))
+        _sift(np.array([1, 0, 1], dtype=np.uint8), np.array([0, 0], dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
 # error estimation, bias, reconciliation
 
 
+class FlippingTransport:
+    """Inverts every disclosed value the receiver sends."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def send_frame(self, data):
+        msg = decode_frame(data[4:])
+        if msg.kind == "ErrorCheckValues":
+            p = msg.payload
+            n = min(CHUNK_BITS, p["total"] - p["offset"])
+            flipped = 1 - hex_to_bits(p["bits"], n)
+            data = encode_frame(replace(msg, payload={**p, "bits": bits_to_hex(flipped)}))
+        self.inner.send_frame(data)
+
+    def recv_frame(self):
+        return self.inner.recv_frame()
+
+    def close(self):
+        self.inner.close()
+
+
 def test_estimate_ber_identical_and_opposite():
-    rng = np.random.default_rng(11)
-    key = generate_bits(1000, rng)
-    ber, a2, b2 = estimate_ber(key, key.copy(), 0.5, np.random.default_rng(1))
-    assert ber == 0.0
-    assert len(a2) == 500
-    ber, _, _ = estimate_ber(key, 1 - key, 0.5, np.random.default_rng(1))
-    assert ber == 1.0
+    cfg = make_cfg(bits_per_block=4000, error_sample_fraction=0.5)
+    rep = run_session(cfg)
+    s = len(rep.sifted_key_alice)
+    t = s - int(0.5 * s)
+    assert rep.ber_estimate == 0.0
+    assert len(rep.reconciled_key) == t - math.ceil(t / 8)
+    t_a, t_b = loopback_pair()
+    flipped = run_session(cfg, channel=(t_a, FlippingTransport(t_b)))
+    assert flipped.ber_estimate == 1.0
+    assert flipped.alarm
 
 
 def test_estimate_ber_removes_disclosed_positions():
-    alice = np.arange(10, dtype=np.uint8) % 2
-    bob = alice.copy()
-    rng = np.random.default_rng(2)
-    _, a2, b2 = estimate_ber(alice, bob, 0.3, rng)
-    assert len(a2) == len(b2) == 7
-    assert np.array_equal(a2, b2)
-
-
-def test_estimate_ber_empty_sample():
-    with pytest.raises(InsufficientKeyError):
-        estimate_ber(np.array([1], dtype=np.uint8), np.array([1], dtype=np.uint8),
-                     0.5, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        estimate_ber(np.ones(10, np.uint8), np.ones(10, np.uint8), 0.0,
-                     np.random.default_rng(0))
+    # the disclosed sample leaves the key: of s sifted bits, t remain,
+    # and block-parity reconciliation pays one bit per block of 8
+    rep = run_session(make_cfg(bits_per_block=4096))
+    s = len(rep.sifted_key_alice)
+    t = s - int(0.25 * s)
+    assert np.array_equal(rep.sifted_key_alice, rep.sifted_key_bob)
+    assert len(rep.reconciled_key) == t - math.ceil(t / 8)
 
 
 def test_zero_bias():
@@ -533,14 +505,36 @@ def run_two_process(cfg, n_blocks=1, record_to_bob=None, record_to_alice=None):
     return alice, bob
 
 
+def afterpulsing_hw():
+    # a Poisson source through a lossy fiber into a noiseless detector
+    # whose afterpulses are strong but die out within a few gates, so
+    # that hits on differing-bit rounds come from afterpulses alone
+    return noiseless_hw(
+        source=SourceParams(mean_photons=16.0),
+        fiber=FiberParams(length_km=10.0, attenuation_db_per_km=math.log10(2.0)),
+        detector=DetectorParams(efficiency=0.5, dark_rate=0.0,
+                                afterpulse_prob0=0.2, afterpulse_tau=2e-4),
+    )
+
+
 def test_two_process_mode_equals_in_process():
-    cfg = make_cfg(bits_per_block=8192, eve=EveStrategy.FIXED_PROJECTION)
-    rep = run_session(cfg)
-    alice, bob = run_two_process(cfg)
-    assert np.array_equal(alice.sifted_key(), rep.sifted_key_alice)
-    assert np.array_equal(bob.sifted_key(), rep.sifted_key_bob)
-    assert np.array_equal(alice.reconciled_key(), rep.reconciled_key)
-    assert alice.ber == rep.ber_estimate
+    # the threaded helper, where each receive blocks, against the
+    # one-thread run_session, across block boundaries and through the
+    # afterpulsing detector's per-gate walk
+    cases = [
+        (make_cfg(bits_per_block=8192, eve=EveStrategy.FIXED_PROJECTION), 1),
+        (make_cfg(bits_per_block=4096, eve=EveStrategy.FIXED_PROJECTION), 3),
+        (make_cfg(mode=Mode.PHYSICAL, hardware=afterpulsing_hw(), bits_per_block=4096), 3),
+    ]
+    for cfg, n_blocks in cases:
+        rep = run_session(cfg, n_blocks=n_blocks)
+        alice, bob = run_two_process(cfg, n_blocks=n_blocks)
+        assert alice.blocks_done == n_blocks
+        assert np.array_equal(alice.sifted_key(), rep.sifted_key_alice)
+        assert np.array_equal(bob.sifted_key(), rep.sifted_key_bob)
+        assert np.array_equal(alice.reconciled_key(), rep.reconciled_key)
+        assert np.array_equal(alice.kernel.logs.hits, rep.round_logs.hits)
+        assert alice.ber == rep.ber_estimate
 
 
 def test_message_schema_and_results_content():
@@ -554,8 +548,6 @@ def test_message_schema_and_results_content():
         assert set(msg.payload) <= ALLOWED_PAYLOAD_KEYS[msg.kind], msg.kind
         assert len(raw) <= 64 * 1024
         if msg.kind == "Results":
-            from b92sim.channel import hex_to_bits
-
             results_bits = hex_to_bits(msg.payload["bits"], msg.payload["total"])
     # the hit record crosses the wire; nobody's bit values do
     assert results_bits is not None
@@ -787,3 +779,34 @@ def test_afterpulse_path_in_session():
     logs = rep.round_logs
     differing = logs.alice_bits != logs.bob_bits
     assert logs.hits[differing].sum() > 0
+
+
+def test_afterpulse_walk_matches_per_pulse_reference():
+    # the kernel's afterpulse path against a per-pulse loop over the
+    # scalar thinning, interferometer and gate models, fed the session's
+    # logged bits and photon counts; the detector's trapped charge runs
+    # on across the block boundaries
+    hw = afterpulsing_hw()
+    cfg = make_cfg(mode=Mode.PHYSICAL, hardware=hw, bits_per_block=15_000)
+    logs = run_session(cfg, n_blocks=3).round_logs
+    rng = np.random.default_rng(202)
+    det = hw.detector
+    transmission = fiber_transmission(hw.fiber)
+    window = {(a, b): effective_hit_prob(a, b, hw.interferometer.visibility)
+              for a in (0, 1) for b in (0, 1)}
+    state, now = DetectorState(), 0.0
+    ref = np.zeros(len(logs), dtype=bool)
+    for i, (a, b, count) in enumerate(zip(logs.alice_bits, logs.bob_bits, logs.photon_counts)):
+        k = thin_photons(int(count), transmission, rng)
+        p_window = window[(int(a), int(b))]
+        p_eff = (1.0 - (1.0 - p_window * det.efficiency) ** k) / det.efficiency
+        now += 1.0 / hw.source.pulse_rate
+        ref[i], state = gate_detector(k > 0, p_eff, det, state, now, rng)
+    differing = logs.alice_bits != logs.bob_bits
+    n = int(differing.sum())
+    kernel_rate = logs.hits[differing].mean()
+    ref_rate = ref[differing].mean()
+    p = 0.5 * (kernel_rate + ref_rate)
+    sigma = math.sqrt(2.0 * p * (1.0 - p) / n)
+    assert ref_rate > 0.01  # afterpulses do show on differing-bit rounds
+    assert abs(kernel_rate - ref_rate) < 4.0 * sigma, (kernel_rate, ref_rate, sigma)
