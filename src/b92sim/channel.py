@@ -61,7 +61,10 @@ def bits_to_hex(bits: np.ndarray) -> str:
 
 def hex_to_bits(s: str, n: int) -> np.ndarray:
     """Inverse of bits_to_hex for a known bit count."""
-    raw = np.frombuffer(bytes.fromhex(s), dtype=np.uint8)
+    try:
+        raw = np.frombuffer(bytes.fromhex(s), dtype=np.uint8)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolDesyncError(f"bits are not a hex string: {exc}") from exc
     bits = np.unpackbits(raw)
     if len(bits) < n:
         raise ProtocolDesyncError(f"hex carries {len(bits)} bits, expected {n}")
@@ -236,21 +239,39 @@ def send_bit_frames(
             break
 
 
-def recv_bit_frames(pipe: MessagePipe, kind: str) -> tuple[np.ndarray, dict]:
+def _int_field(payload, key: str) -> int:
+    value = payload.get(key) if isinstance(payload, dict) else None
+    if type(value) is not int:
+        raise ProtocolDesyncError(f"bit-list field {key!r} is not an integer: {value!r}")
+    return value
+
+
+def recv_bit_frames(pipe: MessagePipe, kind: str, max_total: int) -> tuple[np.ndarray, dict]:
     """Reassemble a bit list sent by send_bit_frames.
 
-    Returns the bits and the first frame's payload (for extra fields).
+    ``max_total`` is the longest list the caller can accept; it is
+    checked before anything is allocated. A larger or malformed total,
+    a chunk that does not start where the last one ended, or bits that
+    are not hex raise ProtocolDesyncError. Returns the bits and the
+    first frame's payload (for extra fields).
     """
     msg = pipe.recv(expect_kind=kind)
     head = msg.payload
-    total = int(head["total"])
+    total = _int_field(head, "total")
+    if not 0 <= total <= max_total:
+        raise ProtocolDesyncError(f"{kind} announces {total} bits, expected at most {max_total}")
     out = np.zeros(total, dtype=np.uint8)
     received = 0
     while True:
-        offset = int(msg.payload["offset"])
-        n = min(CHUNK_BITS, total - offset)
-        out[offset: offset + n] = hex_to_bits(msg.payload["bits"], n)
-        received = offset + n
+        chunk = (_int_field(msg.payload, "offset"), _int_field(msg.payload, "total"))
+        if chunk != (received, total):
+            raise ProtocolDesyncError(
+                f"{kind} chunk at offset {chunk[0]} of {chunk[1]}, "
+                f"expected offset {received} of {total}"
+            )
+        n = min(CHUNK_BITS, total - received)
+        out[received: received + n] = hex_to_bits(msg.payload.get("bits"), n)
+        received += n
         if received >= total:
             break
         msg = pipe.recv(expect_kind=kind)

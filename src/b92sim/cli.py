@@ -264,7 +264,7 @@ def _cmd_chat(args) -> int:
         if bob.final and bob.final.get("alarm"):
             print(f"alarm ({bob.final.get('reason')}): key discarded")
             return 1
-        bits, _head = recv_bit_frames(pipe, "Ciphertext")
+        bits, _head = recv_bit_frames(pipe, "Ciphertext", len(bob.reconciled_key()))
         print(f"ciphertext: {_render_ciphertext(bits)}")
         pad = pad_from_key(bob.reconciled_key(), 2, n_symbols=len(bits))
         plain, _ = decrypt(Message(bits.astype(np.int64), 2), pad)

@@ -4,6 +4,12 @@ Attenuated-laser source with Poisson photon statistics, fiber loss as
 per-photon binomial thinning, and a gated Geiger-mode avalanche
 photodiode with dark counts and an exponentially decaying afterpulse
 hazard fed by trapped avalanche charge.
+
+The detector is modelled one gate at a time (``gate_detector``) and one
+run of gates at a time (``gate_block``), on a single step rule. The run
+is event-driven: gates that hit whatever the trap holds are found for
+the whole run at once, and only the gates while the trap holds charge
+are stepped one by one, so a run costs about as much as its hits.
 """
 from __future__ import annotations
 
@@ -132,14 +138,40 @@ def dark_probability(d: DetectorParams) -> float:
     return p
 
 
+def _trap_decay(d: DetectorParams, charge: float, last: float, now: float) -> float:
+    """Factor by which the trapped charge has decayed between ``last`` and
+    ``now``; 0 for an empty trap or a detector without memory (tau = 0)."""
+    if charge == 0.0 or d.afterpulse_tau <= 0.0:
+        return 0.0
+    return math.exp(-(now - last) / d.afterpulse_tau)
+
+
 def afterpulse_probability(d: DetectorParams, st: DetectorState, now: float) -> float:
     """Afterpulse hazard at gate time ``now``."""
-    if d.afterpulse_prob0 == 0.0 or st.trap_charge == 0.0:
-        return 0.0
-    if d.afterpulse_tau <= 0.0:
-        return 0.0
-    decay = math.exp(-(now - st.last_avalanche_time) / d.afterpulse_tau)
-    return d.afterpulse_prob0 * st.trap_charge * decay
+    charge = st.trap_charge
+    return d.afterpulse_prob0 * charge * _trap_decay(d, charge, st.last_avalanche_time, now)
+
+
+def _gate_step(
+    p_signal: float, p_dark: float, d: DetectorParams,
+    charge: float, last: float, now: float, u: float,
+) -> tuple[bool, float, float]:
+    """One gate at time ``now`` on the trap's (charge, clock), decided by
+    the uniform draw ``u``; returns (hit, charge, clock) after the gate.
+
+    The three hazards (signal, dark count, afterpulse) are physically
+    independent, so the hit probability is 1 - product of their
+    complements. A hit refills the trap and restarts the decay clock; a
+    miss folds the elapsed decay into the stored charge, and an empty
+    trap stays as it is.
+    """
+    decay = _trap_decay(d, charge, last, now)
+    p_after = d.afterpulse_prob0 * charge * decay
+    if u < 1.0 - (1.0 - p_signal) * (1.0 - p_dark) * (1.0 - p_after):
+        return True, 1.0, now
+    if charge == 0.0:
+        return False, charge, last
+    return False, charge * decay, now
 
 
 def gate_detector(
@@ -150,34 +182,58 @@ def gate_detector(
     now: float,
     rng: np.random.Generator,
 ) -> tuple[bool, DetectorState]:
-    """One gated exposure of the detector.
-
-    The three hazards (signal = optical_prob * efficiency when a photon
-    arrives, dark count, afterpulse) are physically independent, so the
-    hit probability is 1 - product of their complements. A hit refills
-    the trap and restarts the decay clock; a miss folds the elapsed
-    decay into the stored charge.
-    """
+    """One gated exposure of the detector; the signal hazard is
+    optical_prob * efficiency when a photon arrives (see ``_gate_step``)."""
     if now < st.last_avalanche_time:
         raise ValueError("gate time precedes the detector state's clock")
     p_signal = optical_prob * d.efficiency if photon_arrives else 0.0
+    hit, charge, last = _gate_step(
+        p_signal, dark_probability(d), d, st.trap_charge, st.last_avalanche_time, now,
+        rng.random(),
+    )
+    return hit, DetectorState(trap_charge=charge, last_avalanche_time=last)
+
+
+def gate_block(
+    p_signal: np.ndarray,
+    d: DetectorParams,
+    st: DetectorState,
+    dt: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, DetectorState]:
+    """A run of gates at times ``base + (i+1)*dt``, where ``base`` is the
+    clock of the incoming state ``st``, with signal hazards ``p_signal``.
+
+    Same hits, final state and random draws as one ``gate_detector``
+    call per gate, but event-driven. One ``rng.random(n)`` gives the
+    doubles that n scalar draws would. A gate whose draw lies below
+    1 - (1 - p_signal)(1 - p_dark) hits whatever the trap holds, and
+    while the trap is empty nothing else can hit, so those hits are
+    marked for the whole run at once. Gates are stepped one by one
+    only while the trap holds charge: from the incoming state and from
+    each avalanche until the decayed charge underflows to exactly 0
+    (about 22 gates at 10 kHz and tau = 3 us). The walk then jumps to
+    the next trap-free hit.
+    """
     p_dark = dark_probability(d)
-    p_after = afterpulse_probability(d, st, now)
-    p_hit = 1.0 - (1.0 - p_signal) * (1.0 - p_dark) * (1.0 - p_after)
-    hit = bool(rng.random() < p_hit)
-    if hit:
-        new_state = DetectorState(trap_charge=1.0, last_avalanche_time=now)
-    elif st.trap_charge == 0.0:
-        new_state = st
-    else:
-        if d.afterpulse_tau > 0.0:
-            decayed = st.trap_charge * math.exp(
-                -(now - st.last_avalanche_time) / d.afterpulse_tau
+    u = rng.random(len(p_signal))
+    hits = (u < 1.0 - (1.0 - p_signal) * (1.0 - p_dark)).astype(np.uint8)
+    trap_free_hits = np.flatnonzero(hits)
+    base = st.last_avalanche_time
+    charge, last = st.trap_charge, base
+    i, n = 0, len(hits)
+    while True:
+        while charge != 0.0 and i < n:
+            hits[i], charge, last = _gate_step(
+                float(p_signal[i]), p_dark, d, charge, last, base + (i + 1) * dt, float(u[i])
             )
-        else:
-            decayed = 0.0
-        new_state = DetectorState(trap_charge=decayed, last_avalanche_time=now)
-    return hit, new_state
+            i += 1
+        j = int(np.searchsorted(trap_free_hits, i))
+        if j == len(trap_free_hits):
+            return hits, DetectorState(trap_charge=charge, last_avalanche_time=last)
+        i = int(trap_free_hits[j])
+        charge, last = 1.0, base + (i + 1) * dt
+        i += 1
 
 
 _PROFILE_KEYS = {

@@ -51,7 +51,7 @@ from .hardware import (
     dark_probability,
     default_profile,
     fiber_transmission,
-    gate_detector,
+    gate_block,
 )
 from .qstate import DOWN, P_DOWN, P_LEFT, P_UP, RIGHT, UP, StateVector, measure, pass_probability
 
@@ -124,6 +124,7 @@ class SessionConfig:
                     f"pulse_rate {src.pulse_rate:g} Hz exceeds the detector's "
                     f"afterpulse-limited gate ceiling {det.max_gate_rate:g} Hz"
                 )
+            dark_probability(det)  # raises ModelValidityError before any block runs
 
     def session_id(self) -> int:
         return (
@@ -259,9 +260,11 @@ class BlockPhysics:
 class PhysicsKernel:
     """Owns the physics RNG and simulates transmission blocks.
 
-    Whole blocks are vectorized; only a detector with live afterpulsing
-    forces a sequential gate-by-gate walk, because its trapped charge
-    couples consecutive gates.
+    Whole blocks are vectorized. A detector with live afterpulsing
+    couples consecutive gates through its trapped charge, so its block
+    goes to ``hardware.gate_block``: trap-free hits are marked at once,
+    and only the gates while the trap holds charge are walked one by
+    one, with the same draws and hits as a per-gate loop.
     """
 
     def __init__(self, cfg: SessionConfig, rng: np.random.Generator):
@@ -339,24 +342,28 @@ class PhysicsKernel:
         )
 
     def _gated_walk(self, p_window, survivors) -> tuple[np.ndarray, DetectorState]:
-        det = self.cfg.hardware.detector
-        dt = 1.0 / self.cfg.hardware.source.pulse_rate
-        base = self.detector_state.last_avalanche_time
-        state = self.detector_state
-        hits = np.zeros(len(survivors), dtype=np.uint8)
-        eta = det.efficiency
-        for i, (p, k) in enumerate(zip(p_window, survivors)):
-            # pulse-equivalent window probability so the detector's
-            # efficiency factor reproduces 1 - (1 - p*eta)^k exactly
-            if k > 0 and eta > 0.0:
-                p_eff = (1.0 - (1.0 - p * eta) ** int(k)) / eta
-            else:
-                p_eff = 0.0
-            hit, state = gate_detector(
-                k > 0, p_eff, det, state, base + (i + 1) * dt, self.rng
-            )
-            hits[i] = hit
-        return hits, state
+        hw = self.cfg.hardware
+        p_signal = _signal_hazard(p_window, survivors, hw.detector.efficiency)
+        return gate_block(
+            p_signal, hw.detector, self.detector_state, 1.0 / hw.source.pulse_rate, self.rng
+        )
+
+
+def _signal_hazard(p_window: np.ndarray, survivors: np.ndarray, eta: float) -> np.ndarray:
+    """Per-gate signal hazard 1 - (1 - p*eta)^k of k surviving photons.
+
+    It is formed as a pulse-equivalent window probability
+    p_eff = (1 - (1 - p*eta)^k) / eta times eta, the arithmetic of
+    ``gate_detector(k > 0, p_eff, ...)``, and the power is taken with
+    a scalar pow() where k >= 2, because numpy's vectorized power can
+    round differently; so every double matches the per-gate model.
+    """
+    if eta == 0.0:
+        return np.zeros(len(survivors))
+    miss = 1.0 - p_window * eta
+    many = np.flatnonzero(survivors > 1)
+    miss[many] = [m ** k for m, k in zip(miss[many].tolist(), survivors[many].tolist())]
+    return np.where(survivors > 0, (1.0 - miss) / eta * eta, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +532,7 @@ class AliceEngine(_Party):
             mask[idx] = 1
         send_bit_frames(self.pipe, "ErrorCheckIndices", mask)
         self.peer_step()
-        values, head = recv_bit_frames(self.pipe, "ErrorCheckValues")
+        values, head = recv_bit_frames(self.pipe, "ErrorCheckValues", k)
         self.bob_bias = head.get("bias")
         mine = key[mask == 1]
         if len(values) != len(mine):
@@ -539,7 +546,7 @@ class AliceEngine(_Party):
             self.pipe, "Parities", parities, extra={"block_size": cfg.reconcile_block_size}
         )
         self.peer_step()
-        drop_mask, _ = recv_bit_frames(self.pipe, "DiscardList")
+        drop_mask, _ = recv_bit_frames(self.pipe, "DiscardList", len(parities))
         self.reconciled_blocks.append(
             apply_block_verdicts(trimmed, drop_mask, cfg.reconcile_block_size)
         )
@@ -597,7 +604,7 @@ class BobEngine(_Party):
         answers the disclosed values with its Parities."""
         cfg = self.cfg
         bits = generate_bits(cfg.bits_per_block, self.rng)
-        hits, _ = recv_bit_frames(self.pipe, "Results")
+        hits, _ = recv_bit_frames(self.pipe, "Results", cfg.bits_per_block)
         if len(hits) != len(bits):
             raise ProtocolDesyncError("Results length does not match the block")
         key = _sift(bits, hits)
@@ -605,7 +612,7 @@ class BobEngine(_Party):
         self.zeros_total += int(np.sum(key == 0))
         self.sifted_total += len(key)
 
-        mask, _ = recv_bit_frames(self.pipe, "ErrorCheckIndices")
+        mask, _ = recv_bit_frames(self.pipe, "ErrorCheckIndices", len(key))
         if len(mask) != len(key):
             raise ProtocolDesyncError("error-check mask does not match the key length")
         send_bit_frames(
@@ -614,10 +621,10 @@ class BobEngine(_Party):
         trimmed = key[mask == 0]
         yield
 
-        parities_a, head = recv_bit_frames(self.pipe, "Parities")
-        if int(head.get("block_size", -1)) != cfg.reconcile_block_size:
-            raise ProtocolDesyncError("peer used a different reconciliation block size")
         mine = block_parities(trimmed, cfg.reconcile_block_size)
+        parities_a, head = recv_bit_frames(self.pipe, "Parities", len(mine))
+        if head.get("block_size") != cfg.reconcile_block_size:
+            raise ProtocolDesyncError("peer used a different reconciliation block size")
         if len(parities_a) != len(mine):
             raise ProtocolDesyncError("parity lists differ in length")
         drop = (mine != parities_a).astype(np.uint8)

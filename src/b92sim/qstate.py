@@ -158,9 +158,10 @@ def measure(
     else:
         w = v - p.matrix @ v
     wn = np.linalg.norm(w)
-    # the sampled branch always has nonzero weight: a zero-probability
-    # branch is never drawn because random() lies in [0, 1)
-    assert wn > 1e-9, "degenerate collapse on a sampled branch"
+    # the sampled branch has nonzero weight as long as random() lies in
+    # [0, 1); a generator outside that range would draw an empty branch
+    if not wn > 1e-9:
+        raise InvalidStateError("degenerate collapse: the sampled branch has zero weight")
     return passed, _state_from_vec(w / wn)
 
 

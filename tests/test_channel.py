@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from b92sim.channel import (
+    CHUNK_BITS,
     MAX_FRAME_BYTES,
     MessagePipe,
     PublicMessage,
@@ -96,10 +97,49 @@ def test_bit_frames_roundtrip(n):
     a = MessagePipe(t_a, session_id=9)
     b = MessagePipe(t_b, session_id=9)
     send_bit_frames(a, "Results", bits, extra={"tag": "x"})
-    got, head = recv_bit_frames(b, "Results")
+    got, head = recv_bit_frames(b, "Results", n)
     assert np.array_equal(got, bits)
     assert head["tag"] == "x"
     assert head["total"] == n
+
+
+def recv_from_peer(payloads, max_total=16):
+    """recv_bit_frames on Results frames carrying the given payloads."""
+    t_a, t_b = loopback_pair(timeout=1.0)
+    a = MessagePipe(t_a, session_id=4)
+    for payload in payloads:
+        a.send("Results", payload)
+    return recv_bit_frames(MessagePipe(t_b, session_id=4), "Results", max_total)
+
+
+def test_recv_bit_frames_rejects_non_hex_bits():
+    with pytest.raises(ProtocolDesyncError, match="hex"):
+        recv_from_peer([{"total": 8, "offset": 0, "bits": "zz"}])
+
+
+def test_recv_bit_frames_rejects_a_non_integer_total():
+    with pytest.raises(ProtocolDesyncError, match="total"):
+        recv_from_peer([{"total": "x", "offset": 0, "bits": "00"}])
+
+
+def test_recv_bit_frames_requires_contiguous_offsets():
+    # bits 0-7 never arrive; they must not read as zeros
+    with pytest.raises(ProtocolDesyncError, match="offset 8"):
+        recv_from_peer([{"total": 16, "offset": 8, "bits": "ff"}])
+    # a repeated first chunk instead of the second
+    total = CHUNK_BITS + 8
+    first = {"total": total, "offset": 0, "bits": "00" * (CHUNK_BITS // 8)}
+    with pytest.raises(ProtocolDesyncError, match=f"offset 0 of {total}, expected offset {CHUNK_BITS}"):
+        recv_from_peer([first, first], max_total=total)
+
+
+def test_recv_bit_frames_bounds_the_total_before_allocating():
+    # a total of 10**13 bits would ask for 10 TB; the caller's bound
+    # rejects it before anything is allocated
+    with pytest.raises(ProtocolDesyncError, match="at most 16"):
+        recv_from_peer([{"total": 10**13, "offset": 0, "bits": ""}])
+    with pytest.raises(ProtocolDesyncError, match="at most 16"):
+        recv_from_peer([{"total": 17, "offset": 0, "bits": "ffff80"}])
 
 
 def test_large_bit_lists_stay_under_frame_limit():

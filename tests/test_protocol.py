@@ -17,6 +17,7 @@ from b92sim.channel import (
 from b92sim.errors import (
     ConfigError,
     InsufficientKeyError,
+    ModelValidityError,
     ProtocolDesyncError,
     SessionAbort,
 )
@@ -38,6 +39,7 @@ from b92sim.protocol import (
     Mode,
     PhysicsKernel,
     SessionConfig,
+    _signal_hazard,
     _sift,
     alice_prepare,
     analytic_ber,
@@ -766,6 +768,15 @@ def test_session_config_validation():
         make_cfg(mode=Mode.PHYSICAL, hardware=hw)
 
 
+def test_session_config_checks_the_dark_count_model():
+    # a dark-count rate outside the linear model fails when the
+    # configuration is built, before any block runs
+    hw = HardwareProfile(detector=DetectorParams(dark_rate=1e9))
+    with pytest.raises(ModelValidityError, match="dark_rate \\* gate_window"):
+        make_cfg(mode=Mode.PHYSICAL, hardware=hw)
+    make_cfg(mode=Mode.IDEAL, hardware=hw)  # Ideal mode has no detector
+
+
 def test_afterpulse_path_in_session():
     det = DetectorParams(efficiency=1.0, dark_rate=0.0,
                          afterpulse_prob0=0.2, afterpulse_tau=3e-3)
@@ -810,3 +821,76 @@ def test_afterpulse_walk_matches_per_pulse_reference():
     sigma = math.sqrt(2.0 * p * (1.0 - p) / n)
     assert ref_rate > 0.01  # afterpulses do show on differing-bit rounds
     assert abs(kernel_rate - ref_rate) < 4.0 * sigma, (kernel_rate, ref_rate, sigma)
+
+
+class PerGateKernel(PhysicsKernel):
+    """The kernel with its afterpulse walk as one gate_detector call per
+    pulse: the reference the event-driven walk must equal exactly."""
+
+    def _gated_walk(self, p_window, survivors):
+        det = self.cfg.hardware.detector
+        dt = 1.0 / self.cfg.hardware.source.pulse_rate
+        base = self.detector_state.last_avalanche_time
+        state = self.detector_state
+        hits = np.zeros(len(survivors), dtype=np.uint8)
+        eta = det.efficiency
+        for i, (p, k) in enumerate(zip(p_window, survivors)):
+            if k > 0 and eta > 0.0:
+                p_eff = (1.0 - (1.0 - p * eta) ** int(k)) / eta
+            else:
+                p_eff = 0.0
+            hit, state = gate_detector(
+                k > 0, p_eff, det, state, base + (i + 1) * dt, self.rng
+            )
+            hits[i] = hit
+        return hits, state
+
+
+def test_signal_hazard_matches_the_per_gate_arithmetic():
+    # the block's signal hazards are the doubles gate_detector forms
+    # from p_eff, also where k >= 2 photons survive
+    rng = np.random.default_rng(8)
+    p_window = rng.random(5000) * 0.25
+    survivors = rng.integers(0, 6, 5000)
+    eta = 0.3
+    want = [
+        (1.0 - (1.0 - p * eta) ** int(k)) / eta * eta if k > 0 else 0.0
+        for p, k in zip(p_window, survivors)
+    ]
+    assert _signal_hazard(p_window, survivors, eta).tolist() == want
+    assert not _signal_hazard(p_window, survivors, 0.0).any()
+
+
+def bench_detector(**kw):
+    return HardwareProfile(detector=DetectorParams(afterpulse_prob0=0.05, **kw))
+
+
+@pytest.mark.parametrize(
+    "hw, n_blocks, block, start",
+    [
+        (bench_detector(), 4, 65536, DetectorState()),
+        (afterpulsing_hw(), 2, 5000, DetectorState()),
+        (bench_detector(afterpulse_tau=0.0, dark_rate=5e7), 2, 20000, DetectorState()),
+        (bench_detector(efficiency=0.0, dark_rate=5e7), 2, 20000, DetectorState()),
+        # slower decay and frequent dark counts: the trap is charged at
+        # the start of every block, and empties now and then in between
+        (bench_detector(afterpulse_tau=3e-5, dark_rate=1e8), 3, 3000,
+         DetectorState(trap_charge=0.5, last_avalanche_time=1.0)),
+    ],
+    ids=["bench_profile", "afterpulsing_hw", "tau_0", "efficiency_0", "charged_start"],
+)
+def test_afterpulse_walk_equals_per_gate_loop_exactly(hw, n_blocks, block, start):
+    cfg = make_cfg(mode=Mode.PHYSICAL, hardware=hw, bits_per_block=block)
+    kernel = PhysicsKernel(cfg, np.random.default_rng(77))
+    ref = PerGateKernel(cfg, np.random.default_rng(77))
+    kernel.detector_state = ref.detector_state = start
+    bits = np.random.default_rng(5)
+    for _ in range(n_blocks):
+        if start.trap_charge:  # every block starts with a charged trap
+            assert ref.detector_state.trap_charge != 0.0
+        a, b = generate_bits(block, bits), generate_bits(block, bits)
+        got, want = kernel.transmit_block(a, b), ref.transmit_block(a, b)
+        assert np.array_equal(got.hits, want.hits)
+        assert got.detector_state == want.detector_state
+        assert kernel.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert want.hits.sum() > 0

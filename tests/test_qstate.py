@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +118,48 @@ def test_measure_collapse_on_pass():
             assert states_equal(collapsed, UP)
         assert abs(norm(collapsed) - 1.0) < 1e-12
     assert seen_pass
+
+
+class StuckAtOne:
+    """A generator stub whose draws sit at 1.0, outside [0, 1)."""
+
+    def random(self):
+        return 1.0
+
+
+def test_measure_rejects_a_draw_of_an_empty_branch():
+    # UP passes P_UP surely; a draw of 1.0 would pick the empty fail branch
+    with pytest.raises(InvalidStateError, match="zero weight"):
+        measure(UP, P_UP, StuckAtOne())
+
+
+MEASURE_UNDER_O = """
+from b92sim.errors import InvalidStateError
+from b92sim.qstate import P_UP, UP, measure
+
+class StuckAtOne:
+    def random(self):
+        return 1.0
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+try:
+    state = measure(UP, P_UP, StuckAtOne())
+except InvalidStateError:
+    raise SystemExit(0)
+raise SystemExit(f"measure returned {state}")
+"""
+
+
+def test_measure_check_holds_under_python_O():
+    # python -O strips asserts; the check must not be one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qstate.__file__)))
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", MEASURE_UNDER_O],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
 
 
 def test_measure_born_frequency():
