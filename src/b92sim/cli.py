@@ -240,7 +240,7 @@ def _cmd_chat(args) -> int:
         pipe = MessagePipe(SocketTransport(accept_one(listener)), cfg.session_id())
         try:
             alice = AliceEngine(cfg, pipe)
-            alice.run(lambda eng: len(eng.reconciled_key()) < needed)
+            alice.run(lambda eng: sum(map(len, eng.reconciled_blocks)) < needed)
             if alice.alarm:
                 print(f"alarm ({alice.alarm_reason}): key discarded, nothing sent")
                 return 1

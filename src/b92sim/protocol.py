@@ -133,41 +133,71 @@ class SessionConfig:
 
 
 class RoundLogs:
-    """Columnar per-round record; eve_guess is -1 where Eve saw nothing."""
+    """Columnar per-round record; eve_guess is -1 where Eve saw nothing.
+
+    ``extend`` keeps each block's arrays (callers must not mutate them
+    afterwards); a read concatenates the columns, and the result is
+    kept. ``extend`` also merges them once two or more pending blocks
+    hold as many rounds as the merged part, so the merges copy about
+    twice the rounds appended, and few blocks' arrays stay alive:
+    keeping all of them made blocks of 65536 pulses page-fault about
+    twice as often.
+    """
 
     def __init__(self):
-        self.alice_bits = np.zeros(0, dtype=np.uint8)
-        self.bob_bits = np.zeros(0, dtype=np.uint8)
-        self.photon_counts = np.zeros(0, dtype=np.int64)
-        self.eve_guesses = np.zeros(0, dtype=np.int8)
-        self.hits = np.zeros(0, dtype=np.uint8)
+        self._chunks = {
+            "alice_bits": [np.zeros(0, dtype=np.uint8)],
+            "bob_bits": [np.zeros(0, dtype=np.uint8)],
+            "photon_counts": [np.zeros(0, dtype=np.int64)],
+            "eve_guesses": [np.zeros(0, dtype=np.int8)],
+            "hits": [np.zeros(0, dtype=np.uint8)],
+        }
+        self._pending = 0  # rounds appended since the columns were last merged
+
+    def _merge(self) -> None:
+        for chunks in self._chunks.values():
+            chunks[:] = [np.concatenate(chunks)]
+        self._pending = 0
+
+    def _column(self, name: str) -> np.ndarray:
+        if len(self._chunks[name]) > 1:
+            self._merge()
+        return self._chunks[name][0]
+
+    alice_bits = property(lambda self: self._column("alice_bits"))
+    bob_bits = property(lambda self: self._column("bob_bits"))
+    photon_counts = property(lambda self: self._column("photon_counts"))
+    eve_guesses = property(lambda self: self._column("eve_guesses"))
+    hits = property(lambda self: self._column("hits"))
 
     def __len__(self) -> int:
         return int(self.hits.size)
 
     def extend(self, alice_bits, bob_bits, photon_counts, eve_guesses, hits) -> None:
-        self.alice_bits = np.concatenate([self.alice_bits, alice_bits])
-        self.bob_bits = np.concatenate([self.bob_bits, bob_bits])
-        self.photon_counts = np.concatenate([self.photon_counts, photon_counts])
-        self.eve_guesses = np.concatenate([self.eve_guesses, eve_guesses])
-        self.hits = np.concatenate([self.hits, hits])
+        for chunks, arr in zip(
+            self._chunks.values(), (alice_bits, bob_bits, photon_counts, eve_guesses, hits)
+        ):
+            chunks.append(arr)
+        self._pending += len(hits)
+        if len(self._chunks["hits"]) > 2 and self._pending >= len(self._chunks["hits"][0]):
+            self._merge()
 
     def write_csv(self, path) -> None:
         import csv
 
+        guesses = self.eve_guesses.astype(object)
+        guesses[self.eve_guesses < 0] = ""
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["index", "alice_bit", "bob_bit", "photon_count", "eve_guess", "hit"])
-            for i in range(len(self)):
-                g = int(self.eve_guesses[i])
-                w.writerow([
-                    i,
-                    int(self.alice_bits[i]),
-                    int(self.bob_bits[i]),
-                    int(self.photon_counts[i]),
-                    "" if g < 0 else g,
-                    int(self.hits[i]),
-                ])
+            w.writerows(zip(
+                range(len(self)),
+                self.alice_bits.tolist(),
+                self.bob_bits.tolist(),
+                self.photon_counts.tolist(),
+                guesses.tolist(),
+                self.hits.tolist(),
+            ))
 
 
 @dataclass
@@ -389,30 +419,21 @@ def block_parities(key: np.ndarray, block_size: int) -> np.ndarray:
     """Per-block parity bits; a trailing partial block counts too."""
     if block_size < 2:
         raise ValueError("block_size must be >= 2")
-    n_blocks = math.ceil(len(key) / block_size)
-    out = np.zeros(n_blocks, dtype=np.uint8)
-    for i in range(n_blocks):
-        out[i] = int(key[i * block_size: (i + 1) * block_size].sum()) & 1
-    return out
+    key = np.asarray(key, dtype=np.uint8)
+    return np.bitwise_xor.reduceat(key, np.arange(0, len(key), block_size)) & 1
 
 
 def apply_block_verdicts(key: np.ndarray, drop_mask: np.ndarray, block_size: int) -> np.ndarray:
     """Drop flagged blocks whole; unflagged blocks lose their last bit
     (paying for the parity that went over the public channel)."""
-    pieces = []
-    n_blocks = math.ceil(len(key) / block_size)
+    n = len(key)
+    n_blocks = math.ceil(n / block_size)
     if len(drop_mask) != n_blocks:
-        raise ProtocolDesyncError(
-            f"verdicts for {len(drop_mask)} blocks, key has {n_blocks}"
-        )
-    for i in range(n_blocks):
-        if drop_mask[i]:
-            continue
-        block = key[i * block_size: (i + 1) * block_size]
-        pieces.append(block[:-1])
-    if not pieces:
-        return np.zeros(0, dtype=np.uint8)
-    return np.concatenate(pieces)
+        raise ProtocolDesyncError(f"verdicts for {len(drop_mask)} blocks, key has {n_blocks}")
+    keep = np.repeat(~np.asarray(drop_mask, dtype=bool), block_size)[:n]
+    keep[block_size - 1::block_size] = False
+    keep[n - 1:] = False  # the last bit of a trailing partial block
+    return np.asarray(key)[keep]
 
 
 def reconcile_block_parity(
@@ -432,6 +453,15 @@ def reconcile_block_parity(
     a2 = apply_block_verdicts(alice_key, drop, block_size)
     b2 = apply_block_verdicts(bob_key, drop, block_size)
     return a2, b2, len(alice_key) - len(a2), int(drop.sum())
+
+
+def _checked_bias(bias):
+    """The receiver's zero fraction as sent: None or a real number in [0, 1]."""
+    if bias is None or (
+        isinstance(bias, (int, float)) and not isinstance(bias, bool) and 0.0 <= bias <= 1.0
+    ):
+        return bias
+    raise ProtocolDesyncError(f"bias {bias!r} is not a fraction in [0, 1]")
 
 
 def _evaluate_alarm(cfg: SessionConfig, ber: float, bias: float | None) -> tuple[bool, str | None]:
@@ -533,7 +563,7 @@ class AliceEngine(_Party):
         send_bit_frames(self.pipe, "ErrorCheckIndices", mask)
         self.peer_step()
         values, head = recv_bit_frames(self.pipe, "ErrorCheckValues", k)
-        self.bob_bias = head.get("bias")
+        self.bob_bias = _checked_bias(head.get("bias"))
         mine = key[mask == 1]
         if len(values) != len(mine):
             raise ProtocolDesyncError("disclosed values do not match the sample size")

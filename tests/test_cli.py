@@ -1,10 +1,12 @@
+import csv
 import socket
 import subprocess
 import sys
 
 import pytest
 
-from b92sim.cli import main
+from b92sim.cli import _session_config, build_parser, main
+from b92sim.protocol import run_session
 
 
 def run_cli(argv, capsys):
@@ -46,6 +48,40 @@ def test_session_round_log_csv(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "index,alice_bit,bob_bit,photon_count,eve_guess,hit"
     assert len(lines) == 257
+
+
+def write_csv_row_by_row(logs, path):
+    """Reference round-log writer, one writerow per round."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["index", "alice_bit", "bob_bit", "photon_count", "eve_guess", "hit"])
+        for i in range(len(logs)):
+            g = int(logs.eve_guesses[i])
+            w.writerow([
+                i,
+                int(logs.alice_bits[i]),
+                int(logs.bob_bits[i]),
+                int(logs.photon_counts[i]),
+                "" if g < 0 else g,
+                int(logs.hits[i]),
+            ])
+
+
+@pytest.mark.parametrize("flags, eve_cells", [
+    ([], {""}),
+    (["--eve", "fixed"], {"0", "1"}),
+    (["--mode", "physical", "--eve", "fixed", "--mu", "0.5"], {"", "0", "1"}),
+])
+def test_session_round_log_csv_bytes(tmp_path, capsys, flags, eve_cells):
+    argv = ["session", "--bits-per-block", "2048", "--blocks", "2", *flags]
+    code, _, _ = run_cli(argv + ["--out", str(tmp_path / "new.csv")], capsys)
+    assert code == 0
+    args = build_parser().parse_args(argv)
+    report = run_session(_session_config(args), n_blocks=args.blocks)
+    write_csv_row_by_row(report.round_logs, tmp_path / "ref.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert {line.split(",")[4] for line in new.decode().splitlines()[1:]} == eve_cells
 
 
 def test_session_profile_file(tmp_path, capsys):

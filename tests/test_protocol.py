@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 from dataclasses import replace
@@ -38,12 +39,15 @@ from b92sim.protocol import (
     EveStrategy,
     Mode,
     PhysicsKernel,
+    RoundLogs,
     SessionConfig,
     _signal_hazard,
     _sift,
     alice_prepare,
     analytic_ber,
+    apply_block_verdicts,
     ber_crossing_distance,
+    block_parities,
     bob_projector,
     eve_intercept,
     generate_bits,
@@ -250,6 +254,42 @@ class FlippingTransport:
         self.inner.close()
 
 
+class BiasTransport:
+    """Replaces the bias the receiver sends on ErrorCheckValues."""
+
+    def __init__(self, inner, bias):
+        self.inner = inner
+        self.bias = bias
+
+    def send_frame(self, data):
+        msg = decode_frame(data[4:])
+        if msg.kind == "ErrorCheckValues":
+            data = encode_frame(replace(msg, payload={**msg.payload, "bias": self.bias}))
+        self.inner.send_frame(data)
+
+    def recv_frame(self):
+        return self.inner.recv_frame()
+
+    def close(self):
+        self.inner.close()
+
+
+@pytest.mark.parametrize("bias", ["x", -0.1, 1.5, True, float("nan"), [0.5]])
+def test_invalid_bias_on_error_check_values_aborts(bias):
+    t_a, t_b = loopback_pair()
+    with pytest.raises(SessionAbort, match="bias"):
+        run_session(make_cfg(bits_per_block=1024), channel=(t_a, BiasTransport(t_b, bias)))
+
+
+def test_valid_bias_on_error_check_values_is_judged():
+    t_a, t_b = loopback_pair()
+    rep = run_session(make_cfg(bits_per_block=1024), channel=(t_a, BiasTransport(t_b, 1)))
+    assert rep.alarm_reason == "bias"
+    t_a, t_b = loopback_pair()
+    rep = run_session(make_cfg(bits_per_block=1024), channel=(t_a, BiasTransport(t_b, None)))
+    assert not rep.alarm
+
+
 def test_estimate_ber_identical_and_opposite():
     cfg = make_cfg(bits_per_block=4000, error_sample_fraction=0.5)
     rep = run_session(cfg)
@@ -336,6 +376,111 @@ def test_reconcile_matches_brute_force_oracle():
     assert a2.tolist() == ref_a
     assert b2.tolist() == ref_b
     assert dropped == ref_dropped
+    assert a2.dtype == b2.dtype == np.uint8
+    for block_size in (2, 3, 7, 9):
+        alice = generate_bits(20_000, rng)
+        bob = alice ^ (rng.random(20_000) < 0.05).astype(np.uint8)
+        assert_matches_oracle(alice, bob, block_size)
+
+
+def assert_matches_oracle(alice, bob, block_size):
+    """reconcile_block_parity and block_parities against the list-by-list
+    reference; returns the number of dropped blocks."""
+    a2, b2, discarded, dropped = reconcile_block_parity(alice, bob, block_size)
+    ref_a, ref_b, ref_dropped = brute_force_block_parity(alice, bob, block_size)
+    assert a2.dtype == b2.dtype == np.uint8
+    assert a2.tolist() == ref_a
+    assert b2.tolist() == ref_b
+    assert dropped == ref_dropped
+    assert discarded == len(alice) - len(ref_a)
+    parities = block_parities(alice, block_size)
+    assert parities.dtype == np.uint8
+    blocks = [alice[i:i + block_size].tolist() for i in range(0, len(alice), block_size)]
+    assert parities.tolist() == [sum(b) % 2 for b in blocks]
+    return dropped
+
+
+@pytest.mark.parametrize("block_size", [2, 3, 7, 8, 9])
+def test_reconcile_edge_cases_match_brute_force_oracle(block_size):
+    rng = np.random.default_rng(100 + block_size)
+    # empty, one bit, an exact multiple, a trailing 1-bit block, a
+    # trailing block one bit short
+    for n in (0, 1, 5 * block_size, 5 * block_size + 1, 6 * block_size - 1):
+        n_blocks = math.ceil(n / block_size)
+        alice = rng.integers(0, 2, n, dtype=np.uint8)
+        assert assert_matches_oracle(alice, alice.copy(), block_size) == 0
+        bob = alice.copy()
+        bob[::block_size] ^= 1  # one error in every block
+        assert assert_matches_oracle(alice, bob, block_size) == n_blocks
+        bob = alice ^ (rng.random(n) < 0.2).astype(np.uint8)
+        assert_matches_oracle(alice, bob, block_size)
+
+
+def test_apply_block_verdicts_checks_the_verdict_count():
+    key = np.ones(17, dtype=np.uint8)
+    assert apply_block_verdicts(key, np.ones(3, np.uint8), 8).dtype == np.uint8
+    assert len(apply_block_verdicts(key, np.ones(3, np.uint8), 8)) == 0
+    assert len(apply_block_verdicts(key, np.zeros(3, np.uint8), 8)) == 14
+    for wrong in (2, 4):
+        with pytest.raises(ProtocolDesyncError):
+            apply_block_verdicts(key, np.zeros(wrong, np.uint8), 8)
+
+
+LOG_DTYPES = {
+    "alice_bits": np.uint8,
+    "bob_bits": np.uint8,
+    "photon_counts": np.int64,
+    "eve_guesses": np.int8,
+    "hits": np.uint8,
+}
+
+
+def test_round_logs_empty_columns():
+    logs = RoundLogs()
+    assert len(logs) == 0
+    for name, dtype in LOG_DTYPES.items():
+        col = getattr(logs, name)
+        assert col.dtype == dtype and col.size == 0
+
+
+def test_round_logs_columns_equal_the_concatenated_blocks():
+    rng = np.random.default_rng(15)
+    logs = RoundLogs()
+    blocks = []
+    for n in (5, 0, 11):
+        block = {
+            "alice_bits": rng.integers(0, 2, n, dtype=np.uint8),
+            "bob_bits": rng.integers(0, 2, n, dtype=np.uint8),
+            "photon_counts": rng.poisson(0.5, n).astype(np.int64),
+            "eve_guesses": rng.integers(-1, 2, n, dtype=np.int8),
+            "hits": rng.integers(0, 2, n, dtype=np.uint8),
+        }
+        logs.extend(**block)
+        blocks.append(block)
+        assert len(logs) == sum(len(b["hits"]) for b in blocks)
+        if n == 5:
+            assert np.array_equal(logs.hits, block["hits"])  # a read between extends
+    for name, dtype in LOG_DTYPES.items():
+        col = getattr(logs, name)
+        assert col.dtype == dtype
+        assert np.array_equal(col, np.concatenate([b[name] for b in blocks]))
+        assert getattr(logs, name) is col  # concatenated once, then kept
+
+
+def test_round_logs_merge_pending_blocks_geometrically():
+    rng = np.random.default_rng(16)
+    logs = RoundLogs()
+    hits = []
+    for i in range(1, 41):
+        block = rng.integers(0, 2, 64, dtype=np.uint8)
+        logs.extend(block, block, block.astype(np.int64), block.astype(np.int8), block)
+        hits.append(block)
+        # merged after blocks 2, 4, 8, ...; the blocks since stay pending
+        pending = 1 if i == 1 else i - (1 << (i.bit_length() - 1))
+        assert len(logs._chunks["hits"]) == 1 + pending
+    assert len(logs) == 40 * 64
+    assert np.array_equal(logs.hits, np.concatenate(hits))
+    assert np.array_equal(logs.photon_counts, np.concatenate(hits).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +513,45 @@ def test_session_physical_noiseless_keys_identical():
     assert np.array_equal(rep.sifted_key_alice, rep.sifted_key_bob)
     assert rep.ber_estimate == 0.0
     assert rep.sifted_fraction == pytest.approx(1 / 16, abs=0.005)
+
+
+def sha256_of(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+# sha256 of the reconciled key and of the hit column of three small
+# sessions, computed with the per-block loop reconciliation: a change
+# that moves the RNG stream or the post-processing fails here.
+GOLDEN_SESSIONS = {
+    "ideal": (
+        SessionConfig(11, 12, 13, bits_per_block=4096), 3,
+        "1751d75abb4550381d2b467202afcfb5f8892f1448772ff5fbcf8a45c3f47c8f",
+        "336437bc8aa571b855fe92210ec46a2b727ab4ce02498fc14db9ad3c564055a1",
+    ),
+    "ideal_fixed_projection": (
+        SessionConfig(21, 22, 23, bits_per_block=4096, eve=EveStrategy.FIXED_PROJECTION), 2,
+        "0dd53b6f0016d54d02de05aed086075ba2d4fc439a3bada0ac6729da8b8abc18",
+        "7b2382cb3c779833ebdef48bb30720e79e7a7e93d2dc94ea62f441161377f4f1",
+    ),
+    "physical_afterpulse": (
+        SessionConfig(
+            31, 32, 33, bits_per_block=16384, mode=Mode.PHYSICAL,
+            hardware=HardwareProfile(detector=DetectorParams(afterpulse_prob0=0.05)),
+        ), 3,
+        "b750d0cebd8b988148beb20dd7a1e0411d117b8b068c4a48256fca1af0a9ac44",
+        "e09a619e5775f9a28fa002e74cd3b4f141bf9358bf38bbb22a61a5349aab1426",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SESSIONS))
+def test_golden_digests_of_key_and_hits(name):
+    cfg, n_blocks, key_sha, hits_sha = GOLDEN_SESSIONS[name]
+    rep = run_session(cfg, n_blocks=n_blocks)
+    assert rep.reconciled_key.dtype == rep.round_logs.hits.dtype == np.uint8
+    assert len(rep.round_logs) == n_blocks * cfg.bits_per_block
+    assert sha256_of(rep.reconciled_key) == key_sha
+    assert sha256_of(rep.round_logs.hits) == hits_sha
 
 
 def test_session_deterministic():
