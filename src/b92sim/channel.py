@@ -6,16 +6,17 @@ sequence, kind, payload}. Frames never exceed 64 KiB, so long bit
 lists are split across consecutive frames of the same kind carrying
 {total, offset, bits} with the bits hex-encoded (packed big-endian).
 
-The same framing runs over an in-process loopback queue pair or a TCP
-socket, so everything the protocol says on the wire is identical in
-both modes and can be inspected by tests.
+The same framing runs over an in-process loopback (two deques, read
+in turn by one thread) or a TCP socket, so everything the protocol
+says on the wire is identical in both modes and can be inspected by
+tests.
 """
 from __future__ import annotations
 
 import json
-import queue
 import socket
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ _HEADER = struct.Struct(">I")
 # payload bits per chunk; 100k bits -> 25 kB of hex, comfortably per-frame
 CHUNK_BITS = 100_000
 
-KINDS = (
+KINDS = frozenset({
     "Hello",
     "Results",
     "ErrorCheckIndices",
@@ -36,12 +37,22 @@ KINDS = (
     "DiscardList",
     "Done",
     "Ciphertext",
-)
+})
+
+# One encoder and decoder for every frame. The encoder has the settings
+# of json.dumps(obj, separators=(",", ":")), so it writes the same bytes
+# without building a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_DECODER = json.JSONDecoder()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PublicMessage:
-    """One framed message on the public channel."""
+    """One framed message on the public channel.
+
+    Not frozen: a frozen dataclass pays one ``object.__setattr__`` per
+    field on every frame. Nothing mutates a message once it is built.
+    """
 
     kind: str
     payload: dict
@@ -72,14 +83,13 @@ def hex_to_bits(s: str, n: int) -> np.ndarray:
 
 
 def encode_frame(msg: PublicMessage) -> bytes:
-    body = json.dumps(
+    body = _ENCODER.encode(
         {
             "session_id": msg.session_id,
             "sequence": msg.sequence,
             "kind": msg.kind,
             "payload": msg.payload,
-        },
-        separators=(",", ":"),
+        }
     ).encode("utf-8")
     if _HEADER.size + len(body) > MAX_FRAME_BYTES:
         raise ChannelError(f"frame of {len(body)} bytes exceeds the 64 KiB limit")
@@ -88,7 +98,7 @@ def encode_frame(msg: PublicMessage) -> bytes:
 
 def decode_frame(body: bytes) -> PublicMessage:
     try:
-        obj = json.loads(body.decode("utf-8"))
+        obj = _DECODER.decode(body.decode("utf-8"))
         return PublicMessage(
             kind=obj["kind"],
             payload=obj["payload"],
@@ -100,35 +110,42 @@ def decode_frame(body: bytes) -> PublicMessage:
 
 
 class LoopbackTransport:
-    """Queue-backed transport; sends and receives whole frames."""
+    """In-process transport over two deques, for both parties in one
+    thread; sends and receives whole frames.
 
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue, timeout: float = 30.0):
+    It never waits: the single-thread driver only reads once the peer
+    has had its turn, so a read with nothing queued is a protocol
+    error and raises ProtocolDesyncError at once. ``close`` queues an
+    end-of-stream mark; the peer's reads raise ChannelError from there on.
+    """
+
+    def __init__(self, inbox: deque, outbox: deque):
         self._inbox = inbox
         self._outbox = outbox
-        self._timeout = timeout
 
     def send_frame(self, data: bytes) -> None:
-        self._outbox.put(data)
+        self._outbox.append(data)
 
     def recv_frame(self) -> bytes:
         try:
-            data = self._inbox.get(timeout=self._timeout)
-        except queue.Empty as exc:
-            raise ChannelError("loopback peer went silent") from exc
+            data = self._inbox.popleft()
+        except IndexError:
+            raise ProtocolDesyncError("loopback read with nothing queued") from None
         if data is None:
+            self._inbox.appendleft(None)
             raise ChannelError("loopback peer closed the channel")
         return data
 
     def close(self) -> None:
-        self._outbox.put(None)
+        self._outbox.append(None)
 
 
-def loopback_pair(timeout: float = 30.0) -> tuple[LoopbackTransport, LoopbackTransport]:
-    a_to_b: queue.Queue = queue.Queue()
-    b_to_a: queue.Queue = queue.Queue()
+def loopback_pair() -> tuple[LoopbackTransport, LoopbackTransport]:
+    a_to_b: deque = deque()
+    b_to_a: deque = deque()
     return (
-        LoopbackTransport(inbox=b_to_a, outbox=a_to_b, timeout=timeout),
-        LoopbackTransport(inbox=a_to_b, outbox=b_to_a, timeout=timeout),
+        LoopbackTransport(inbox=b_to_a, outbox=a_to_b),
+        LoopbackTransport(inbox=a_to_b, outbox=b_to_a),
     )
 
 
@@ -260,7 +277,8 @@ def recv_bit_frames(pipe: MessagePipe, kind: str, max_total: int) -> tuple[np.nd
     total = _int_field(head, "total")
     if not 0 <= total <= max_total:
         raise ProtocolDesyncError(f"{kind} announces {total} bits, expected at most {max_total}")
-    out = np.zeros(total, dtype=np.uint8)
+    # a single chunk is returned as decoded; longer lists fill one array
+    out = np.empty(total, dtype=np.uint8) if total > CHUNK_BITS else None
     received = 0
     while True:
         chunk = (_int_field(msg.payload, "offset"), _int_field(msg.payload, "total"))
@@ -270,12 +288,14 @@ def recv_bit_frames(pipe: MessagePipe, kind: str, max_total: int) -> tuple[np.nd
                 f"expected offset {received} of {total}"
             )
         n = min(CHUNK_BITS, total - received)
-        out[received: received + n] = hex_to_bits(msg.payload.get("bits"), n)
+        bits = hex_to_bits(msg.payload.get("bits"), n)
+        if out is None:
+            return bits, head
+        out[received: received + n] = bits
         received += n
         if received >= total:
-            break
+            return out, head
         msg = pipe.recv(expect_kind=kind)
-    return out, head
 
 
 def open_listener(host: str, port: int) -> socket.socket:

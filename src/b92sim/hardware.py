@@ -32,10 +32,11 @@ class SourceParams:
     ideal_single_photon: bool = False
 
     def __post_init__(self):
-        if self.mean_photons < 0:
-            raise ConfigError("mean_photons must be >= 0")
-        if self.pulse_rate <= 0:
-            raise ConfigError("pulse_rate must be positive")
+        # chained comparisons are False for NaN, so these reject it too
+        if not 0 <= self.mean_photons < math.inf:
+            raise ConfigError(f"mean_photons must be finite and >= 0, got {self.mean_photons}")
+        if not 0 < self.pulse_rate < math.inf:
+            raise ConfigError(f"pulse_rate must be finite and positive, got {self.pulse_rate}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,10 @@ class FiberParams:
     attenuation_db_per_km: float = 0.3
 
     def __post_init__(self):
-        if self.length_km < 0 or self.attenuation_db_per_km < 0:
-            raise ConfigError("fiber length and attenuation must be >= 0")
+        for name in ("length_km", "attenuation_db_per_km"):
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,9 @@ class DetectorParams:
         if not 0.0 <= self.afterpulse_prob0 <= 1.0:
             raise ConfigError("afterpulse_prob0 must lie in [0, 1]")
         for name in ("dark_rate", "gate_window", "afterpulse_tau", "max_gate_rate"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,14 @@ class InterferometerConfig:
     pulse_width: float = 300e-12
 
     def __post_init__(self):
-        if self.pulse_width <= 0:
-            raise ConfigError("pulse_width must be positive")
-        if self.delta_t <= self.pulse_width:
-            raise ConfigError("delta_t must exceed pulse_width (windows overlap)")
+        # chained comparisons are False for NaN, so these reject it too
+        if not 0 < self.pulse_width < math.inf:
+            raise ConfigError(f"pulse_width must be finite and positive, got {self.pulse_width}")
+        if not self.pulse_width < self.delta_t < math.inf:
+            raise ConfigError(
+                f"delta_t must be finite and exceed pulse_width (windows overlap), "
+                f"got {self.delta_t}"
+            )
         for name in ("visibility", "long_path_loss_a", "long_path_loss_b"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -464,8 +464,14 @@ def _checked_bias(bias):
     raise ProtocolDesyncError(f"bias {bias!r} is not a fraction in [0, 1]")
 
 
-def _evaluate_alarm(cfg: SessionConfig, ber: float, bias: float | None) -> tuple[bool, str | None]:
+def _evaluate_alarm(
+    cfg: SessionConfig, disclosed: int, ber: float, bias: float | None
+) -> tuple[bool, str | None]:
+    """The alarm and its reasons. With no disclosed sample the error
+    rate is unknown, so the session fails closed with reason "sample"."""
     reasons = []
+    if disclosed == 0:
+        reasons.append("sample")
     if ber > cfg.alarm_ber_threshold:
         reasons.append("ber")
     if bias is not None and abs(bias - 0.5) > cfg.alarm_bias_threshold:
@@ -568,7 +574,7 @@ class AliceEngine(_Party):
         if len(values) != len(mine):
             raise ProtocolDesyncError("disclosed values do not match the sample size")
         self.disclosed_total += len(mine)
-        self.mismatch_total += int(np.sum(mine != values))
+        self.mismatch_total += np.count_nonzero(mine != values)
         trimmed = key[mask == 0]
 
         parities = block_parities(trimmed, cfg.reconcile_block_size)
@@ -586,7 +592,9 @@ class AliceEngine(_Party):
         self.ber = (
             self.mismatch_total / self.disclosed_total if self.disclosed_total else 0.0
         )
-        self.alarm, self.alarm_reason = _evaluate_alarm(self.cfg, self.ber, self.bob_bias)
+        self.alarm, self.alarm_reason = _evaluate_alarm(
+            self.cfg, self.disclosed_total, self.ber, self.bob_bias
+        )
         self.pipe.send(
             "Done",
             {
@@ -639,7 +647,7 @@ class BobEngine(_Party):
             raise ProtocolDesyncError("Results length does not match the block")
         key = _sift(bits, hits)
         self.sifted_blocks.append(key)
-        self.zeros_total += int(np.sum(key == 0))
+        self.zeros_total += len(key) - np.count_nonzero(key)
         self.sifted_total += len(key)
 
         mask, _ = recv_bit_frames(self.pipe, "ErrorCheckIndices", len(key))

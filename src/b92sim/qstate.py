@@ -7,6 +7,7 @@ so every experiment built on it is reproducible from its seeds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,6 @@ def states_equal(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
     return abs(abs(inner(a, b)) - 1.0) <= atol
 
 
-def _state_from_vec(v: np.ndarray) -> StateVector:
-    return StateVector(complex(v[0]), complex(v[1]))
-
-
 class Projector:
     """Rank-1 Hermitian idempotent on the two-dimensional space."""
 
@@ -65,6 +62,9 @@ class Projector:
             raise ValueError("projector is not rank-1 (trace != 1)")
         self.matrix = m
         self.matrix.setflags(write=False)
+        # the entries (row-major) as Python complex numbers, for the
+        # scalar arithmetic of ``measure``
+        self._entries = tuple(m.ravel().tolist())
 
     @classmethod
     def onto(cls, state: StateVector) -> "Projector":
@@ -148,21 +148,24 @@ def measure(
 
     Returns (passed, collapsed). On a pass the state collapses to
     P|psi>/||P|psi>||, on a fail to (1-P)|psi>/||(1-P)|psi>||; the
-    collapsed state is normalized either way.
+    collapsed state is normalized either way. The arithmetic is scalar
+    on the two amplitudes: a StateVector's norm was checked when it was
+    built, so unlike ``pass_probability`` this does not check it again.
+    Each call takes exactly one ``rng.random()``.
     """
-    prob = pass_probability(psi, p)
+    a, b = complex(psi.amp_up), complex(psi.amp_down)
+    m00, m01, m10, m11 = p._entries
+    pa, pb = m00 * a + m01 * b, m10 * a + m11 * b  # P|psi>
+    prob = (a.conjugate() * pa + b.conjugate() * pb).real
     passed = bool(rng.random() < prob)
-    v = psi.vec()
-    if passed:
-        w = p.matrix @ v
-    else:
-        w = v - p.matrix @ v
-    wn = np.linalg.norm(w)
+    if not passed:
+        pa, pb = a - pa, b - pb
+    wn = math.hypot(abs(pa), abs(pb))
     # the sampled branch has nonzero weight as long as random() lies in
     # [0, 1); a generator outside that range would draw an empty branch
     if not wn > 1e-9:
         raise InvalidStateError("degenerate collapse: the sampled branch has zero weight")
-    return passed, _state_from_vec(w / wn)
+    return passed, StateVector(pa / wn, pb / wn)
 
 
 def commutator_norm(p1: Projector, p2: Projector) -> float:

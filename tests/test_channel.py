@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_malformed_frame():
 
 
 def test_pipe_sequence_and_session_checks():
-    t_a, t_b = loopback_pair(timeout=1.0)
+    t_a, t_b = loopback_pair()
     a = MessagePipe(t_a, session_id=5)
     b = MessagePipe(t_b, session_id=5)
     a.send("Hello", {"n": 1})
@@ -66,13 +67,13 @@ def test_pipe_sequence_and_session_checks():
         b.recv(expect_kind="Hello")
 
     # foreign session id
-    t_a, t_b = loopback_pair(timeout=1.0)
+    t_a, t_b = loopback_pair()
     MessagePipe(t_a, session_id=1).send("Hello", {})
     with pytest.raises(ProtocolDesyncError):
         MessagePipe(t_b, session_id=2).recv()
 
     # replayed (non-increasing) sequence
-    t_a, t_b = loopback_pair(timeout=1.0)
+    t_a, t_b = loopback_pair()
     frame = encode_frame(PublicMessage("Hello", {}, session_id=3, sequence=1))
     t_a.send_frame(frame)
     t_a.send_frame(frame)
@@ -83,17 +84,41 @@ def test_pipe_sequence_and_session_checks():
 
 
 def test_loopback_close_wakes_peer():
-    t_a, t_b = loopback_pair(timeout=1.0)
+    t_a, t_b = loopback_pair()
     t_a.close()
     with pytest.raises(ChannelError):
         MessagePipe(t_b, session_id=1).recv()
+    # frames queued before the close arrive first, and it stays closed
+    t_a, t_b = loopback_pair()
+    MessagePipe(t_a, session_id=1).send("Hello", {})
+    t_a.close()
+    b = MessagePipe(t_b, session_id=1)
+    assert b.recv().kind == "Hello"
+    for _ in range(2):
+        with pytest.raises(ChannelError, match="closed"):
+            b.recv()
+
+
+def test_empty_loopback_read_raises_at_once():
+    # both parties share one thread: a read before the peer has sent is
+    # a missed turn, reported at once instead of waiting on a clock
+    t_a, t_b = loopback_pair()
+    t0 = time.perf_counter()
+    with pytest.raises(ProtocolDesyncError, match="nothing queued"):
+        t_b.recv_frame()
+    assert time.perf_counter() - t0 < 0.5
+    # the channel still works after the failed read, in both directions
+    t_a.send_frame(b"x")
+    assert t_b.recv_frame() == b"x"
+    with pytest.raises(ProtocolDesyncError):
+        t_a.recv_frame()
 
 
 @pytest.mark.parametrize("n", [0, 5, 1024, 250_000])
 def test_bit_frames_roundtrip(n):
     rng = np.random.default_rng(n + 1)
     bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    t_a, t_b = loopback_pair(timeout=2.0)
+    t_a, t_b = loopback_pair()
     a = MessagePipe(t_a, session_id=9)
     b = MessagePipe(t_b, session_id=9)
     send_bit_frames(a, "Results", bits, extra={"tag": "x"})
@@ -105,7 +130,7 @@ def test_bit_frames_roundtrip(n):
 
 def recv_from_peer(payloads, max_total=16):
     """recv_bit_frames on Results frames carrying the given payloads."""
-    t_a, t_b = loopback_pair(timeout=1.0)
+    t_a, t_b = loopback_pair()
     a = MessagePipe(t_a, session_id=4)
     for payload in payloads:
         a.send("Results", payload)

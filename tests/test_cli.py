@@ -1,12 +1,16 @@
 import csv
+import functools
 import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from b92sim import channel, cli
+from b92sim.channel import MessagePipe, SocketTransport, accept_one, open_listener
 from b92sim.cli import _session_config, build_parser, main
-from b92sim.protocol import run_session
+from b92sim.protocol import AliceEngine, run_session
 
 
 def run_cli(argv, capsys):
@@ -105,6 +109,80 @@ def test_bad_config_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--mu", "nan", "mean_photons"),
+    ("--mu", "inf", "mean_photons"),
+    ("--distance-km", "nan", "length_km"),
+    ("--distance-km", "inf", "length_km"),
+    ("--atten-db-km", "inf", "attenuation_db_per_km"),
+    ("--dark-hz", "nan", "dark_rate"),
+    ("--gate-ps", "nan", "gate_window"),
+])
+def test_non_finite_flag_exits_2(capsys, flag, value, field):
+    code, out, err = run_cli(["session", "--mode", "physical", flag, value], capsys)
+    assert code == 2
+    assert f"{field} must be finite" in err
+    assert "sifted bits" not in out
+
+
+def test_non_finite_profile_value_exits_2(tmp_path, capsys):
+    for line, field in (("mean_photons = nan", "mean_photons"),
+                        ("dark_rate = inf", "dark_rate"),
+                        ("pulse_width = nan", "pulse_width"),
+                        ("delta_t = inf", "delta_t")):
+        prof = tmp_path / "hw.profile"
+        prof.write_text(line + "\n")
+        code, _, err = run_cli(["session", "--mode", "physical", "--profile", str(prof)], capsys)
+        assert code == 2, line
+        assert f"{field} must be finite" in err
+
+
+# a link that sifts nothing: the session must not report a clean channel
+EMPTY_SAMPLE_FLAGS = ["--mode", "physical", "--mu", "0.0001", "--distance-km", "100",
+                      "--bits-per-block", "64"]
+
+
+def test_session_without_a_sample_raises_the_alarm(capsys):
+    code, out, _ = run_cli(["session", *EMPTY_SAMPLE_FLAGS], capsys)
+    assert code == 0
+    assert "sifted bits:     0 " in out
+    assert "alarm:           sample" in out
+
+
+def test_chat_receiver_discards_a_key_without_a_sample(capsys):
+    # the sender runs one block over TCP and stops; the receiver must
+    # see the alarm in Done and discard the key instead of decrypting
+    cfg = _session_config(build_parser().parse_args(
+        ["chat", "--role", "alice", *EMPTY_SAMPLE_FLAGS]))
+    listener = open_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    failures = []
+
+    def sender():
+        try:
+            pipe = MessagePipe(SocketTransport(accept_one(listener, timeout=10.0)),
+                               cfg.session_id())
+            try:
+                AliceEngine(cfg, pipe).run(lambda eng: False)
+            finally:
+                pipe.close()
+        except Exception as exc:
+            failures.append(exc)
+
+    th = threading.Thread(target=sender, daemon=True)
+    th.start()
+    code, out, _ = run_cli(
+        ["chat", "--role", "bob", "--connect", f"127.0.0.1:{port}", *EMPTY_SAMPLE_FLAGS],
+        capsys,
+    )
+    th.join(timeout=10.0)
+    assert not th.is_alive()
+    assert not failures, failures
+    assert code == 1
+    assert "alarm (sample): key discarded" in out
+    assert "decrypted" not in out
+
+
 def test_model_validity_error_exits_2_with_its_cause(capsys):
     # the physics rejects the dark-count rate; that cause must reach the
     # user as a configuration error, not as a closed channel
@@ -190,7 +268,11 @@ def test_chat_connection_killed_mid_session_exits_3():
     assert "ciphertext" not in out
 
 
-def test_chat_bob_refused_connection_exits_3(capsys):
+def test_chat_bob_refused_connection_exits_3(capsys, monkeypatch):
+    # nothing listens on the port; a short deadline keeps the retries brief
+    monkeypatch.setattr(
+        cli, "connect_with_retry", functools.partial(channel.connect_with_retry, deadline=0.5)
+    )
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
@@ -199,3 +281,4 @@ def test_chat_bob_refused_connection_exits_3(capsys):
         ["chat", "--role", "bob", "--connect", f"127.0.0.1:{port}"], capsys
     )
     assert code == 3
+    assert f"cannot connect to 127.0.0.1:{port}" in err

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import socket
 import threading
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from b92sim.channel import (
     CHUNK_BITS,
     MessagePipe,
+    SocketTransport,
     bits_to_hex,
     decode_frame,
     encode_frame,
@@ -554,6 +556,46 @@ def test_golden_digests_of_key_and_hits(name):
     assert sha256_of(rep.round_logs.hits) == hits_sha
 
 
+# sha256 of all frames each party sends in the GOLDEN_SESSIONS, one
+# stream per direction (each frame carries its length prefix), with the
+# frame count: (sender to receiver, receiver to sender). Computed with
+# a fresh json.dumps per frame and a queue-backed loopback; the wire
+# format must not move by one byte.
+GOLDEN_FRAMES = {
+    "ideal": (
+        (13, "4d31455db60c7a6433fdd1ff88fe21c4fc0cf9c4f330dc4bfb796c9f903b9d9b"),
+        (7, "c6145988facaed3a9ae52455bd38204368d2d4306fb8506142c968eaf35dd236"),
+    ),
+    "ideal_fixed_projection": (
+        (9, "c65b0d7b1dc1a00b7d04befffaf2858d389ecebf6f3dda4b0bf43a833dcb9a34"),
+        (5, "22b193bf892224236c8b2d9b375dfa237db36d12ec780ebd03840173daa09775"),
+    ),
+    "physical_afterpulse": (
+        (13, "86e7810aefc02c0616936bf7cc1acd425031553f9204c8560c065dc933dd9c87"),
+        (7, "9a8f294d35d70dd8620162c7eb039a8fba5f0d634f09c7a674e8e15ba7104cfc"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SESSIONS))
+def test_golden_digests_of_every_frame(name):
+    cfg, n_blocks, _, _ = GOLDEN_SESSIONS[name]
+    in_process = [], []
+    t_a, t_b = loopback_pair()
+    run_session(
+        cfg,
+        channel=(RecordingTransport(t_a, in_process[0]), RecordingTransport(t_b, in_process[1])),
+        n_blocks=n_blocks,
+    )
+    # the threaded parties over a socket pair send the same bytes
+    over_sockets = [], []
+    run_two_process(cfg, n_blocks, record_to_bob=over_sockets[0], record_to_alice=over_sockets[1])
+    for frames_by_direction in (in_process, over_sockets):
+        for frames, (count, digest) in zip(frames_by_direction, GOLDEN_FRAMES[name]):
+            assert len(frames) == count
+            assert hashlib.sha256(b"".join(frames)).hexdigest() == digest
+
+
 def test_session_deterministic():
     cfg = make_cfg(bits_per_block=20_000, eve=EveStrategy.FIXED_PROJECTION)
     r1 = run_session(cfg)
@@ -664,9 +706,16 @@ class ReplayTransport:
         pass
 
 
+def socket_pair():
+    """Two connected SocketTransports, for parties in separate threads."""
+    s_a, s_b = socket.socketpair()
+    return SocketTransport(s_a, timeout=30.0), SocketTransport(s_b, timeout=30.0)
+
+
 def run_two_process(cfg, n_blocks=1, record_to_bob=None, record_to_alice=None):
-    """Both engines in wire mode (sender owns the physics) over loopback."""
-    t_a, t_b = loopback_pair()
+    """Both engines in wire mode (sender owns the physics), each in its
+    own thread over a socket pair, where every receive blocks."""
+    t_a, t_b = socket_pair()
     if record_to_bob is not None:
         t_a = RecordingTransport(t_a, record_to_bob)
     if record_to_alice is not None:
@@ -685,8 +734,13 @@ def run_two_process(cfg, n_blocks=1, record_to_bob=None, record_to_alice=None):
 
     th = threading.Thread(target=alice_main, daemon=True)
     th.start()
-    bob.run()
-    th.join(timeout=30.0)
+    try:
+        bob.run()
+    finally:
+        th.join(timeout=30.0)
+        t_a.close()
+        t_b.close()
+    assert not th.is_alive()
     assert not failures, failures
     return alice, bob
 
@@ -795,7 +849,7 @@ def test_session_abort_on_channel_failure():
         def close(self):
             self.inner.close()
 
-    t_a, t_b = loopback_pair(timeout=2.0)
+    t_a, t_b = loopback_pair()
     cfg = make_cfg(bits_per_block=512)
     with pytest.raises(SessionAbort):
         run_session(cfg, channel=(DyingTransport(t_a, 2), t_b))
@@ -804,7 +858,7 @@ def test_session_abort_on_channel_failure():
 def test_hello_mismatch_aborts():
     cfg_a = make_cfg(bits_per_block=512)
     cfg_b = make_cfg(bits_per_block=1024)
-    t_a, t_b = loopback_pair(timeout=2.0)
+    t_a, t_b = socket_pair()
     sid = cfg_a.session_id()
     alice = AliceEngine(cfg_a, MessagePipe(t_a, sid))
     bob = BobEngine(cfg_b, MessagePipe(t_b, sid))
@@ -821,6 +875,8 @@ def test_hello_mismatch_aborts():
         alice.run(lambda eng: False)
     t_a.close()
     th.join(timeout=5.0)
+    assert not th.is_alive()
+    t_b.close()
 
 
 # ---------------------------------------------------------------------------

@@ -202,3 +202,42 @@ def test_pauli_algebra_exact():
 
 def test_projector_completeness():
     assert np.allclose(P_UP.matrix + P_DOWN.matrix, np.eye(2), atol=1e-12)
+
+
+def reference_measure(psi, p, rng):
+    """The earlier body of ``measure``: numpy matrix algebra, with the
+    norm check of ``pass_probability`` and a fresh vec() per step."""
+    prob = pass_probability(psi, p)
+    passed = bool(rng.random() < prob)
+    v = psi.vec()
+    if passed:
+        w = p.matrix @ v
+    else:
+        w = v - p.matrix @ v
+    wn = np.linalg.norm(w)
+    if not wn > 1e-9:
+        raise InvalidStateError("degenerate collapse: the sampled branch has zero weight")
+    w = w / wn
+    return passed, StateVector(complex(w[0]), complex(w[1]))
+
+
+def test_measure_equals_the_reference_body_over_10000_draws():
+    # random states against the four working projectors and random
+    # ones; both bodies draw from equal streams, one draw per call
+    pick = np.random.default_rng(8)
+    rng_new, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+
+    def random_state():
+        z = pick.normal(size=2) + 1j * pick.normal(size=2)
+        z /= np.linalg.norm(z)
+        return StateVector(complex(z[0]), complex(z[1]))
+
+    fixed = [P_UP, P_DOWN, P_LEFT, Projector.onto(RIGHT)]
+    for i in range(10_000):
+        psi = (UP, DOWN, RIGHT, LEFT)[i % 4] if i % 5 == 0 else random_state()
+        p = fixed[i % 4] if i % 3 else Projector.onto(random_state())
+        got, want = measure(psi, p, rng_new), reference_measure(psi, p, rng_ref)
+        assert got[0] == want[0]
+        assert abs(got[1].amp_up - want[1].amp_up) <= 1e-12
+        assert abs(got[1].amp_down - want[1].amp_down) <= 1e-12
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
