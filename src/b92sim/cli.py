@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 
@@ -36,7 +37,7 @@ from .errors import (
     ProtocolDesyncError,
     SessionAbort,
 )
-from .hardware import HardwareProfile, default_profile, fiber_transmission, load_profile
+from .hardware import HardwareProfile, fiber_transmission, load_profile, with_fields
 from .otp import Message, ascii_decode, ascii_encode, decrypt, encrypt, pad_from_key
 from .photonics import InterferometerConfig, PhasePair, arrival_histogram
 from .protocol import (
@@ -51,17 +52,25 @@ from .protocol import (
 )
 
 
+# hardware flag -> (profile field, unit of the flag's value)
+_HARDWARE_FLAGS = {
+    "distance_km": ("length_km", 1.0),
+    "atten_db_km": ("attenuation_db_per_km", 1.0),
+    "visibility": ("visibility", 1.0),
+    "mu": ("mean_photons", 1.0),
+    "efficiency": ("efficiency", 1.0),
+    "dark_hz": ("dark_rate", 1.0),
+    "gate_ps": ("gate_window", 1e-12),
+}
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["ideal", "physical"], default="ideal")
     p.add_argument("--eve", choices=["none", "fixed"], default="none")
     p.add_argument("--profile", metavar="PATH", help="key=value hardware profile file")
-    p.add_argument("--distance-km", type=float, default=None)
-    p.add_argument("--atten-db-km", type=float, default=None)
-    p.add_argument("--visibility", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None, help="mean photons per pulse")
-    p.add_argument("--efficiency", type=float, default=None)
-    p.add_argument("--dark-hz", type=float, default=None)
-    p.add_argument("--gate-ps", type=float, default=None)
+    for flag, (name, _) in _HARDWARE_FLAGS.items():
+        p.add_argument("--" + flag.replace("_", "-"), type=float, default=None,
+                       help=f"sets {name}")
     p.add_argument("--blocks", type=int, default=1)
     p.add_argument("--bits-per-block", type=int, default=1024)
     p.add_argument("--seed-alice", type=int, default=2)
@@ -71,23 +80,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _hardware_from_args(args) -> HardwareProfile:
-    hw = load_profile(args.profile) if args.profile else default_profile()
-    src, fib, det, itf = hw.source, hw.fiber, hw.detector, hw.interferometer
-    if args.mu is not None:
-        src = replace(src, mean_photons=args.mu)
-    if args.distance_km is not None:
-        fib = replace(fib, length_km=args.distance_km)
-    if args.atten_db_km is not None:
-        fib = replace(fib, attenuation_db_per_km=args.atten_db_km)
-    if args.efficiency is not None:
-        det = replace(det, efficiency=args.efficiency)
-    if args.dark_hz is not None:
-        det = replace(det, dark_rate=args.dark_hz)
-    if args.gate_ps is not None:
-        det = replace(det, gate_window=args.gate_ps * 1e-12)
-    if args.visibility is not None:
-        itf = replace(itf, visibility=args.visibility)
-    return HardwareProfile(source=src, fiber=fib, detector=det, interferometer=itf)
+    hw = load_profile(args.profile) if args.profile else HardwareProfile()
+    return with_fields(hw, **{
+        name: getattr(args, flag) * scale
+        for flag, (name, scale) in _HARDWARE_FLAGS.items()
+        if getattr(args, flag) is not None
+    })
 
 
 def _session_config(args) -> SessionConfig:
@@ -124,6 +122,8 @@ def _cmd_session(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if not all(map(math.isfinite, (args.km_start, args.km_stop, args.km_step))):
+        raise ConfigError("--km-start, --km-stop and --km-step must be finite")
     if args.km_step <= 0:
         raise ConfigError("--km-step must be positive")
     if args.km_stop < args.km_start:
@@ -134,7 +134,7 @@ def _cmd_sweep(args) -> int:
     distances = np.arange(args.km_start, args.km_stop + args.km_step / 2, args.km_step)
     rows = []
     for d in distances:
-        hw = replace(cfg.hardware, fiber=replace(cfg.hardware.fiber, length_km=float(d)))
+        hw = with_fields(cfg.hardware, length_km=float(d))
         dcfg = replace(cfg, hardware=hw)
         pred = predict_key_rate(dcfg)
         ber = analytic_ber(hw)
@@ -163,8 +163,7 @@ def _cmd_sweep(args) -> int:
             write_rows(f)
         # Monte Carlo cross-check of the analytic rate, one block per distance
         for i, r in enumerate(rows):
-            hw = replace(cfg.hardware, fiber=replace(cfg.hardware.fiber,
-                                                     length_km=r["distance_km"]))
+            hw = with_fields(cfg.hardware, length_km=r["distance_km"])
             mcfg = replace(cfg, hardware=hw, bits_per_block=args.pulses,
                            seed_physics=cfg.seed_physics + i,
                            error_sample_fraction=0.0)
@@ -198,17 +197,12 @@ def _cmd_histogram(args) -> int:
     rng = np.random.default_rng(args.seed_physics)
     mu = args.mu if args.mu is not None else 0.1
     hist = arrival_histogram(phases, itf, args.pulses, mu, rng,
-                             bin_width=args.bin_ps * 1e-12 if args.bin_ps else None)
+                             bin_width=None if args.bin_ps is None else args.bin_ps * 1e-12)
+    hist.write_csv(args.out or sys.stdout)
     if args.out:
-        hist.write_csv(args.out)
         masses = hist.peak_masses(itf.delta_t)
         print(f"peak masses prompt/central/delayed: {masses[0]}/{masses[1]}/{masses[2]}")
         print(f"histogram written to {args.out}")
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(["time_bin_seconds", "counts"])
-        for t, c in zip(hist.bin_centers, hist.counts):
-            w.writerow([f"{t:.12e}", int(c)])
     return 0
 
 

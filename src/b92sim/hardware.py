@@ -107,7 +107,8 @@ def default_profile() -> HardwareProfile:
 
 
 def sample_photon_count(src: SourceParams, rng: np.random.Generator) -> int:
-    """Photons in one pulse: Poisson(mean) or exactly 1 for an ideal source."""
+    """Photons in one pulse: Poisson(mean) or exactly 1 for an ideal
+    source. A scalar reference that the tests hold ``PhysicsKernel`` to."""
     if src.ideal_single_photon:
         return 1
     return int(rng.poisson(src.mean_photons))
@@ -119,7 +120,8 @@ def fiber_transmission(f: FiberParams) -> float:
 
 
 def thin_photons(n: int, transmission: float, rng: np.random.Generator) -> int:
-    """Binomial survival of n photons through a lossy element."""
+    """Binomial survival of n photons through a lossy element. A scalar
+    reference that the tests hold ``PhysicsKernel`` to."""
     if not 0.0 <= transmission <= 1.0:
         raise ConfigError(f"transmission must lie in [0, 1], got {transmission}")
     if n == 0:
@@ -151,7 +153,8 @@ def _trap_decay(d: DetectorParams, charge: float, last: float, now: float) -> fl
 
 
 def afterpulse_probability(d: DetectorParams, st: DetectorState, now: float) -> float:
-    """Afterpulse hazard at gate time ``now``."""
+    """Afterpulse hazard at gate time ``now``. A scalar reference for the
+    term ``_gate_step`` forms inline, held by the tests to the closed form."""
     charge = st.trap_charge
     return d.afterpulse_prob0 * charge * _trap_decay(d, charge, st.last_avalanche_time, now)
 
@@ -187,7 +190,8 @@ def gate_detector(
     rng: np.random.Generator,
 ) -> tuple[bool, DetectorState]:
     """One gated exposure of the detector; the signal hazard is
-    optical_prob * efficiency when a photon arrives (see ``_gate_step``)."""
+    optical_prob * efficiency when a photon arrives (see ``_gate_step``).
+    A scalar reference: the tests hold ``PhysicsKernel`` to one call a pulse."""
     if now < st.last_avalanche_time:
         raise ValueError("gate time precedes the detector state's clock")
     p_signal = optical_prob * d.efficiency if photon_arrives else 0.0
@@ -240,9 +244,10 @@ def gate_block(
         i += 1
 
 
+# parameter group of each profile field
 _PROFILE_KEYS = {
-    f.name: (section, f.type)
-    for section, cls in (
+    f.name: group
+    for group, cls in (
         ("source", SourceParams),
         ("fiber", FiberParams),
         ("detector", DetectorParams),
@@ -250,6 +255,21 @@ _PROFILE_KEYS = {
     )
     for f in fields(cls)
 }
+
+
+def with_fields(hw: HardwareProfile, **values) -> HardwareProfile:
+    """``hw`` with the named fields of its parameter groups replaced.
+
+    Each touched group is rebuilt once, in the order source, fiber,
+    detector, interferometer, so its checks run on the merged values.
+    """
+    groups: dict[str, dict] = {g: {} for g in dict.fromkeys(_PROFILE_KEYS.values())}
+    for key, value in values.items():
+        if key not in _PROFILE_KEYS:
+            raise ConfigError(f"unknown profile key {key!r}")
+        groups[_PROFILE_KEYS[key]][key] = value
+    return replace(hw, **{g: replace(getattr(hw, g), **kv) for g, kv in groups.items() if kv})
+
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -275,7 +295,7 @@ def load_profile(path) -> HardwareProfile:
     Keys are the field names of the four parameter groups (units as
     declared there); '#' starts a comment; unknown keys are an error.
     """
-    overrides: dict[str, dict] = {"source": {}, "fiber": {}, "detector": {}, "interferometer": {}}
+    values = {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -286,12 +306,5 @@ def load_profile(path) -> HardwareProfile:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in _PROFILE_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown profile key {key!r}")
-            section, _ = _PROFILE_KEYS[key]
-            overrides[section][key] = _parse_value(key, raw)
-    base = HardwareProfile()
-    return HardwareProfile(
-        source=replace(base.source, **overrides["source"]),
-        fiber=replace(base.fiber, **overrides["fiber"]),
-        detector=replace(base.detector, **overrides["detector"]),
-        interferometer=replace(base.interferometer, **overrides["interferometer"]),
-    )
+            values[key] = _parse_value(key, raw)
+    return with_fields(HardwareProfile(), **values)

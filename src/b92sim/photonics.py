@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,11 @@ class PhasePair:
     phi_b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi_a", float(self.phi_a) % TWO_PI)
-        object.__setattr__(self, "phi_b", float(self.phi_b) % TWO_PI)
+        for name in ("phi_a", "phi_b"):
+            phi = float(getattr(self, name))
+            if not math.isfinite(phi):
+                raise ConfigError(f"{name} must be finite, got {phi}")
+            object.__setattr__(self, name, phi % TWO_PI)
 
     @property
     def delta(self) -> float:
@@ -180,6 +184,7 @@ def effective_hit_prob(alice_bit: int, bob_bit: int, visibility: float) -> float
 
     Evaluates the window distribution at the parties' phase settings:
     1/8 when the bits agree, (1/8)(1 - visibility) when they differ.
+    A scalar reference that the tests hold ``PhysicsKernel``'s hit rates to.
     """
     phases = PhasePair(b92_phase("alice", alice_bit), b92_phase("bob", bob_bit))
     cfg = InterferometerConfig(visibility=visibility)
@@ -212,12 +217,16 @@ class ArrivalHistogram:
             masses.append(int(self.counts[sel].sum()))
         return tuple(masses)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["time_bin_seconds", "counts"])
-            for t, c in zip(self.bin_centers, self.counts):
-                w.writerow([f"{t:.12e}", int(c)])
+    def write_csv(self, out) -> None:
+        """Write the counts as CSV to ``out``, a path or an open text stream."""
+        if isinstance(out, (str, os.PathLike)):
+            with open(out, "w", newline="") as f:
+                self.write_csv(f)
+            return
+        w = csv.writer(out)
+        w.writerow(["time_bin_seconds", "counts"])
+        for t, c in zip(self.bin_centers, self.counts):
+            w.writerow([f"{t:.12e}", int(c)])
 
 
 def arrival_histogram(
@@ -237,6 +246,13 @@ def arrival_histogram(
     """
     if n_pulses <= 0:
         raise ConfigError("n_pulses must be positive")
+    if bin_width is None:
+        bin_width = cfg.pulse_width / 4.0
+    # chained comparisons are False for NaN, so these reject it too
+    if not 0 <= mean_photons < math.inf:
+        raise ConfigError(f"mean_photons must be finite and >= 0, got {mean_photons}")
+    if not 0 < bin_width < math.inf:
+        raise ConfigError(f"bin_width must be finite and positive, got {bin_width}")
     dist = tm_window_distribution(phases, cfg)
     probs = np.array(dist.detector_windows())
     lost = 1.0 - probs.sum()
@@ -247,8 +263,6 @@ def arrival_histogram(
     times = np.concatenate([
         c + rng.normal(0.0, sigma, size=k) for c, k in zip(centers, window_counts)
     ])
-    if bin_width is None:
-        bin_width = cfg.pulse_width / 4.0
     lo = -4.0 * sigma
     hi = 2.0 * cfg.delta_t + 4.0 * sigma
     edges = np.arange(lo, hi + bin_width, bin_width)

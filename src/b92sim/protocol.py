@@ -26,7 +26,7 @@ messages, and sessions are bit-for-bit reproducible from the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -52,6 +52,7 @@ from .hardware import (
     default_profile,
     fiber_transmission,
     gate_block,
+    with_fields,
 )
 from .qstate import DOWN, P_DOWN, P_LEFT, P_UP, RIGHT, UP, StateVector, measure, pass_probability
 
@@ -255,6 +256,7 @@ def eve_intercept(
     is right with probability (1/2)/(3/4) = 2/3, and the guess matches
     the sent bit 3/4 of the time. Downstream the receiver sifts 3/8
     of the pulses with error rate 1/3 and 2/3 zeros (see EveStrategy).
+    A scalar reference that the tests hold ``PhysicsKernel`` to.
     """
     if strategy is EveStrategy.NONE:
         return None, state
@@ -271,12 +273,6 @@ _FWD_STATES = (UP, DOWN)  # Eve forwards index 0 on pass, 1 on fail
 _FWD_PASS = np.array(
     [[pass_probability(s, bob_projector(b)) for b in (0, 1)] for s in _FWD_STATES]
 )
-
-
-def _central_window_prob(q, visibility: float):
-    """Detector central-window probability for a logical pass
-    probability q: (1/8) * (1 + V * (2q - 1))."""
-    return 0.125 * (1.0 + visibility * (2.0 * np.asarray(q, dtype=float) - 1.0))
 
 
 @dataclass(frozen=True)
@@ -304,72 +300,48 @@ class PhysicsKernel:
         self.logs = RoundLogs()
 
     def transmit_block(self, alice_bits: np.ndarray, bob_bits: np.ndarray) -> BlockPhysics:
+        """One block through the quantum link, with draws in this order:
+        Poisson photon counts (Physical), the eavesdropper, fiber
+        thinning, then the detector. Ideal mode is the lossless limit:
+        one photon per pulse and one hit draw per pulse."""
         if len(alice_bits) != len(bob_bits):
             raise ProtocolDesyncError("bit blocks differ in length")
-        if self.cfg.mode is Mode.IDEAL:
-            out = self._ideal_block(alice_bits, bob_bits)
-        else:
-            out = self._physical_block(alice_bits, bob_bits)
-        self.detector_state = out.detector_state
-        self.logs.extend(alice_bits, bob_bits, out.photon_counts, out.eve_guesses, out.hits)
-        return out
-
-    def _eve_layer(self, alice_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sample Eve for every round; returns (guesses, forwarded state idx)."""
+        hw = self.cfg.hardware
         n = len(alice_bits)
-        eve_pass = self.rng.random(n) < _EVE_PASS[alice_bits]
-        guesses = np.where(eve_pass, 0, 1).astype(np.int8)
-        return guesses, guesses.astype(np.intp)  # forwarded index == guess
-
-    def _ideal_block(self, alice_bits, bob_bits) -> BlockPhysics:
-        n = len(alice_bits)
+        physical = self.cfg.mode is Mode.PHYSICAL
+        if physical:
+            counts = (np.ones(n, dtype=np.int64) if hw.source.ideal_single_photon
+                      else self.rng.poisson(hw.source.mean_photons, size=n).astype(np.int64))
         if self.cfg.eve is EveStrategy.NONE:
             q = _PASS_TABLE[alice_bits, bob_bits]
             guesses = np.full(n, -1, dtype=np.int8)
         else:
-            guesses, fwd = self._eve_layer(alice_bits)
-            q = _FWD_PASS[fwd, bob_bits]
-        hits = (self.rng.random(n) < q).astype(np.uint8)
-        return BlockPhysics(
-            hits=hits,
-            photon_counts=np.ones(n, dtype=np.int64),
-            eve_guesses=guesses,
-            detector_state=self.detector_state,
-        )
-
-    def _physical_block(self, alice_bits, bob_bits) -> BlockPhysics:
-        cfg = self.cfg
-        hw = cfg.hardware
-        n = len(alice_bits)
-        if hw.source.ideal_single_photon:
+            # Eve measures the logical signal ahead of fiber loss; her
+            # statistics commute with per-photon survival. A fail is a
+            # 1-guess, and the guess indexes the state she forwards.
+            # Empty pulses give her nothing to measure.
+            guesses = (self.rng.random(n) >= _EVE_PASS[alice_bits]).astype(np.int8)
+            q = _FWD_PASS[guesses, bob_bits]
+            if physical:
+                guesses[counts == 0] = -1
+        if not physical:
+            hits = (self.rng.random(n) < q).astype(np.uint8)
+            # one photon a pulse, made after the draw so as not to raise its peak memory
             counts = np.ones(n, dtype=np.int64)
         else:
-            counts = self.rng.poisson(hw.source.mean_photons, size=n).astype(np.int64)
-        if cfg.eve is EveStrategy.NONE:
-            q = _PASS_TABLE[alice_bits, bob_bits]
-            guesses = np.full(n, -1, dtype=np.int8)
-        else:
-            # Eve measures the logical signal ahead of fiber loss; her
-            # statistics commute with per-photon survival. Empty pulses
-            # give her nothing to measure.
-            guesses, fwd = self._eve_layer(alice_bits)
-            q = _FWD_PASS[fwd, bob_bits]
-            guesses = np.where(counts > 0, guesses, -1).astype(np.int8)
-        transmission = fiber_transmission(hw.fiber)
-        survivors = self.rng.binomial(counts, transmission).astype(np.int64)
-        p_window = _central_window_prob(q, hw.interferometer.visibility)
-        det = hw.detector
-        if det.afterpulse_prob0 == 0.0:
-            p_signal = 1.0 - (1.0 - p_window * det.efficiency) ** survivors
-            p_dark = dark_probability(det)
-            p_hit = 1.0 - (1.0 - p_signal) * (1.0 - p_dark)
-            hits = (self.rng.random(n) < p_hit).astype(np.uint8)
-            state = self.detector_state
-        else:
-            hits, state = self._gated_walk(p_window, survivors)
-        return BlockPhysics(
-            hits=hits, photon_counts=counts, eve_guesses=guesses, detector_state=state
-        )
+            survivors = self.rng.binomial(counts, fiber_transmission(hw.fiber)).astype(np.int64)
+            # central-window probability of a logical pass probability q
+            p_window = 0.125 * (1.0 + hw.interferometer.visibility * (2.0 * q - 1.0))
+            det = hw.detector
+            if det.afterpulse_prob0 != 0.0:
+                hits, self.detector_state = self._gated_walk(p_window, survivors)
+            else:
+                # memoryless: gate_block's hits, without its scalar pow() per multi-photon gate
+                p_signal = 1.0 - (1.0 - p_window * det.efficiency) ** survivors
+                p_hit = 1.0 - (1.0 - p_signal) * (1.0 - dark_probability(det))
+                hits = (self.rng.random(n) < p_hit).astype(np.uint8)
+        self.logs.extend(alice_bits, bob_bits, counts, guesses, hits)
+        return BlockPhysics(hits, counts, guesses, self.detector_state)
 
     def _gated_walk(self, p_window, survivors) -> tuple[np.ndarray, DetectorState]:
         hw = self.cfg.hardware
@@ -789,8 +761,9 @@ def analytic_ber(hw: HardwareProfile, distance_km: float | None = None) -> float
     errors. As the fiber eats the signal the dark counts dominate and
     the error rate climbs toward 1/2.
     """
-    fiber = hw.fiber if distance_km is None else replace(hw.fiber, length_km=distance_km)
-    t = fiber_transmission(fiber)
+    if distance_km is not None:
+        hw = with_fields(hw, length_km=distance_km)
+    t = fiber_transmission(hw.fiber)
     eta = hw.detector.efficiency
     v = hw.interferometer.visibility
     src = hw.source
@@ -799,11 +772,12 @@ def analytic_ber(hw: HardwareProfile, distance_km: float | None = None) -> float
         p_diff = t * eta * 0.125 * (1.0 - v)
     else:
         mu = src.mean_photons
-        p_same = 1.0 - math.exp(-mu * t * eta * 0.125)
-        p_diff = 1.0 - math.exp(-mu * t * eta * 0.125 * (1.0 - v))
+        p_same = -math.expm1(-mu * t * eta * 0.125)
+        p_diff = -math.expm1(-mu * t * eta * 0.125 * (1.0 - v))
+    # 1 - (1 - p)(1 - dark), without cancelling a tiny p against 1
     dark = dark_probability(hw.detector)
-    hit_same = 1.0 - (1.0 - p_same) * (1.0 - dark)
-    hit_diff = 1.0 - (1.0 - p_diff) * (1.0 - dark)
+    hit_same = p_same + dark * (1.0 - p_same)
+    hit_diff = p_diff + dark * (1.0 - p_diff)
     if hit_same + hit_diff == 0.0:
         return 0.0
     return hit_diff / (hit_same + hit_diff)

@@ -4,6 +4,7 @@ import socket
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -125,6 +126,57 @@ def test_non_finite_flag_exits_2(capsys, flag, value, field):
     assert "sifted bits" not in out
 
 
+BAD_SWEEP_AND_HISTOGRAM_FLAGS = [
+    (["sweep", "--km-step", "nan"], "must be finite"),
+    (["sweep", "--km-start", "nan"], "must be finite"),
+    (["sweep", "--km-stop", "inf"], "must be finite"),
+    (["histogram", "--mu", "nan"], "mean_photons must be finite"),
+    (["histogram", "--mu", "-1"], "mean_photons must be finite and >= 0"),
+    (["histogram", "--phi-a", "nan"], "phi_a must be finite"),
+    (["histogram", "--phi-b", "inf"], "phi_b must be finite"),
+    (["histogram", "--bin-ps", "nan"], "bin_width must be finite"),
+    (["histogram", "--bin-ps", "-1"], "bin_width must be finite and positive"),
+    (["histogram", "--bin-ps", "0"], "bin_width must be finite and positive"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_SWEEP_AND_HISTOGRAM_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in BAD_SWEEP_AND_HISTOGRAM_FLAGS])
+def test_bad_sweep_and_histogram_flag_exits_2(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+# flag, value, profile-file value of the same field, field, group, field value
+HARDWARE_FLAGS = [
+    ("--mu", "0.3", "0.05", "mean_photons", "source", 0.3),
+    ("--distance-km", "12", "3", "length_km", "fiber", 12.0),
+    ("--atten-db-km", "0.25", "0.2", "attenuation_db_per_km", "fiber", 0.25),
+    ("--efficiency", "0.4", "0.5", "efficiency", "detector", 0.4),
+    ("--dark-hz", "1000", "2000", "dark_rate", "detector", 1000.0),
+    ("--gate-ps", "250", "5e-11", "gate_window", "detector", 250 * 1e-12),
+    ("--visibility", "0.97", "0.9", "visibility", "interferometer", 0.97),
+]
+
+
+@pytest.mark.parametrize("flag, value, in_file, name, group, want", HARDWARE_FLAGS,
+                         ids=[case[0] for case in HARDWARE_FLAGS])
+def test_hardware_flag_sets_its_field_over_the_profile(tmp_path, flag, value, in_file,
+                                                       name, group, want):
+    def fields_of(argv):
+        hw = _session_config(build_parser().parse_args(["session", *argv])).hardware
+        return {(g, k): v for g, values in asdict(hw).items() for k, v in values.items()}
+
+    prof = tmp_path / "hw.profile"
+    prof.write_text(f"{name} = {in_file}\n")
+    for base_argv in ([], ["--profile", str(prof)]):
+        base = fields_of(base_argv)
+        assert base[(group, name)] != want
+        assert fields_of([*base_argv, flag, value]) == {**base, (group, name): want}
+
+
 def test_non_finite_profile_value_exits_2(tmp_path, capsys):
     for line, field in (("mean_photons = nan", "mean_photons"),
                         ("dark_rate = inf", "dark_rate"),
@@ -235,6 +287,16 @@ def test_histogram_csv(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "time_bin_seconds,counts"
     assert "peak masses" in out
+
+
+def test_histogram_stdout_matches_the_out_file(tmp_path, capsys):
+    argv = ["histogram", "--pulses", "5000", "--bin-ps", "40"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    out_path = tmp_path / "hist.csv"
+    code, _, _ = run_cli([*argv, "--out", str(out_path)], capsys)
+    assert code == 0
+    assert out.encode() == out_path.read_bytes()
 
 
 def test_chat_requires_endpoints(capsys):

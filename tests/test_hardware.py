@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from b92sim.hardware import (
     load_profile,
     sample_photon_count,
     thin_photons,
+    with_fields,
 )
 
 
@@ -229,9 +231,21 @@ delta_t = 8.5e-9
 
 def test_load_profile_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.profile"
-    path.write_text("wavelength_nm = 1300\n")
-    with pytest.raises(ConfigError):
+    path.write_text("mean_photons = 0.05\nwavelength_nm = 1300\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:2: unknown profile key")):
         load_profile(path)
+
+
+def test_with_fields_routes_each_field_to_its_group():
+    hw = with_fields(default_profile(), mean_photons=0.2, length_km=4.0, dark_rate=10.0)
+    assert (hw.source.mean_photons, hw.fiber.length_km, hw.detector.dark_rate) == (0.2, 4.0, 10.0)
+    assert hw.interferometer == default_profile().interferometer
+    # a group is rebuilt once, so its cross-field check sees both values:
+    # a 9 ns pulse fits a 10 ns delay, though not the default 8.5 ns one
+    wide = with_fields(hw, pulse_width=9e-9, delta_t=10e-9)
+    assert (wide.interferometer.pulse_width, wide.interferometer.delta_t) == (9e-9, 10e-9)
+    with pytest.raises(ConfigError, match="unknown profile key 'wavelength_nm'"):
+        with_fields(hw, wavelength_nm=1300.0)
 
 
 def test_load_profile_rejects_bad_bool(tmp_path):

@@ -33,6 +33,7 @@ from b92sim.hardware import (
     SourceParams,
     fiber_transmission,
     gate_detector,
+    sample_photon_count,
     thin_photons,
 )
 from b92sim.protocol import (
@@ -521,9 +522,12 @@ def sha256_of(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-# sha256 of the reconciled key and of the hit column of three small
-# sessions, computed with the per-block loop reconciliation: a change
-# that moves the RNG stream or the post-processing fails here.
+# sha256 of the reconciled key and of the hit column of small
+# sessions: the first three computed with the per-block loop
+# reconciliation, the two memoryless Physical ones (one with Eve, one
+# with multi-photon pulses) with the separate Ideal and Physical block
+# bodies of the kernel. A change that moves the RNG stream or the
+# post-processing fails here.
 GOLDEN_SESSIONS = {
     "ideal": (
         SessionConfig(11, 12, 13, bits_per_block=4096), 3,
@@ -542,6 +546,24 @@ GOLDEN_SESSIONS = {
         ), 3,
         "b750d0cebd8b988148beb20dd7a1e0411d117b8b068c4a48256fca1af0a9ac44",
         "e09a619e5775f9a28fa002e74cd3b4f141bf9358bf38bbb22a61a5349aab1426",
+    ),
+    "physical_fixed_projection": (
+        SessionConfig(
+            41, 42, 43, bits_per_block=65536, mode=Mode.PHYSICAL,
+            eve=EveStrategy.FIXED_PROJECTION,
+        ), 2,
+        "7520be55ec7a9dd827f22627e797931b63a6d605b26db637f60ae882c5c070c1",
+        "4cacb2853fca0ab7561dc7be00cb56c5fd81ac1457a3c52d15e0e4be628b2b09",
+    ),
+    "physical_multiphoton": (
+        SessionConfig(
+            51, 52, 53, bits_per_block=16384, mode=Mode.PHYSICAL,
+            hardware=HardwareProfile(
+                source=SourceParams(mean_photons=3.0), fiber=FiberParams(length_km=20.0)
+            ),
+        ), 2,
+        "c4c3389c6671a3691768fec572817f47c95566690b1a198919362ad6d7ec40d3",
+        "86090497652ac1882fc6a067fc9ad8861a870e21bcfcf7258366ec87761704bf",
     ),
 }
 
@@ -573,6 +595,14 @@ GOLDEN_FRAMES = {
     "physical_afterpulse": (
         (13, "86e7810aefc02c0616936bf7cc1acd425031553f9204c8560c065dc933dd9c87"),
         (7, "9a8f294d35d70dd8620162c7eb039a8fba5f0d634f09c7a674e8e15ba7104cfc"),
+    ),
+    "physical_fixed_projection": (
+        (9, "d6dc47e2c1efa73f93079ccc4a53306dcaaddb372837a4fd3ccbf8fd9317230b"),
+        (5, "8f968f6d25dbd28e1f87dc014f583c96280ab8c2d29692302712dfb3048813a4"),
+    ),
+    "physical_multiphoton": (
+        (9, "c494b5b703edb4a6af68796731db201228e1cf8258d5a7e67951a1639e6144c2"),
+        (5, "67f102cd1c06216744493500ddbdfdbc6cb3ff1c18044010858c39b9e1c91c8e"),
     ),
 }
 
@@ -982,6 +1012,20 @@ def test_analytic_ber_growth_with_distance():
     assert bers[-1] > 0.4  # dark counts push it toward a coin flip
 
 
+def test_analytic_ber_keeps_its_precision_far_down_the_fiber():
+    # with no dark counts and a faint source the error rate stays at the
+    # small-signal limit (1-V)/(2-V) however long the fiber; 1 - exp(-x)
+    # lost that limit to cancellation once x fell to about 1e-12
+    hw = HardwareProfile(
+        source=SourceParams(mean_photons=0.001),
+        detector=DetectorParams(efficiency=0.01, dark_rate=0.0),
+        interferometer=InterferometerConfig(visibility=0.995),
+    )
+    limit = (1.0 - 0.995) / (2.0 - 0.995)
+    for distance_km in (100.0, 150.0, 200.0):
+        assert analytic_ber(hw, distance_km) == pytest.approx(limit, rel=1e-9), distance_km
+
+
 def test_ber_crossing_distance():
     hw = HardwareProfile(interferometer=InterferometerConfig(visibility=0.995))
     floor = analytic_ber(hw, 0.0)
@@ -1084,6 +1128,44 @@ class PerGateKernel(PhysicsKernel):
             )
             hits[i] = hit
         return hits, state
+
+
+def test_kernel_stages_equal_the_scalar_references():
+    # a Physical block with Eve, multi-photon pulses and afterpulsing
+    # equals the scalar references run stage by stage on the same
+    # stream: photon counts, Eve, fiber thinning, then one gate a pulse
+    hw = HardwareProfile(
+        source=SourceParams(mean_photons=3.0),
+        fiber=FiberParams(length_km=20.0),
+        detector=DetectorParams(afterpulse_prob0=0.05, dark_rate=1e6),
+        interferometer=InterferometerConfig(visibility=0.97),
+    )
+    cfg = make_cfg(mode=Mode.PHYSICAL, eve=EveStrategy.FIXED_PROJECTION, hardware=hw)
+    n = 4000
+    bits = np.random.default_rng(5)
+    alice_bits, bob_bits = generate_bits(n, bits), generate_bits(n, bits)
+    kernel = PhysicsKernel(cfg, np.random.default_rng(77))
+    got = kernel.transmit_block(alice_bits, bob_bits)
+
+    rng = np.random.default_rng(77)
+    counts = [sample_photon_count(hw.source, rng) for _ in range(n)]
+    eve = [eve_intercept(alice_prepare(int(a)), EveStrategy.FIXED_PROJECTION, rng)
+           for a in alice_bits]
+    survivors = [thin_photons(k, fiber_transmission(hw.fiber), rng) for k in counts]
+    det, v, dt = hw.detector, hw.interferometer.visibility, 1.0 / hw.source.pulse_rate
+    state, hits = DetectorState(), []
+    for i, ((_, forwarded), b, k) in enumerate(zip(eve, bob_bits, survivors)):
+        q = pass_probability(forwarded, bob_projector(int(b)))
+        p_window = 0.125 * (1.0 + v * (2.0 * q - 1.0))
+        p_eff = (1.0 - (1.0 - p_window * det.efficiency) ** k) / det.efficiency if k else 0.0
+        hit, state = gate_detector(k > 0, p_eff, det, state, (i + 1) * dt, rng)
+        hits.append(int(hit))
+    assert got.photon_counts.tolist() == counts
+    assert got.eve_guesses.tolist() == [g if c else -1 for (g, _), c in zip(eve, counts)]
+    assert got.hits.tolist() == hits
+    assert got.detector_state == state
+    assert kernel.rng.bit_generator.state == rng.bit_generator.state
+    assert sum(k > 1 for k in survivors) > 100 and 0 < sum(hits)
 
 
 def test_signal_hazard_matches_the_per_gate_arithmetic():
