@@ -39,7 +39,7 @@ from .errors import (
 )
 from .hardware import HardwareProfile, fiber_transmission, load_profile, with_fields
 from .otp import Message, ascii_decode, ascii_encode, decrypt, encrypt, pad_from_key
-from .photonics import InterferometerConfig, PhasePair, arrival_histogram
+from .photonics import PhasePair, arrival_histogram
 from .protocol import (
     AliceEngine,
     BobEngine,
@@ -52,7 +52,8 @@ from .protocol import (
 )
 
 
-# hardware flag -> (profile field, unit of the flag's value)
+# hardware flag -> (profile field, unit of the flag's value); each flag
+# defaults to None, so the profile's value (or the field's default) applies
 _HARDWARE_FLAGS = {
     "distance_km": ("length_km", 1.0),
     "atten_db_km": ("attenuation_db_per_km", 1.0),
@@ -61,22 +62,41 @@ _HARDWARE_FLAGS = {
     "efficiency": ("efficiency", 1.0),
     "dark_hz": ("dark_rate", 1.0),
     "gate_ps": ("gate_window", 1e-12),
+    "delta_t_ns": ("delta_t", 1e-9),
+    "pulse_width_ps": ("pulse_width", 1e-12),
+    "loss_a": ("long_path_loss_a", 1.0),
+    "loss_b": ("long_path_loss_b", 1.0),
 }
 
+# every flag of the CLI: destination -> argparse keywords
+_FLAGS = {
+    "mode": dict(choices=["ideal", "physical"], default="ideal"),
+    "eve": dict(choices=["none", "fixed"], default="none"),
+    "profile": dict(metavar="PATH", help="key=value hardware profile file"),
+    **{flag: dict(type=float, help=f"sets {name}")
+       for flag, (name, _) in _HARDWARE_FLAGS.items()},
+    "blocks": dict(type=int, default=1),
+    "bits_per_block": dict(type=int, default=1024),
+    "seed_alice": dict(type=int, default=2),
+    "seed_bob": dict(type=int, default=102),
+    "seed_physics": dict(type=int, default=202),
+    "out": dict(metavar="PATH", help="CSV output path"),
+    "km_start": dict(type=float, default=0.0),
+    "km_stop": dict(type=float, default=50.0),
+    "km_step": dict(type=float, default=5.0),
+    "pulses": dict(type=int, help="pulses to simulate (sweep: per Monte Carlo cross-check)"),
+    "phi_a": dict(type=float, default=0.0),
+    "phi_b": dict(type=float, default=0.0),
+    "bin_ps": dict(type=float),
+    "role": dict(choices=["alice", "bob"], required=True),
+    "listen": dict(metavar="HOST:PORT"),
+    "connect": dict(metavar="HOST:PORT"),
+    "message": dict(help="text to send (alice); prompts if omitted"),
+}
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["ideal", "physical"], default="ideal")
-    p.add_argument("--eve", choices=["none", "fixed"], default="none")
-    p.add_argument("--profile", metavar="PATH", help="key=value hardware profile file")
-    for flag, (name, _) in _HARDWARE_FLAGS.items():
-        p.add_argument("--" + flag.replace("_", "-"), type=float, default=None,
-                       help=f"sets {name}")
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--bits-per-block", type=int, default=1024)
-    p.add_argument("--seed-alice", type=int, default=2)
-    p.add_argument("--seed-bob", type=int, default=102)
-    p.add_argument("--seed-physics", type=int, default=202)
-    p.add_argument("--out", metavar="PATH", help="CSV output path")
+# rows of a sweep, checked before any is made: about 0.5 kB a row (its
+# values and hardware record), so 10**5 rows take about 50 MB
+MAX_SWEEP_ROWS = 10**5
 
 
 def _hardware_from_args(args) -> HardwareProfile:
@@ -84,17 +104,19 @@ def _hardware_from_args(args) -> HardwareProfile:
     return with_fields(hw, **{
         name: getattr(args, flag) * scale
         for flag, (name, scale) in _HARDWARE_FLAGS.items()
-        if getattr(args, flag) is not None
+        if getattr(args, flag, None) is not None
     })
 
 
-def _session_config(args) -> SessionConfig:
+def _session_config(args, mode=None, bits_per_block=None) -> SessionConfig:
+    """The session the flags describe; ``sweep``, which takes neither
+    ``--mode`` nor ``--bits-per-block``, passes both."""
     return SessionConfig(
         seed_alice=args.seed_alice,
         seed_bob=args.seed_bob,
         seed_physics=args.seed_physics,
-        bits_per_block=args.bits_per_block,
-        mode=Mode.from_str(args.mode),
+        bits_per_block=args.bits_per_block if bits_per_block is None else bits_per_block,
+        mode=Mode.from_str(args.mode) if mode is None else mode,
         eve=EveStrategy.from_str(args.eve),
         hardware=_hardware_from_args(args),
     )
@@ -128,57 +150,40 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--km-step must be positive")
     if args.km_stop < args.km_start:
         raise ConfigError("sweep range is empty")
-    cfg = _session_config(args)
-    if cfg.mode is not Mode.PHYSICAL:
-        cfg = replace(cfg, mode=Mode.PHYSICAL)
-    distances = np.arange(args.km_start, args.km_stop + args.km_step / 2, args.km_step)
-    rows = []
-    for d in distances:
-        hw = with_fields(cfg.hardware, length_km=float(d))
-        dcfg = replace(cfg, hardware=hw)
-        pred = predict_key_rate(dcfg)
-        ber = analytic_ber(hw)
-        rows.append({
-            "distance_km": float(d),
-            "transmission": fiber_transmission(hw.fiber),
-            "key_rate_bits_per_pulse": pred.bits_per_pulse,
-            "ber": ber,
-            "alarm": ber > cfg.alarm_ber_threshold,
-        })
+    n_rows = (args.km_stop - args.km_start) / args.km_step + 1
+    if n_rows > MAX_SWEEP_ROWS:
+        raise ConfigError(f"sweep of {n_rows:.6g} rows exceeds the limit of {MAX_SWEEP_ROWS}")
+    cfg = _session_config(args, Mode.PHYSICAL, args.pulses)
+    threshold = cfg.alarm_ber_threshold
+    rows = []  # distance, transmission, analytic key rate, analytic ber, hardware
+    for d in np.arange(args.km_start, args.km_stop + args.km_step / 2, args.km_step).tolist():
+        hw = with_fields(cfg.hardware, length_km=d)
+        rate = predict_key_rate(replace(cfg, hardware=hw)).bits_per_pulse
+        rows.append((d, fiber_transmission(hw.fiber), rate, analytic_ber(hw), hw))
 
     def write_rows(f):
         w = csv.writer(f)
         w.writerow(["distance_km", "transmission", "key_rate_bits_per_pulse", "ber", "alarm"])
-        for r in rows:
-            w.writerow([
-                f"{r['distance_km']:.6g}",
-                f"{r['transmission']:.10g}",
-                f"{r['key_rate_bits_per_pulse']:.10g}",
-                f"{r['ber']:.10g}",
-                "true" if r["alarm"] else "false",
-            ])
+        w.writerows([f"{d:.6g}", f"{t:.10g}", f"{rate:.10g}", f"{ber:.10g}",
+                     "true" if ber > threshold else "false"] for d, t, rate, ber, _ in rows)
 
     if args.out:
         with open(args.out, "w", newline="") as f:
             write_rows(f)
         # Monte Carlo cross-check of the analytic rate, one block per distance
-        for i, r in enumerate(rows):
-            hw = with_fields(cfg.hardware, length_km=r["distance_km"])
-            mcfg = replace(cfg, hardware=hw, bits_per_block=args.pulses,
-                           seed_physics=cfg.seed_physics + i,
+        for i, (d, _, rate, ber, hw) in enumerate(rows):
+            mcfg = replace(cfg, hardware=hw, seed_physics=cfg.seed_physics + i,
                            error_sample_fraction=0.0)
             rep = run_session(mcfg)
-            print(f"{r['distance_km']:g} km: analytic {r['key_rate_bits_per_pulse']:.4g} "
+            print(f"{d:g} km: analytic {rate:.4g} "
                   f"bits/pulse, monte-carlo {rep.sifted_fraction:.4g} "
                   f"({len(rep.sifted_key_alice)} hits in {args.pulses} pulses), "
-                  f"ber {r['ber']:.4g}")
-        crossing = next((r["distance_km"] for r in rows if r["alarm"]), None)
+                  f"ber {ber:.4g}")
+        crossing = next((d for d, _, _, ber, _ in rows if ber > threshold), None)
         if crossing is None:
-            print(f"ber stays below the alarm threshold "
-                  f"{cfg.alarm_ber_threshold} out to {args.km_stop:g} km")
+            print(f"ber stays below the alarm threshold {threshold} out to {args.km_stop:g} km")
         else:
-            print(f"ber crosses the alarm threshold {cfg.alarm_ber_threshold} "
-                  f"at {crossing:g} km")
+            print(f"ber crosses the alarm threshold {threshold} at {crossing:g} km")
         print(f"sweep written to {args.out}")
     else:
         write_rows(sys.stdout)
@@ -186,17 +191,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    itf = InterferometerConfig(
-        delta_t=args.delta_t_ns * 1e-9,
-        pulse_width=args.pulse_width_ps * 1e-12,
-        visibility=args.visibility if args.visibility is not None else 1.0,
-        long_path_loss_a=args.loss_a,
-        long_path_loss_b=args.loss_b,
-    )
+    hw = _hardware_from_args(args)
+    itf = hw.interferometer
     phases = PhasePair(args.phi_a, args.phi_b)
     rng = np.random.default_rng(args.seed_physics)
-    mu = args.mu if args.mu is not None else 0.1
-    hist = arrival_histogram(phases, itf, args.pulses, mu, rng,
+    hist = arrival_histogram(phases, itf, args.pulses, hw.source.mean_photons, rng,
                              bin_width=None if args.bin_ps is None else args.bin_ps * 1e-12)
     hist.write_csv(args.out or sys.stdout)
     if args.out:
@@ -268,46 +267,41 @@ def _cmd_chat(args) -> int:
     return 0
 
 
+_LINK_FLAGS = ("profile", "distance_km", "atten_db_km", "visibility", "mu",
+               "efficiency", "dark_hz", "gate_ps")
+_SEED_FLAGS = ("seed_alice", "seed_bob", "seed_physics")
+
+# subcommand -> (help, handler, the flags the handler reads, their defaults here)
+_COMMANDS = {
+    "session": ("run key-distribution blocks in-process", _cmd_session,
+                ("mode", "eve", *_LINK_FLAGS, "blocks", "bits_per_block", *_SEED_FLAGS, "out"),
+                {}),
+    "sweep": ("link budget over fiber distance", _cmd_sweep,
+              ("eve", *(f for f in _LINK_FLAGS if f != "distance_km"), *_SEED_FLAGS, "out",
+               "km_start", "km_stop", "km_step", "pulses"),
+              {"pulses": 200_000}),
+    "histogram": ("time-of-arrival spectrum CSV", _cmd_histogram,
+                  ("profile", "visibility", "mu", "delta_t_ns", "pulse_width_ps", "loss_a",
+                   "loss_b", "seed_physics", "out", "phi_a", "phi_b", "pulses", "bin_ps"),
+                  {"pulses": 100_000}),
+    "chat": ("two-process encrypted message demo", _cmd_chat,
+             ("mode", "eve", *_LINK_FLAGS, "bits_per_block", *_SEED_FLAGS,
+              "role", "listen", "connect", "message"),
+             {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="b92sim",
         description="B92 quantum key distribution simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("session", help="run key-distribution blocks in-process")
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_session)
-
-    p = sub.add_parser("sweep", help="link budget over fiber distance")
-    _add_common_flags(p)
-    p.add_argument("--km-start", type=float, default=0.0)
-    p.add_argument("--km-stop", type=float, default=50.0)
-    p.add_argument("--km-step", type=float, default=5.0)
-    p.add_argument("--pulses", type=int, default=200_000,
-                   help="pulses per Monte Carlo cross-check")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("histogram", help="time-of-arrival spectrum CSV")
-    _add_common_flags(p)
-    p.add_argument("--phi-a", type=float, default=0.0)
-    p.add_argument("--phi-b", type=float, default=0.0)
-    p.add_argument("--pulses", type=int, default=100_000)
-    p.add_argument("--delta-t-ns", type=float, default=8.5)
-    p.add_argument("--pulse-width-ps", type=float, default=300.0)
-    p.add_argument("--loss-a", type=float, default=0.0)
-    p.add_argument("--loss-b", type=float, default=0.0)
-    p.add_argument("--bin-ps", type=float, default=None)
-    p.set_defaults(func=_cmd_histogram)
-
-    p = sub.add_parser("chat", help="two-process encrypted message demo")
-    _add_common_flags(p)
-    p.add_argument("--role", choices=["alice", "bob"], required=True)
-    p.add_argument("--listen", metavar="HOST:PORT")
-    p.add_argument("--connect", metavar="HOST:PORT")
-    p.add_argument("--message", help="text to send (alice); prompts if omitted")
-    p.set_defaults(func=_cmd_chat)
-
+    for name, (help_text, handler, flags, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
+        p.set_defaults(func=handler, **defaults)
     return parser
 
 

@@ -153,27 +153,38 @@ def mz_detect_prob(phases: PhasePair) -> float:
     return math.cos(phases.delta / 2.0) ** 2
 
 
+def central_window(cfg: InterferometerConfig, cos_delta):
+    """Detector-port central-window probability at fringe phase delta:
+    (1/16)(ta^2 + tb^2 + 2 V ta tb cos(delta)).
+
+    The short-long and long-short paths each pass four couplers, with
+    amplitude transmissions ta = sqrt(1 - long_path_loss_a) and
+    tb = sqrt(1 - long_path_loss_b) in the long arms, and interfere with
+    contrast V = ``visibility``. ``cos_delta`` is a float or an array;
+    the complementary port has the same law at -cos(delta).
+    """
+    ta = math.sqrt(1.0 - cfg.long_path_loss_a)
+    tb = math.sqrt(1.0 - cfg.long_path_loss_b)
+    return (ta * ta + tb * tb + 2.0 * cfg.visibility * ta * tb * cos_delta) / 16.0
+
+
 def tm_window_distribution(phases: PhasePair, cfg: InterferometerConfig) -> WindowDistribution:
     """Window probabilities of the time-multiplexed interferometer pair.
 
     Each specific path passes four couplers, so each non-interfering
-    path lands with intensity 1/16. The central window combines the
-    short-long and long-short amplitudes, scaled by sqrt(1 - loss) for
-    the long arm each traversed, with fringe contrast ``visibility``
-    on the cross term.
+    path lands with intensity 1/16, scaled by (1 - loss) for each long
+    arm it traversed; the central window interferes (``central_window``).
     """
     ta = math.sqrt(1.0 - cfg.long_path_loss_a)
     tb = math.sqrt(1.0 - cfg.long_path_loss_b)
-    v = cfg.visibility
     c = math.cos(phases.delta)
     base = 1.0 / 16.0
-    cross = 2.0 * v * ta * tb * c
     return WindowDistribution(
         port3_prompt=base,
-        port3_central=base * (ta * ta + tb * tb + cross),
+        port3_central=central_window(cfg, c),
         port3_delayed=base * ta * ta * tb * tb,
         port4_prompt=base,
-        port4_central=base * (ta * ta + tb * tb - cross),
+        port4_central=central_window(cfg, -c),
         port4_delayed=base * ta * ta * tb * tb,
         alice_side_exit=0.25 * (1.0 + ta * ta),
     )
@@ -200,6 +211,14 @@ def voltage_to_phase(v: float, m: ModulatorParams) -> float:
     if abs(v) > m.v_pi:
         raise PhaseRangeError(f"|v| = {abs(v)} exceeds v_pi = {m.v_pi}")
     return math.acos(v / m.v_pi)
+
+
+# Size bounds of ``arrival_histogram``, checked before it allocates:
+# about 33 bytes a bin (edges, centers, counts), so 10**6 bins take about
+# 33 MB; about 7 bytes an expected photon (the arrival times of the photons
+# that reach the detector windows), so 10**7 expected photons take about 70 MB.
+MAX_HISTOGRAM_BINS = 10**6
+MAX_EXPECTED_PHOTONS = 10**7
 
 
 @dataclass(frozen=True)
@@ -253,18 +272,26 @@ def arrival_histogram(
         raise ConfigError(f"mean_photons must be finite and >= 0, got {mean_photons}")
     if not 0 < bin_width < math.inf:
         raise ConfigError(f"bin_width must be finite and positive, got {bin_width}")
+    sigma = cfg.pulse_width / 2.355  # FWHM -> Gaussian sigma
+    lo = -4.0 * sigma
+    hi = 2.0 * cfg.delta_t + 4.0 * sigma
+    n_bins = (hi - lo) / bin_width
+    if n_bins > MAX_HISTOGRAM_BINS:
+        raise ConfigError(f"{n_bins:.4g} bins exceed the limit of {MAX_HISTOGRAM_BINS}; "
+                          f"widen the bins or shorten delta_t")
+    expected = mean_photons * n_pulses
+    if expected > MAX_EXPECTED_PHOTONS:
+        raise ConfigError(f"{expected:.4g} expected photons exceed the limit of "
+                          f"{MAX_EXPECTED_PHOTONS}; lower the pulses or mean_photons")
     dist = tm_window_distribution(phases, cfg)
     probs = np.array(dist.detector_windows())
     lost = 1.0 - probs.sum()
     n_photons = int(rng.poisson(mean_photons * n_pulses))
     window_counts = rng.multinomial(n_photons, np.append(probs, lost))[:3]
-    sigma = cfg.pulse_width / 2.355  # FWHM -> Gaussian sigma
     centers = np.array([0.0, cfg.delta_t, 2.0 * cfg.delta_t])
     times = np.concatenate([
         c + rng.normal(0.0, sigma, size=k) for c, k in zip(centers, window_counts)
     ])
-    lo = -4.0 * sigma
-    hi = 2.0 * cfg.delta_t + 4.0 * sigma
     edges = np.arange(lo, hi + bin_width, bin_width)
     counts, edges = np.histogram(times, bins=edges)
     return ArrivalHistogram(bin_centers=(edges[:-1] + edges[1:]) / 2.0, counts=counts)

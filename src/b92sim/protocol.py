@@ -54,6 +54,7 @@ from .hardware import (
     gate_block,
     with_fields,
 )
+from .photonics import central_window
 from .qstate import DOWN, P_DOWN, P_LEFT, P_UP, RIGHT, UP, StateVector, measure, pass_probability
 
 
@@ -312,8 +313,9 @@ class PhysicsKernel:
         if physical:
             counts = (np.ones(n, dtype=np.int64) if hw.source.ideal_single_photon
                       else self.rng.poisson(hw.source.mean_photons, size=n).astype(np.int64))
+        # Born pass probability q of each pulse is table[sent, bob_bits]
         if self.cfg.eve is EveStrategy.NONE:
-            q = _PASS_TABLE[alice_bits, bob_bits]
+            table, sent = _PASS_TABLE, alice_bits
             guesses = np.full(n, -1, dtype=np.int8)
         else:
             # Eve measures the logical signal ahead of fiber loss; her
@@ -321,17 +323,18 @@ class PhysicsKernel:
             # 1-guess, and the guess indexes the state she forwards.
             # Empty pulses give her nothing to measure.
             guesses = (self.rng.random(n) >= _EVE_PASS[alice_bits]).astype(np.int8)
-            q = _FWD_PASS[guesses, bob_bits]
+            table, sent = _FWD_PASS, guesses.copy()
             if physical:
                 guesses[counts == 0] = -1
         if not physical:
+            q = table[sent, bob_bits]
             hits = (self.rng.random(n) < q).astype(np.uint8)
             # one photon a pulse, made after the draw so as not to raise its peak memory
             counts = np.ones(n, dtype=np.int64)
         else:
             survivors = self.rng.binomial(counts, fiber_transmission(hw.fiber)).astype(np.int64)
-            # central-window probability of a logical pass probability q
-            p_window = 0.125 * (1.0 + hw.interferometer.visibility * (2.0 * q - 1.0))
+            # the fringe phase of a pass probability q has cos(delta) = 2q - 1
+            p_window = central_window(hw.interferometer, 2.0 * table - 1.0)[sent, bob_bits]
             det = hw.detector
             if det.afterpulse_prob0 != 0.0:
                 hits, self.detector_state = self._gated_walk(p_window, survivors)
@@ -755,25 +758,28 @@ def predict_key_rate(cfg: SessionConfig) -> KeyRatePrediction:
 def analytic_ber(hw: HardwareProfile, distance_km: float | None = None) -> float:
     """Expected sifted-key error rate of the physical link.
 
-    Signal hits follow the central-window probabilities (1/8 on
-    agreeing bits, (1/8)(1-V) on differing bits); dark counts land on
-    either kind of round alike, and only differing-bit hits are
-    errors. As the fiber eats the signal the dark counts dominate and
-    the error rate climbs toward 1/2.
+    Signal hits follow the central-window law (``central_window``;
+    without long-arm loss 1/8 on agreeing bits and (1/8)(1-V) on
+    differing bits); dark counts land on either kind of round alike,
+    and only differing-bit hits are errors. As the fiber eats the
+    signal the dark counts dominate and the error rate climbs toward
+    1/2.
     """
     if distance_km is not None:
         hw = with_fields(hw, length_km=distance_km)
     t = fiber_transmission(hw.fiber)
     eta = hw.detector.efficiency
-    v = hw.interferometer.visibility
+    # agreeing bits sit at cos(delta) = 0, differing bits at -1
+    w_same = central_window(hw.interferometer, 0.0)
+    w_diff = central_window(hw.interferometer, -1.0)
     src = hw.source
     if src.ideal_single_photon:
-        p_same = t * eta * 0.125
-        p_diff = t * eta * 0.125 * (1.0 - v)
+        p_same = t * eta * w_same
+        p_diff = t * eta * w_diff
     else:
         mu = src.mean_photons
-        p_same = -math.expm1(-mu * t * eta * 0.125)
-        p_diff = -math.expm1(-mu * t * eta * 0.125 * (1.0 - v))
+        p_same = -math.expm1(-mu * t * eta * w_same)
+        p_diff = -math.expm1(-mu * t * eta * w_diff)
     # 1 - (1 - p)(1 - dark), without cancelling a tiny p against 1
     dark = dark_probability(hw.detector)
     hit_same = p_same + dark * (1.0 - p_same)

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import functools
+import hashlib
 import socket
 import subprocess
 import sys
@@ -10,7 +12,8 @@ import pytest
 
 from b92sim import channel, cli
 from b92sim.channel import MessagePipe, SocketTransport, accept_one, open_listener
-from b92sim.cli import _session_config, build_parser, main
+from b92sim.cli import MAX_SWEEP_ROWS, _session_config, build_parser, main
+from b92sim.photonics import MAX_EXPECTED_PHOTONS, MAX_HISTOGRAM_BINS
 from b92sim.protocol import AliceEngine, run_session
 
 
@@ -126,6 +129,10 @@ def test_non_finite_flag_exits_2(capsys, flag, value, field):
     assert "sifted bits" not in out
 
 
+# the default histogram's time span in ps: two window spacings of 8.5 ns
+# plus four Gaussian sigmas of a 300 ps FWHM pulse on either side
+DEFAULT_SPAN_PS = 2 * 8500.0 + 8 * 300.0 / 2.355
+
 BAD_SWEEP_AND_HISTOGRAM_FLAGS = [
     (["sweep", "--km-step", "nan"], "must be finite"),
     (["sweep", "--km-start", "nan"], "must be finite"),
@@ -137,6 +144,20 @@ BAD_SWEEP_AND_HISTOGRAM_FLAGS = [
     (["histogram", "--bin-ps", "nan"], "bin_width must be finite"),
     (["histogram", "--bin-ps", "-1"], "bin_width must be finite and positive"),
     (["histogram", "--bin-ps", "0"], "bin_width must be finite and positive"),
+    # flags that size an array are bounded before anything is allocated;
+    # the first value of each pair is one numpy refuses, the second is just
+    # over the bound, so that none of these allocates much
+    (["histogram", "--bin-ps", "1e-9"], "bins exceed the limit"),
+    (["histogram", "--bin-ps", repr(DEFAULT_SPAN_PS / (MAX_HISTOGRAM_BINS + 10))],
+     "bins exceed the limit"),
+    (["histogram", "--delta-t-ns", "1e12"], "bins exceed the limit"),
+    (["histogram", "--delta-t-ns", repr(MAX_HISTOGRAM_BINS * 0.075 / 2)],
+     "bins exceed the limit"),
+    (["histogram", "--pulses", "10000000000000"], "expected photons exceed the limit"),
+    (["histogram", "--mu", "1", "--pulses", str(MAX_EXPECTED_PHOTONS + 1)],
+     "expected photons exceed the limit"),
+    (["sweep", "--km-stop", "1e9", "--km-step", "1e-3"], "rows exceeds the limit"),
+    (["sweep", "--km-stop", str(MAX_SWEEP_ROWS), "--km-step", "1"], "rows exceeds the limit"),
 ]
 
 
@@ -297,6 +318,78 @@ def test_histogram_stdout_matches_the_out_file(tmp_path, capsys):
     code, _, _ = run_cli([*argv, "--out", str(out_path)], capsys)
     assert code == 0
     assert out.encode() == out_path.read_bytes()
+
+
+def test_histogram_reads_the_profile(tmp_path, capsys):
+    prof = tmp_path / "hw.profile"
+    prof.write_text("visibility = 0.5\nmean_photons = 2\n")
+    argv = ["histogram", "--pulses", "2000"]
+    outs = [run_cli(argv + extra, capsys) for extra in
+            ([], ["--profile", str(prof)], ["--visibility", "0.5", "--mu", "2"])]
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    default, from_profile, from_flags = (out for _, out, _ in outs)
+    assert from_profile == from_flags
+    assert from_profile != default
+
+
+def test_default_histogram_output_is_unchanged(capsys):
+    # sha256 of this stdout when the histogram's geometry and mean photon
+    # number were flag defaults; the profile's defaults must give the same
+    code, out, _ = run_cli(["histogram", "--pulses", "20000"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "641478b3501ee2515651c8993c4132d9bb4deebb949023888bcb3174c3a232f0")
+
+
+LINK_FLAGS = {"--profile", "--distance-km", "--atten-db-km", "--visibility", "--mu",
+              "--efficiency", "--dark-hz", "--gate-ps"}
+SEED_FLAGS = {"--seed-alice", "--seed-bob", "--seed-physics"}
+
+# each subcommand's exact options: the flags its handler reads, and no other
+SUBCOMMAND_FLAGS = {
+    "session": {"--mode", "--eve", *LINK_FLAGS, "--blocks", "--bits-per-block", *SEED_FLAGS,
+                "--out"},
+    "sweep": {"--eve", *(LINK_FLAGS - {"--distance-km"}), *SEED_FLAGS, "--out",
+              "--km-start", "--km-stop", "--km-step", "--pulses"},
+    "histogram": {"--profile", "--visibility", "--mu", "--delta-t-ns", "--pulse-width-ps",
+                  "--loss-a", "--loss-b", "--seed-physics", "--out", "--phi-a", "--phi-b",
+                  "--pulses", "--bin-ps"},
+    "chat": {"--mode", "--eve", *LINK_FLAGS, "--bits-per-block", *SEED_FLAGS,
+             "--role", "--listen", "--connect", "--message"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    got = {name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+           for name, p in subparsers.items()}
+    assert got == SUBCOMMAND_FLAGS
+    assert [len(got[n]) for n in ("session", "sweep", "histogram", "chat")] == [16, 16, 13, 18]
+
+
+DROPPED_FLAGS = [
+    (command, flag)
+    for command, flags in (
+        ("sweep", ["--mode", "--distance-km", "--blocks", "--bits-per-block"]),
+        ("histogram", ["--mode", "--eve", "--distance-km", "--atten-db-km", "--efficiency",
+                       "--dark-hz", "--gate-ps", "--blocks", "--bits-per-block",
+                       "--seed-alice", "--seed-bob"]),
+        ("chat", ["--blocks", "--out"]),
+    )
+    for flag in flags
+]
+FLAG_VALUES = {"--mode": "physical", "--eve": "fixed", "--out": "ignored.csv"}
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_FLAGS,
+                         ids=[f"{c} {f}" for c, f in DROPPED_FLAGS])
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, command, flag):
+    required = ["--role", "alice"] if command == "chat" else []
+    code, out, err = run_cli([command, *required, flag, FLAG_VALUES.get(flag, "1")], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in err
+    assert out == ""
 
 
 def test_chat_requires_endpoints(capsys):

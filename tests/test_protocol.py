@@ -59,7 +59,7 @@ from b92sim.protocol import (
     run_session,
     zero_bias,
 )
-from b92sim.photonics import effective_hit_prob
+from b92sim.photonics import central_window, effective_hit_prob
 from b92sim.qstate import DOWN, P_LEFT, RIGHT, UP, inner, pass_probability, states_equal
 
 
@@ -1024,6 +1024,49 @@ def test_analytic_ber_keeps_its_precision_far_down_the_fiber():
     limit = (1.0 - 0.995) / (2.0 - 0.995)
     for distance_km in (100.0, 150.0, 200.0):
         assert analytic_ber(hw, distance_km) == pytest.approx(limit, rel=1e-9), distance_km
+
+
+def test_long_arm_loss_reaches_the_session():
+    # an uneven long-arm loss costs fringe contrast: with ta^2 = 1/2 and
+    # tb^2 = 1 the central window is (1/16)(ta^2 + tb^2 + 2 V ta tb cos(delta)),
+    # so differing bits (cos = -1) hit about 2.7 % of the time and the
+    # error rate climbs past the alarm threshold even at V = 1
+    mu = 5.0
+    hw = HardwareProfile(
+        source=SourceParams(mean_photons=mu),
+        detector=DetectorParams(efficiency=1.0, dark_rate=0.0),
+        interferometer=InterferometerConfig(long_path_loss_a=0.5),
+    )
+    ta2, tb2 = 0.5, 1.0
+    p_same = -math.expm1(-mu * (ta2 + tb2) / 16.0)
+    p_diff = -math.expm1(-mu * (ta2 + tb2 - 2.0 * math.sqrt(ta2 * tb2)) / 16.0)
+    ber = p_diff / (p_same + p_diff)
+    assert analytic_ber(hw) == pytest.approx(ber, rel=1e-12)
+
+    cfg = SessionConfig(seed_alice=11, seed_bob=12, seed_physics=13, bits_per_block=200_000,
+                        mode=Mode.PHYSICAL, hardware=hw)
+    report = run_session(cfg, n_blocks=2)
+    logs = report.round_logs
+    agree = logs.alice_bits == logs.bob_bits
+    for sel, p in ((agree, p_same), (~agree, p_diff)):
+        n = int(sel.sum())
+        rate = logs.hits[sel].mean()
+        assert abs(rate - p) < 4.0 * math.sqrt(p * (1.0 - p) / n), (rate, p)
+    n_sample = cfg.error_sample_fraction * len(report.sifted_key_alice)
+    assert abs(report.ber_estimate - ber) < 3.0 * math.sqrt(ber * (1.0 - ber) / n_sample)
+    assert report.alarm and report.alarm_reason == "ber"
+
+
+def test_shared_fringe_law_equals_the_lossless_kernel_expression():
+    # without long-arm loss the shared law gives the same doubles as the
+    # kernel's former central-window expression, so the RNG stream and
+    # every hit stay as they were
+    q = np.array([0.0, 0.5, 1.0])
+    visibilities = np.concatenate([np.linspace(0.0, 1.0, 2001),
+                                   np.random.default_rng(5).random(1000)])
+    for v in visibilities.tolist():
+        old = 0.125 * (1.0 + v * (2.0 * q - 1.0))
+        assert (central_window(InterferometerConfig(visibility=v), 2.0 * q - 1.0) == old).all(), v
 
 
 def test_ber_crossing_distance():
