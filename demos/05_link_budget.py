@@ -17,6 +17,7 @@ from b92sim.hardware import (
     fiber_transmission,
 )
 from b92sim.protocol import (
+    ALARM_BER_THRESHOLD,
     Mode,
     SessionConfig,
     analytic_ber,
@@ -54,7 +55,6 @@ for d in (0, 10, 20, 30, 40, 50):
           f"{pred_d.bits_per_pulse:>12.3e} {analytic_ber(hw_d):>9.4f} "
           f"{rep.sifted_fraction:>14.3e}")
 
-threshold = 0.05
-crossing = ber_crossing_distance(hw, threshold)
-print(f"\nthe error rate crosses the {threshold} alarm level at "
+crossing = ber_crossing_distance(hw, ALARM_BER_THRESHOLD)
+print(f"\nthe error rate crosses the {ALARM_BER_THRESHOLD} alarm level at "
       f"{crossing:.1f} km of this fiber; beyond that the key cannot be trusted.")

@@ -99,6 +99,8 @@ def encode_frame(msg: PublicMessage) -> bytes:
 def decode_frame(body: bytes) -> PublicMessage:
     try:
         obj = _DECODER.decode(body.decode("utf-8"))
+        if not isinstance(obj["payload"], dict):
+            raise TypeError(f"payload {obj['payload']!r} is not an object")
         return PublicMessage(
             kind=obj["kind"],
             payload=obj["payload"],

@@ -41,6 +41,7 @@ from .hardware import HardwareProfile, fiber_transmission, load_profile, with_fi
 from .otp import Message, ascii_decode, ascii_encode, decrypt, encrypt, pad_from_key
 from .photonics import PhasePair, arrival_histogram
 from .protocol import (
+    ALARM_BER_THRESHOLD,
     AliceEngine,
     BobEngine,
     EveStrategy,
@@ -154,7 +155,7 @@ def _cmd_sweep(args) -> int:
     if n_rows > MAX_SWEEP_ROWS:
         raise ConfigError(f"sweep of {n_rows:.6g} rows exceeds the limit of {MAX_SWEEP_ROWS}")
     cfg = _session_config(args, Mode.PHYSICAL, args.pulses)
-    threshold = cfg.alarm_ber_threshold
+    threshold = ALARM_BER_THRESHOLD
     rows = []  # distance, transmission, analytic key rate, analytic ber, hardware
     for d in np.arange(args.km_start, args.km_stop + args.km_step / 2, args.km_step).tolist():
         hw = with_fields(cfg.hardware, length_km=d)

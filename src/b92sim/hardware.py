@@ -212,20 +212,27 @@ def gate_block(
     """A run of gates at times ``base + (i+1)*dt``, where ``base`` is the
     clock of the incoming state ``st``, with signal hazards ``p_signal``.
 
-    Same hits, final state and random draws as one ``gate_detector``
-    call per gate, but event-driven. One ``rng.random(n)`` gives the
-    doubles that n scalar draws would. A gate whose draw lies below
-    1 - (1 - p_signal)(1 - p_dark) hits whatever the trap holds, and
-    while the trap is empty nothing else can hit, so those hits are
-    marked for the whole run at once. Gates are stepped one by one
-    only while the trap holds charge: from the incoming state and from
-    each avalanche until the decayed charge underflows to exactly 0
-    (about 22 gates at 10 kHz and tau = 3 us). The walk then jumps to
-    the next trap-free hit.
+    Every Physical block of ``PhysicsKernel`` takes this path. One
+    ``rng.random(n)`` gives the doubles that n scalar draws would. A
+    gate whose draw lies below 1 - (1 - p_signal)(1 - p_dark) hits
+    whatever the trap holds, and while the trap is empty nothing else
+    can hit, so those hits are marked for the whole run at once.
+    Without afterpulsing (``afterpulse_prob0 == 0``) the trap can add
+    no hit, so these are the run's hits and the state is returned as
+    it came.
+
+    With afterpulsing, the hits, final state and random draws are
+    those of one ``gate_detector`` call per gate, but event-driven:
+    gates are stepped one by one only while the trap holds charge,
+    from the incoming state and from each avalanche until the decayed
+    charge underflows to exactly 0 (about 22 gates at 10 kHz and
+    tau = 3 us). The walk then jumps to the next trap-free hit.
     """
     p_dark = dark_probability(d)
     u = rng.random(len(p_signal))
     hits = (u < 1.0 - (1.0 - p_signal) * (1.0 - p_dark)).astype(np.uint8)
+    if d.afterpulse_prob0 == 0.0:
+        return hits, st
     trap_free_hits = np.flatnonzero(hits)
     base = st.last_avalanche_time
     charge, last = st.trap_charge, base

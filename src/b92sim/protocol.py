@@ -93,6 +93,17 @@ class EveStrategy(Enum):
             raise ConfigError(f"unknown eve strategy {s!r}") from exc
 
 
+# Protocol constants. The reconciliation block size also goes on the
+# wire (Hello, Parities), where each party checks the other's value.
+RECONCILE_BLOCK_SIZE = 8
+ALARM_BER_THRESHOLD = 0.05
+ALARM_BIAS_THRESHOLD = 0.05
+
+# pulses per block, checked before any is drawn: one Physical block with
+# Eve at this size peaked at 266 MB resident (235 MB above the import)
+MAX_BITS_PER_BLOCK = 4_000_000
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     seed_alice: int
@@ -103,21 +114,14 @@ class SessionConfig:
     eve: EveStrategy = EveStrategy.NONE
     hardware: HardwareProfile = field(default_factory=default_profile)
     error_sample_fraction: float = 0.25
-    reconcile_block_size: int = 8
-    alarm_ber_threshold: float = 0.05
-    alarm_bias_threshold: float = 0.05
 
     def __post_init__(self):
-        if self.bits_per_block <= 0:
-            raise ConfigError("bits_per_block must be positive")
+        if not 0 < self.bits_per_block <= MAX_BITS_PER_BLOCK:
+            raise ConfigError(
+                f"bits_per_block must lie in [1, {MAX_BITS_PER_BLOCK}], got {self.bits_per_block}"
+            )
         if not 0.0 <= self.error_sample_fraction < 1.0:
             raise ConfigError("error_sample_fraction must lie in [0, 1)")
-        if self.reconcile_block_size < 2:
-            raise ConfigError("reconcile_block_size must be >= 2")
-        for name in ("alarm_ber_threshold", "alarm_bias_threshold"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1)")
         if self.mode is Mode.PHYSICAL:
             src = self.hardware.source
             det = self.hardware.detector
@@ -287,11 +291,11 @@ class BlockPhysics:
 class PhysicsKernel:
     """Owns the physics RNG and simulates transmission blocks.
 
-    Whole blocks are vectorized. A detector with live afterpulsing
-    couples consecutive gates through its trapped charge, so its block
-    goes to ``hardware.gate_block``: trap-free hits are marked at once,
-    and only the gates while the trap holds charge are walked one by
-    one, with the same draws and hits as a per-gate loop.
+    Whole blocks are vectorized. Every Physical block takes one
+    detector path: ``_gated_walk`` forms the signal hazards and hands
+    the block to ``hardware.gate_block``, which marks the trap-free
+    hits at once and walks gate by gate only while an afterpulsing
+    trap holds charge, with the same draws and hits as a per-gate loop.
     """
 
     def __init__(self, cfg: SessionConfig, rng: np.random.Generator):
@@ -335,40 +339,17 @@ class PhysicsKernel:
             survivors = self.rng.binomial(counts, fiber_transmission(hw.fiber)).astype(np.int64)
             # the fringe phase of a pass probability q has cos(delta) = 2q - 1
             p_window = central_window(hw.interferometer, 2.0 * table - 1.0)[sent, bob_bits]
-            det = hw.detector
-            if det.afterpulse_prob0 != 0.0:
-                hits, self.detector_state = self._gated_walk(p_window, survivors)
-            else:
-                # memoryless: gate_block's hits, without its scalar pow() per multi-photon gate
-                p_signal = 1.0 - (1.0 - p_window * det.efficiency) ** survivors
-                p_hit = 1.0 - (1.0 - p_signal) * (1.0 - dark_probability(det))
-                hits = (self.rng.random(n) < p_hit).astype(np.uint8)
+            hits, self.detector_state = self._gated_walk(p_window, survivors)
         self.logs.extend(alice_bits, bob_bits, counts, guesses, hits)
         return BlockPhysics(hits, counts, guesses, self.detector_state)
 
     def _gated_walk(self, p_window, survivors) -> tuple[np.ndarray, DetectorState]:
         hw = self.cfg.hardware
-        p_signal = _signal_hazard(p_window, survivors, hw.detector.efficiency)
+        # signal hazard 1 - (1 - p*eta)^k of k surviving photons
+        p_signal = 1.0 - (1.0 - p_window * hw.detector.efficiency) ** survivors
         return gate_block(
             p_signal, hw.detector, self.detector_state, 1.0 / hw.source.pulse_rate, self.rng
         )
-
-
-def _signal_hazard(p_window: np.ndarray, survivors: np.ndarray, eta: float) -> np.ndarray:
-    """Per-gate signal hazard 1 - (1 - p*eta)^k of k surviving photons.
-
-    It is formed as a pulse-equivalent window probability
-    p_eff = (1 - (1 - p*eta)^k) / eta times eta, the arithmetic of
-    ``gate_detector(k > 0, p_eff, ...)``, and the power is taken with
-    a scalar pow() where k >= 2, because numpy's vectorized power can
-    round differently; so every double matches the per-gate model.
-    """
-    if eta == 0.0:
-        return np.zeros(len(survivors))
-    miss = 1.0 - p_window * eta
-    many = np.flatnonzero(survivors > 1)
-    miss[many] = [m ** k for m, k in zip(miss[many].tolist(), survivors[many].tolist())]
-    return np.where(survivors > 0, (1.0 - miss) / eta * eta, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,26 +411,25 @@ def reconcile_block_parity(
     return a2, b2, len(alice_key) - len(a2), int(drop.sum())
 
 
-def _checked_bias(bias):
-    """The receiver's zero fraction as sent: None or a real number in [0, 1]."""
-    if bias is None or (
-        isinstance(bias, (int, float)) and not isinstance(bias, bool) and 0.0 <= bias <= 1.0
-    ):
-        return bias
-    raise ProtocolDesyncError(f"bias {bias!r} is not a fraction in [0, 1]")
+def _checked(payload: dict, key: str, *types):
+    """``payload[key]``, whose type must be one of ``types`` exactly."""
+    value = payload.get(key)
+    if type(value) not in types:
+        raise ProtocolDesyncError(
+            f"{key} {value!r} is not {' or '.join(t.__name__ for t in types)}"
+        )
+    return value
 
 
-def _evaluate_alarm(
-    cfg: SessionConfig, disclosed: int, ber: float, bias: float | None
-) -> tuple[bool, str | None]:
+def _evaluate_alarm(disclosed: int, ber: float, bias: float | None) -> tuple[bool, str | None]:
     """The alarm and its reasons. With no disclosed sample the error
     rate is unknown, so the session fails closed with reason "sample"."""
     reasons = []
     if disclosed == 0:
         reasons.append("sample")
-    if ber > cfg.alarm_ber_threshold:
+    if ber > ALARM_BER_THRESHOLD:
         reasons.append("ber")
-    if bias is not None and abs(bias - 0.5) > cfg.alarm_bias_threshold:
+    if bias is not None and abs(bias - 0.5) > ALARM_BIAS_THRESHOLD:
         reasons.append("bias")
     return bool(reasons), "+".join(reasons) if reasons else None
 
@@ -463,7 +443,7 @@ def _hello_payload(cfg: SessionConfig) -> dict:
         "bits_per_block": cfg.bits_per_block,
         "mode": cfg.mode.value,
         "eve": cfg.eve.value,
-        "reconcile_block_size": cfg.reconcile_block_size,
+        "reconcile_block_size": RECONCILE_BLOCK_SIZE,
         "error_sample_fraction": cfg.error_sample_fraction,
     }
 
@@ -544,7 +524,9 @@ class AliceEngine(_Party):
         send_bit_frames(self.pipe, "ErrorCheckIndices", mask)
         self.peer_step()
         values, head = recv_bit_frames(self.pipe, "ErrorCheckValues", k)
-        self.bob_bias = _checked_bias(head.get("bias"))
+        self.bob_bias = _checked(head, "bias", type(None), int, float)
+        if self.bob_bias is not None and not 0.0 <= self.bob_bias <= 1.0:
+            raise ProtocolDesyncError(f"bias {self.bob_bias!r} is not a fraction in [0, 1]")
         mine = key[mask == 1]
         if len(values) != len(mine):
             raise ProtocolDesyncError("disclosed values do not match the sample size")
@@ -552,14 +534,14 @@ class AliceEngine(_Party):
         self.mismatch_total += np.count_nonzero(mine != values)
         trimmed = key[mask == 0]
 
-        parities = block_parities(trimmed, cfg.reconcile_block_size)
+        parities = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
         send_bit_frames(
-            self.pipe, "Parities", parities, extra={"block_size": cfg.reconcile_block_size}
+            self.pipe, "Parities", parities, extra={"block_size": RECONCILE_BLOCK_SIZE}
         )
         self.peer_step()
         drop_mask, _ = recv_bit_frames(self.pipe, "DiscardList", len(parities))
         self.reconciled_blocks.append(
-            apply_block_verdicts(trimmed, drop_mask, cfg.reconcile_block_size)
+            apply_block_verdicts(trimmed, drop_mask, RECONCILE_BLOCK_SIZE)
         )
         self.blocks_done += 1
 
@@ -568,7 +550,7 @@ class AliceEngine(_Party):
             self.mismatch_total / self.disclosed_total if self.disclosed_total else 0.0
         )
         self.alarm, self.alarm_reason = _evaluate_alarm(
-            self.cfg, self.disclosed_total, self.ber, self.bob_bias
+            self.disclosed_total, self.ber, self.bob_bias
         )
         self.pipe.send(
             "Done",
@@ -634,16 +616,16 @@ class BobEngine(_Party):
         trimmed = key[mask == 0]
         yield
 
-        mine = block_parities(trimmed, cfg.reconcile_block_size)
+        mine = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
         parities_a, head = recv_bit_frames(self.pipe, "Parities", len(mine))
-        if head.get("block_size") != cfg.reconcile_block_size:
+        if head.get("block_size") != RECONCILE_BLOCK_SIZE:
             raise ProtocolDesyncError("peer used a different reconciliation block size")
         if len(parities_a) != len(mine):
             raise ProtocolDesyncError("parity lists differ in length")
         drop = (mine != parities_a).astype(np.uint8)
         send_bit_frames(self.pipe, "DiscardList", drop)
         self.reconciled_blocks.append(
-            apply_block_verdicts(trimmed, drop, cfg.reconcile_block_size)
+            apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE)
         )
 
     def steps(self):
@@ -652,14 +634,16 @@ class BobEngine(_Party):
         after a Done that asks for more, the next block's Results."""
         self.pipe.send("Hello", _hello_payload(self.cfg))
         yield
-        if not self.pipe.recv(expect_kind="Hello").payload.get("ok"):
+        if not _checked(self.pipe.recv(expect_kind="Hello").payload, "ok", bool):
             raise SessionAbort("peer rejected the session configuration")
         while True:
             yield from self.run_block()
             yield
-            done = self.pipe.recv(expect_kind="Done")
-            self.final = done.payload
-            if not done.payload.get("more"):
+            done = self.pipe.recv(expect_kind="Done").payload
+            _checked(done, "alarm", bool)
+            _checked(done, "reason", type(None), str)
+            self.final = done
+            if not _checked(done, "more", bool):
                 return
             yield
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import os
 import socket
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from b92sim import channel, cli
 from b92sim.channel import MessagePipe, SocketTransport, accept_one, open_listener
 from b92sim.cli import MAX_SWEEP_ROWS, _session_config, build_parser, main
 from b92sim.photonics import MAX_EXPECTED_PHOTONS, MAX_HISTOGRAM_BINS
-from b92sim.protocol import AliceEngine, run_session
+from b92sim.protocol import MAX_BITS_PER_BLOCK, AliceEngine, run_session
 
 
 def run_cli(argv, capsys):
@@ -167,6 +168,19 @@ def test_bad_sweep_and_histogram_flag_exits_2(capsys, argv, message):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["session", "--bits-per-block", "10000000000000"],
+    ["chat", "--role", "bob", "--bits-per-block", "10000000000000"],
+    ["sweep", "--pulses", "10000000000000", "--km-stop", "0", "--out", os.devnull],
+], ids=["session", "chat", "sweep"])
+def test_unbounded_block_size_exits_2(capsys, argv):
+    # refused when the configuration is built, before any bit is drawn
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert f"bits_per_block must lie in [1, {MAX_BITS_PER_BLOCK}]" in err
     assert out == ""
 
 

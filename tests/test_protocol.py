@@ -31,12 +31,14 @@ from b92sim.hardware import (
     HardwareProfile,
     InterferometerConfig,
     SourceParams,
+    dark_probability,
     fiber_transmission,
     gate_detector,
     sample_photon_count,
     thin_photons,
 )
 from b92sim.protocol import (
+    MAX_BITS_PER_BLOCK,
     AliceEngine,
     BobEngine,
     EveStrategy,
@@ -44,7 +46,6 @@ from b92sim.protocol import (
     PhysicsKernel,
     RoundLogs,
     SessionConfig,
-    _signal_hazard,
     _sift,
     alice_prepare,
     analytic_ber,
@@ -235,19 +236,18 @@ def test_sift_length_mismatch():
 # error estimation, bias, reconciliation
 
 
-class FlippingTransport:
-    """Inverts every disclosed value the receiver sends."""
+class RewritingTransport:
+    """Replaces the payload of each frame of one kind sent through it."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, kind, payload):
         self.inner = inner
+        self.kind = kind
+        self.payload = payload
 
     def send_frame(self, data):
         msg = decode_frame(data[4:])
-        if msg.kind == "ErrorCheckValues":
-            p = msg.payload
-            n = min(CHUNK_BITS, p["total"] - p["offset"])
-            flipped = 1 - hex_to_bits(p["bits"], n)
-            data = encode_frame(replace(msg, payload={**p, "bits": bits_to_hex(flipped)}))
+        if msg.kind == self.kind:
+            data = encode_frame(replace(msg, payload=self.payload(msg.payload)))
         self.inner.send_frame(data)
 
     def recv_frame(self):
@@ -257,39 +257,46 @@ class FlippingTransport:
         self.inner.close()
 
 
-class BiasTransport:
-    """Replaces the bias the receiver sends on ErrorCheckValues."""
+def flipped_values(p):
+    """A chunk of bits with every bit inverted."""
+    n = min(CHUNK_BITS, p["total"] - p["offset"])
+    return {**p, "bits": bits_to_hex(1 - hex_to_bits(p["bits"], n))}
 
-    def __init__(self, inner, bias):
-        self.inner = inner
-        self.bias = bias
 
-    def send_frame(self, data):
-        msg = decode_frame(data[4:])
-        if msg.kind == "ErrorCheckValues":
-            data = encode_frame(replace(msg, payload={**msg.payload, "bias": self.bias}))
-        self.inner.send_frame(data)
-
-    def recv_frame(self):
-        return self.inner.recv_frame()
-
-    def close(self):
-        self.inner.close()
+def bias_transport(inner, bias):
+    """The receiver's transport, with the bias it sends replaced."""
+    return RewritingTransport(inner, "ErrorCheckValues", lambda p: {**p, "bias": bias})
 
 
 @pytest.mark.parametrize("bias", ["x", -0.1, 1.5, True, float("nan"), [0.5]])
 def test_invalid_bias_on_error_check_values_aborts(bias):
     t_a, t_b = loopback_pair()
     with pytest.raises(SessionAbort, match="bias"):
-        run_session(make_cfg(bits_per_block=1024), channel=(t_a, BiasTransport(t_b, bias)))
+        run_session(make_cfg(bits_per_block=1024), channel=(t_a, bias_transport(t_b, bias)))
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    ("Done", lambda p: [], "malformed frame"),
+    ("Done", lambda p: "x", "malformed frame"),
+    ("Hello", lambda p: [1], "malformed frame"),
+    ("Hello", lambda p: {"ok": "yes"}, "ok 'yes' is not bool"),
+    ("Done", lambda p: {**p, "more": "no"}, "more 'no' is not bool"),
+    ("Done", lambda p: {**p, "alarm": 0}, "alarm 0 is not bool"),
+    ("Done", lambda p: {**p, "reason": 5}, "reason 5 is not NoneType or str"),
+], ids=["done_list", "done_string", "hello_list", "hello_ok", "more", "alarm", "reason"])
+def test_mistyped_frame_to_the_receiver_aborts(kind, payload, message):
+    t_a, t_b = loopback_pair()
+    with pytest.raises(SessionAbort, match=message):
+        run_session(make_cfg(bits_per_block=1024),
+                    channel=(RewritingTransport(t_a, kind, payload), t_b))
 
 
 def test_valid_bias_on_error_check_values_is_judged():
     t_a, t_b = loopback_pair()
-    rep = run_session(make_cfg(bits_per_block=1024), channel=(t_a, BiasTransport(t_b, 1)))
+    rep = run_session(make_cfg(bits_per_block=1024), channel=(t_a, bias_transport(t_b, 1)))
     assert rep.alarm_reason == "bias"
     t_a, t_b = loopback_pair()
-    rep = run_session(make_cfg(bits_per_block=1024), channel=(t_a, BiasTransport(t_b, None)))
+    rep = run_session(make_cfg(bits_per_block=1024), channel=(t_a, bias_transport(t_b, None)))
     assert not rep.alarm
 
 
@@ -301,7 +308,8 @@ def test_estimate_ber_identical_and_opposite():
     assert rep.ber_estimate == 0.0
     assert len(rep.reconciled_key) == t - math.ceil(t / 8)
     t_a, t_b = loopback_pair()
-    flipped = run_session(cfg, channel=(t_a, FlippingTransport(t_b)))
+    inverting = RewritingTransport(t_b, "ErrorCheckValues", flipped_values)
+    flipped = run_session(cfg, channel=(t_a, inverting))
     assert flipped.ber_estimate == 1.0
     assert flipped.alarm
 
@@ -1085,10 +1093,10 @@ def test_session_config_validation():
         make_cfg(bits_per_block=0)
     with pytest.raises(ConfigError):
         make_cfg(error_sample_fraction=1.0)
-    with pytest.raises(ConfigError):
-        make_cfg(reconcile_block_size=1)
-    with pytest.raises(ConfigError):
-        make_cfg(alarm_ber_threshold=0.0)
+    # bounded before any bit is drawn, so this allocates nothing
+    with pytest.raises(ConfigError, match="bits_per_block must lie in"):
+        make_cfg(bits_per_block=MAX_BITS_PER_BLOCK + 1)
+    make_cfg(bits_per_block=MAX_BITS_PER_BLOCK)
     # the afterpulse trap caps usable gate rates
     hw = HardwareProfile(source=SourceParams(pulse_rate=1e6))
     with pytest.raises(ConfigError):
@@ -1211,21 +1219,6 @@ def test_kernel_stages_equal_the_scalar_references():
     assert sum(k > 1 for k in survivors) > 100 and 0 < sum(hits)
 
 
-def test_signal_hazard_matches_the_per_gate_arithmetic():
-    # the block's signal hazards are the doubles gate_detector forms
-    # from p_eff, also where k >= 2 photons survive
-    rng = np.random.default_rng(8)
-    p_window = rng.random(5000) * 0.25
-    survivors = rng.integers(0, 6, 5000)
-    eta = 0.3
-    want = [
-        (1.0 - (1.0 - p * eta) ** int(k)) / eta * eta if k > 0 else 0.0
-        for p, k in zip(p_window, survivors)
-    ]
-    assert _signal_hazard(p_window, survivors, eta).tolist() == want
-    assert not _signal_hazard(p_window, survivors, 0.0).any()
-
-
 def bench_detector(**kw):
     return HardwareProfile(detector=DetectorParams(afterpulse_prob0=0.05, **kw))
 
@@ -1257,5 +1250,38 @@ def test_afterpulse_walk_equals_per_gate_loop_exactly(hw, n_blocks, block, start
         got, want = kernel.transmit_block(a, b), ref.transmit_block(a, b)
         assert np.array_equal(got.hits, want.hits)
         assert got.detector_state == want.detector_state
+        assert kernel.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert want.hits.sum() > 0
+
+
+class InlineMemorylessKernel(PhysicsKernel):
+    """The kernel with the inline hit law it once used for a detector
+    without afterpulsing: the reference the one detector path must
+    equal exactly there."""
+
+    def _gated_walk(self, p_window, survivors):
+        det = self.cfg.hardware.detector
+        p_signal = 1.0 - (1.0 - p_window * det.efficiency) ** survivors
+        p_hit = 1.0 - (1.0 - p_signal) * (1.0 - dark_probability(det))
+        return (self.rng.random(len(survivors)) < p_hit).astype(np.uint8), self.detector_state
+
+
+@pytest.mark.parametrize("eve", [EveStrategy.NONE, EveStrategy.FIXED_PROJECTION])
+@pytest.mark.parametrize("mu", [0.1, 1.0, 5.0])
+def test_memoryless_detector_equals_the_inline_hit_law_exactly(mu, eve):
+    hw = HardwareProfile(
+        source=SourceParams(mean_photons=mu),
+        fiber=FiberParams(length_km=5.0),
+        detector=DetectorParams(dark_rate=5e7),  # a dark count in 1 of 200 gates
+    )
+    cfg = make_cfg(mode=Mode.PHYSICAL, eve=eve, hardware=hw, bits_per_block=20_000)
+    kernel = PhysicsKernel(cfg, np.random.default_rng(77))
+    ref = InlineMemorylessKernel(cfg, np.random.default_rng(77))
+    bits = np.random.default_rng(5)
+    for _ in range(3):
+        a, b = generate_bits(20_000, bits), generate_bits(20_000, bits)
+        got, want = kernel.transmit_block(a, b), ref.transmit_block(a, b)
+        assert np.array_equal(got.hits, want.hits)
+        assert got.detector_state == want.detector_state == DetectorState()
         assert kernel.rng.bit_generator.state == ref.rng.bit_generator.state
     assert want.hits.sum() > 0
