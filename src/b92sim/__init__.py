@@ -12,7 +12,6 @@ from .errors import (
     ChannelError,
     ConfigError,
     EncodingError,
-    InsufficientKeyError,
     InvalidStateError,
     ModelValidityError,
     PadDepletedError,
@@ -20,7 +19,7 @@ from .errors import (
     ProtocolDesyncError,
     SessionAbort,
 )
-from .hardware import HardwareProfile, default_profile, load_profile
+from .hardware import HardwareProfile, load_profile
 from .protocol import EveStrategy, Mode, SessionConfig, SessionReport, run_session
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "ChannelError",
     "ConfigError",
     "EncodingError",
-    "InsufficientKeyError",
     "InvalidStateError",
     "ModelValidityError",
     "PadDepletedError",
@@ -41,7 +39,6 @@ __all__ = [
     "ProtocolDesyncError",
     "SessionAbort",
     "HardwareProfile",
-    "default_profile",
     "load_profile",
     "EveStrategy",
     "Mode",

@@ -71,15 +71,27 @@ def bits_to_hex(bits: np.ndarray) -> str:
 
 
 def hex_to_bits(s: str, n: int) -> np.ndarray:
-    """Inverse of bits_to_hex for a known bit count."""
+    """Inverse of bits_to_hex for a known bit count; the hex must hold
+    exactly the ceil(n / 8) bytes that bits_to_hex writes."""
     try:
         raw = np.frombuffer(bytes.fromhex(s), dtype=np.uint8)
     except (TypeError, ValueError) as exc:
         raise ProtocolDesyncError(f"bits are not a hex string: {exc}") from exc
-    bits = np.unpackbits(raw)
-    if len(bits) < n:
-        raise ProtocolDesyncError(f"hex carries {len(bits)} bits, expected {n}")
-    return bits[:n]
+    want = (n + 7) // 8
+    if len(raw) != want:
+        raise ProtocolDesyncError(f"hex carries {len(raw)} bytes, expected {want} for {n} bits")
+    return np.unpackbits(raw)[:n]
+
+
+def checked_field(obj: dict, key: str, *types):
+    """``obj[key]`` from a peer, whose type must be one of ``types``
+    exactly: ``int`` refuses ``True``, ``5.9`` and ``"5"``."""
+    value = obj.get(key)
+    if type(value) not in types:
+        raise ProtocolDesyncError(
+            f"{key} {value!r} is not {' or '.join(t.__name__ for t in types)}"
+        )
+    return value
 
 
 def encode_frame(msg: PublicMessage) -> bytes:
@@ -104,8 +116,8 @@ def decode_frame(body: bytes) -> PublicMessage:
         return PublicMessage(
             kind=obj["kind"],
             payload=obj["payload"],
-            session_id=int(obj["session_id"]),
-            sequence=int(obj["sequence"]),
+            session_id=checked_field(obj, "session_id", int),
+            sequence=checked_field(obj, "sequence", int),
         )
     except (ValueError, KeyError, TypeError) as exc:
         raise ProtocolDesyncError(f"malformed frame: {exc}") from exc
@@ -197,8 +209,8 @@ class SocketTransport:
 class MessagePipe:
     """Typed message layer over a transport.
 
-    Tracks outgoing and incoming sequence numbers per session and
-    rejects out-of-order or foreign-session frames.
+    Numbers outgoing frames 1, 2, 3, ... per session, and accepts only
+    the next number of the same session and the kind the caller expects.
     """
 
     def __init__(self, transport, session_id: int):
@@ -214,19 +226,17 @@ class MessagePipe:
         )
         self._transport.send_frame(encode_frame(msg))
 
-    def recv(self, expect_kind: str | None = None) -> PublicMessage:
+    def recv(self, expect_kind: str) -> PublicMessage:
         data = self._transport.recv_frame()
         msg = decode_frame(data[_HEADER.size:])
         if msg.session_id != self.session_id:
             raise ProtocolDesyncError(
                 f"session_id {msg.session_id} does not match {self.session_id}"
             )
-        if msg.sequence <= self._seq_in:
-            raise ProtocolDesyncError(
-                f"sequence {msg.sequence} not increasing (last was {self._seq_in})"
-            )
+        if msg.sequence != self._seq_in + 1:
+            raise ProtocolDesyncError(f"sequence {msg.sequence}, expected {self._seq_in + 1}")
         self._seq_in = msg.sequence
-        if expect_kind is not None and msg.kind != expect_kind:
+        if msg.kind != expect_kind:
             raise ProtocolDesyncError(f"expected {expect_kind}, got {msg.kind}")
         return msg
 
@@ -258,13 +268,6 @@ def send_bit_frames(
             break
 
 
-def _int_field(payload, key: str) -> int:
-    value = payload.get(key) if isinstance(payload, dict) else None
-    if type(value) is not int:
-        raise ProtocolDesyncError(f"bit-list field {key!r} is not an integer: {value!r}")
-    return value
-
-
 def recv_bit_frames(pipe: MessagePipe, kind: str, max_total: int) -> tuple[np.ndarray, dict]:
     """Reassemble a bit list sent by send_bit_frames.
 
@@ -276,14 +279,15 @@ def recv_bit_frames(pipe: MessagePipe, kind: str, max_total: int) -> tuple[np.nd
     """
     msg = pipe.recv(expect_kind=kind)
     head = msg.payload
-    total = _int_field(head, "total")
+    total = checked_field(head, "total", int)
     if not 0 <= total <= max_total:
         raise ProtocolDesyncError(f"{kind} announces {total} bits, expected at most {max_total}")
     # a single chunk is returned as decoded; longer lists fill one array
     out = np.empty(total, dtype=np.uint8) if total > CHUNK_BITS else None
     received = 0
     while True:
-        chunk = (_int_field(msg.payload, "offset"), _int_field(msg.payload, "total"))
+        chunk = (checked_field(msg.payload, "offset", int),
+                 checked_field(msg.payload, "total", int))
         if chunk != (received, total):
             raise ProtocolDesyncError(
                 f"{kind} chunk at offset {chunk[0]} of {chunk[1]}, "

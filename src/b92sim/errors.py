@@ -26,15 +26,7 @@ class ProtocolDesyncError(RuntimeError):
 
 
 class SessionAbort(RuntimeError):
-    """Session ended early. ``partial`` carries whatever was gathered."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
-class InsufficientKeyError(ValueError):
-    """Not enough key material for the requested operation."""
+    """Session ended early: the channel or the peer's messages failed."""
 
 
 class PadDepletedError(RuntimeError):

@@ -102,10 +102,6 @@ class HardwareProfile:
     interferometer: InterferometerConfig = field(default_factory=InterferometerConfig)
 
 
-def default_profile() -> HardwareProfile:
-    return HardwareProfile()
-
-
 def sample_photon_count(src: SourceParams, rng: np.random.Generator) -> int:
     """Photons in one pulse: Poisson(mean) or exactly 1 for an ideal
     source. A scalar reference that the tests hold ``PhysicsKernel`` to."""

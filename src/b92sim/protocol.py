@@ -34,22 +34,16 @@ import numpy as np
 from . import qstate
 from .channel import (
     MessagePipe,
+    checked_field,
     loopback_pair,
     recv_bit_frames,
     send_bit_frames,
 )
-from .errors import (
-    ChannelError,
-    ConfigError,
-    InsufficientKeyError,
-    ProtocolDesyncError,
-    SessionAbort,
-)
+from .errors import ChannelError, ConfigError, ProtocolDesyncError, SessionAbort
 from .hardware import (
     DetectorState,
     HardwareProfile,
     dark_probability,
-    default_profile,
     fiber_transmission,
     gate_block,
     with_fields,
@@ -112,7 +106,7 @@ class SessionConfig:
     bits_per_block: int = 1024
     mode: Mode = Mode.IDEAL
     eve: EveStrategy = EveStrategy.NONE
-    hardware: HardwareProfile = field(default_factory=default_profile)
+    hardware: HardwareProfile = field(default_factory=HardwareProfile)
     error_sample_fraction: float = 0.25
 
     def __post_init__(self):
@@ -364,13 +358,6 @@ def _sift(bits: np.ndarray, hits: np.ndarray) -> np.ndarray:
     return bits[hits == 1]
 
 
-def zero_bias(bob_key: np.ndarray) -> float:
-    """Fraction of zeros in the receiver's sifted key."""
-    if len(bob_key) == 0:
-        raise InsufficientKeyError("cannot estimate bias of an empty key")
-    return float(np.mean(np.asarray(bob_key) == 0))
-
-
 def block_parities(key: np.ndarray, block_size: int) -> np.ndarray:
     """Per-block parity bits; a trailing partial block counts too."""
     if block_size < 2:
@@ -411,16 +398,6 @@ def reconcile_block_parity(
     return a2, b2, len(alice_key) - len(a2), int(drop.sum())
 
 
-def _checked(payload: dict, key: str, *types):
-    """``payload[key]``, whose type must be one of ``types`` exactly."""
-    value = payload.get(key)
-    if type(value) not in types:
-        raise ProtocolDesyncError(
-            f"{key} {value!r} is not {' or '.join(t.__name__ for t in types)}"
-        )
-    return value
-
-
 def _evaluate_alarm(disclosed: int, ber: float, bias: float | None) -> tuple[bool, str | None]:
     """The alarm and its reasons. With no disclosed sample the error
     rate is unknown, so the session fails closed with reason "sample"."""
@@ -448,6 +425,10 @@ def _hello_payload(cfg: SessionConfig) -> dict:
     }
 
 
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(blocks) if blocks else np.zeros(0, np.uint8)
+
+
 class _Party:
     """What both parties keep: the configuration, the public channel,
     the party's own bit stream, and the per-block keys."""
@@ -460,14 +441,10 @@ class _Party:
         self.reconciled_blocks: list[np.ndarray] = []
 
     def sifted_key(self) -> np.ndarray:
-        return np.concatenate(self.sifted_blocks) if self.sifted_blocks else np.zeros(0, np.uint8)
+        return _joined(self.sifted_blocks)
 
     def reconciled_key(self) -> np.ndarray:
-        return (
-            np.concatenate(self.reconciled_blocks)
-            if self.reconciled_blocks
-            else np.zeros(0, np.uint8)
-        )
+        return _joined(self.reconciled_blocks)
 
 
 class AliceEngine(_Party):
@@ -524,7 +501,7 @@ class AliceEngine(_Party):
         send_bit_frames(self.pipe, "ErrorCheckIndices", mask)
         self.peer_step()
         values, head = recv_bit_frames(self.pipe, "ErrorCheckValues", k)
-        self.bob_bias = _checked(head, "bias", type(None), int, float)
+        self.bob_bias = checked_field(head, "bias", type(None), int, float)
         if self.bob_bias is not None and not 0.0 <= self.bob_bias <= 1.0:
             raise ProtocolDesyncError(f"bias {self.bob_bias!r} is not a fraction in [0, 1]")
         mine = key[mask == 1]
@@ -600,8 +577,6 @@ class BobEngine(_Party):
         cfg = self.cfg
         bits = generate_bits(cfg.bits_per_block, self.rng)
         hits, _ = recv_bit_frames(self.pipe, "Results", cfg.bits_per_block)
-        if len(hits) != len(bits):
-            raise ProtocolDesyncError("Results length does not match the block")
         key = _sift(bits, hits)
         self.sifted_blocks.append(key)
         self.zeros_total += len(key) - np.count_nonzero(key)
@@ -618,7 +593,7 @@ class BobEngine(_Party):
 
         mine = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
         parities_a, head = recv_bit_frames(self.pipe, "Parities", len(mine))
-        if head.get("block_size") != RECONCILE_BLOCK_SIZE:
+        if checked_field(head, "block_size", int) != RECONCILE_BLOCK_SIZE:
             raise ProtocolDesyncError("peer used a different reconciliation block size")
         if len(parities_a) != len(mine):
             raise ProtocolDesyncError("parity lists differ in length")
@@ -634,16 +609,16 @@ class BobEngine(_Party):
         after a Done that asks for more, the next block's Results."""
         self.pipe.send("Hello", _hello_payload(self.cfg))
         yield
-        if not _checked(self.pipe.recv(expect_kind="Hello").payload, "ok", bool):
+        if not checked_field(self.pipe.recv(expect_kind="Hello").payload, "ok", bool):
             raise SessionAbort("peer rejected the session configuration")
         while True:
             yield from self.run_block()
             yield
             done = self.pipe.recv(expect_kind="Done").payload
-            _checked(done, "alarm", bool)
-            _checked(done, "reason", type(None), str)
+            checked_field(done, "alarm", bool)
+            checked_field(done, "reason", type(None), str)
             self.final = done
-            if not _checked(done, "more", bool):
+            if not checked_field(done, "more", bool):
                 return
             yield
 
@@ -665,9 +640,9 @@ def run_session(
     point where the sender waits for it. ``channel`` may supply a
     (alice_transport, bob_transport) pair so tests can watch the
     frames; by default a loopback pair is built. A failure of the
-    channel or the protocol raises SessionAbort with the sender's
-    partial state; other errors, such as a ConfigError or a
-    ModelValidityError from the physics, propagate unchanged.
+    channel or the protocol raises SessionAbort, chained to its cause;
+    other errors, such as a ConfigError or a ModelValidityError from
+    the physics, propagate unchanged.
     """
     if n_blocks < 1:
         raise ConfigError("n_blocks must be >= 1")
@@ -679,7 +654,7 @@ def run_session(
     try:
         alice.run(lambda eng: eng.blocks_done < n_blocks)
     except (ChannelError, ProtocolDesyncError, SessionAbort) as exc:
-        raise SessionAbort(f"session failed: {exc}", partial=alice) from exc
+        raise SessionAbort(f"session failed: {exc}") from exc
 
     sifted_a = alice.sifted_key()
     n_rounds = alice.rounds_sent

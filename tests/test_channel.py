@@ -1,4 +1,6 @@
+import json
 import socket
+import struct
 import threading
 import time
 
@@ -60,7 +62,7 @@ def test_pipe_sequence_and_session_checks():
     a = MessagePipe(t_a, session_id=5)
     b = MessagePipe(t_b, session_id=5)
     a.send("Hello", {"n": 1})
-    got = b.recv()
+    got = b.recv("Hello")
     assert got.kind == "Hello" and got.sequence == 1
     a.send("Done", {})
     with pytest.raises(ProtocolDesyncError):
@@ -70,7 +72,7 @@ def test_pipe_sequence_and_session_checks():
     t_a, t_b = loopback_pair()
     MessagePipe(t_a, session_id=1).send("Hello", {})
     with pytest.raises(ProtocolDesyncError):
-        MessagePipe(t_b, session_id=2).recv()
+        MessagePipe(t_b, session_id=2).recv("Hello")
 
     # replayed (non-increasing) sequence
     t_a, t_b = loopback_pair()
@@ -78,25 +80,41 @@ def test_pipe_sequence_and_session_checks():
     t_a.send_frame(frame)
     t_a.send_frame(frame)
     b = MessagePipe(t_b, session_id=3)
-    b.recv()
-    with pytest.raises(ProtocolDesyncError):
-        b.recv()
+    b.recv("Hello")
+    with pytest.raises(ProtocolDesyncError, match="sequence 1, expected 2"):
+        b.recv("Hello")
+
+    # a skipped sequence number: a frame went missing in between
+    for first in (2, 10**6):
+        t_a, t_b = loopback_pair()
+        t_a.send_frame(encode_frame(PublicMessage("Hello", {}, session_id=3, sequence=first)))
+        with pytest.raises(ProtocolDesyncError, match=f"sequence {first}, expected 1"):
+            MessagePipe(t_b, session_id=3).recv("Hello")
+
+
+@pytest.mark.parametrize("field", ["session_id", "sequence"])
+@pytest.mark.parametrize("value", ["5", 5.9, True], ids=["string", "float", "bool"])
+def test_decode_frame_requires_integer_header_fields(field, value):
+    obj = {"session_id": 5, "sequence": 1, "kind": "Hello", "payload": {}}
+    obj[field] = value
+    with pytest.raises(ProtocolDesyncError, match=f"{field} {value!r} is not int"):
+        decode_frame(json.dumps(obj).encode("utf-8"))
 
 
 def test_loopback_close_wakes_peer():
     t_a, t_b = loopback_pair()
     t_a.close()
     with pytest.raises(ChannelError):
-        MessagePipe(t_b, session_id=1).recv()
+        MessagePipe(t_b, session_id=1).recv("Hello")
     # frames queued before the close arrive first, and it stays closed
     t_a, t_b = loopback_pair()
     MessagePipe(t_a, session_id=1).send("Hello", {})
     t_a.close()
     b = MessagePipe(t_b, session_id=1)
-    assert b.recv().kind == "Hello"
+    assert b.recv("Hello").kind == "Hello"
     for _ in range(2):
         with pytest.raises(ChannelError, match="closed"):
-            b.recv()
+            b.recv("Hello")
 
 
 def test_empty_loopback_read_raises_at_once():
@@ -140,6 +158,17 @@ def recv_from_peer(payloads, max_total=16):
 def test_recv_bit_frames_rejects_non_hex_bits():
     with pytest.raises(ProtocolDesyncError, match="hex"):
         recv_from_peer([{"total": 8, "offset": 0, "bits": "zz"}])
+
+
+def test_recv_bit_frames_requires_exactly_the_announced_bytes():
+    # too few: 8 bits for a list of 16
+    with pytest.raises(ProtocolDesyncError, match="hex carries 1 bytes, expected 2 for 16 bits"):
+        recv_from_peer([{"total": 16, "offset": 0, "bits": "ff"}])
+    # too many: trailing bytes that no bit of the list needs
+    with pytest.raises(ProtocolDesyncError, match="hex carries 2 bytes, expected 1 for 8 bits"):
+        recv_from_peer([{"total": 8, "offset": 0, "bits": "ff00"}])
+    with pytest.raises(ProtocolDesyncError, match="hex carries 1 bytes, expected 0 for 0 bits"):
+        recv_from_peer([{"total": 0, "offset": 0, "bits": "00"}])
 
 
 def test_recv_bit_frames_rejects_a_non_integer_total():
@@ -224,8 +253,20 @@ def test_socket_peer_disappearing_raises():
     pipe = MessagePipe(SocketTransport(sock, timeout=5.0), session_id=4)
     th.join(timeout=5.0)
     with pytest.raises(ChannelError):
-        pipe.recv()
+        pipe.recv("Hello")
     pipe.close()
+
+
+def test_socket_peer_announcing_an_oversized_frame_is_refused():
+    # the length prefix alone is refused, before any body is read
+    a, b = socket.socketpair()
+    try:
+        a.sendall(struct.pack(">I", MAX_FRAME_BYTES))
+        with pytest.raises(ChannelError, match=f"oversized frame of {MAX_FRAME_BYTES} bytes"):
+            SocketTransport(b, timeout=1.0).recv_frame()
+    finally:
+        a.close()
+        b.close()
 
 
 def test_connect_refused():

@@ -14,7 +14,6 @@ from b92sim.hardware import (
     SourceParams,
     afterpulse_probability,
     dark_probability,
-    default_profile,
     fiber_transmission,
     gate_detector,
     load_profile,
@@ -226,7 +225,7 @@ delta_t = 8.5e-9
     assert hw.detector.dark_rate == 20000
     assert hw.interferometer.visibility == 0.995
     # unspecified keys keep their defaults
-    assert hw.detector.afterpulse_tau == default_profile().detector.afterpulse_tau
+    assert hw.detector.afterpulse_tau == HardwareProfile().detector.afterpulse_tau
 
 
 def test_load_profile_rejects_unknown_key(tmp_path):
@@ -237,9 +236,9 @@ def test_load_profile_rejects_unknown_key(tmp_path):
 
 
 def test_with_fields_routes_each_field_to_its_group():
-    hw = with_fields(default_profile(), mean_photons=0.2, length_km=4.0, dark_rate=10.0)
+    hw = with_fields(HardwareProfile(), mean_photons=0.2, length_km=4.0, dark_rate=10.0)
     assert (hw.source.mean_photons, hw.fiber.length_km, hw.detector.dark_rate) == (0.2, 4.0, 10.0)
-    assert hw.interferometer == default_profile().interferometer
+    assert hw.interferometer == HardwareProfile().interferometer
     # a group is rebuilt once, so its cross-field check sees both values:
     # a 9 ns pulse fits a 10 ns delay, though not the default 8.5 ns one
     wide = with_fields(hw, pulse_width=9e-9, delta_t=10e-9)

@@ -19,7 +19,6 @@ from b92sim.channel import (
 )
 from b92sim.errors import (
     ConfigError,
-    InsufficientKeyError,
     ModelValidityError,
     ProtocolDesyncError,
     SessionAbort,
@@ -36,6 +35,7 @@ from b92sim.hardware import (
     gate_detector,
     sample_photon_count,
     thin_photons,
+    with_fields,
 )
 from b92sim.protocol import (
     MAX_BITS_PER_BLOCK,
@@ -58,7 +58,6 @@ from b92sim.protocol import (
     predict_key_rate,
     reconcile_block_parity,
     run_session,
-    zero_bias,
 )
 from b92sim.photonics import central_window, effective_hit_prob
 from b92sim.qstate import DOWN, P_LEFT, RIGHT, UP, inner, pass_probability, states_equal
@@ -291,6 +290,35 @@ def test_mistyped_frame_to_the_receiver_aborts(kind, payload, message):
                     channel=(RewritingTransport(t_a, kind, payload), t_b))
 
 
+def shortened(p):
+    """A one-chunk bit list with its last bit dropped."""
+    n = p["total"] - 1
+    return {**p, "total": n, "bits": bits_to_hex(hex_to_bits(p["bits"], n + 1)[:n])}
+
+
+@pytest.mark.parametrize("sender, kind, payload, message", [
+    ("alice", "Results", shortened, "hit record of 1023 entries against 1024 bits"),
+    ("alice", "ErrorCheckIndices", shortened, "error-check mask does not match the key"),
+    ("bob", "ErrorCheckValues", shortened, "disclosed values do not match the sample"),
+    ("alice", "Parities", lambda p: {**p, "block_size": 4}, "different reconciliation block"),
+    ("alice", "Parities", lambda p: {**p, "block_size": 8.0}, "block_size 8.0 is not int"),
+    ("alice", "Parities", shortened, "parity lists differ in length"),
+    ("alice", "Hello", lambda p: {"ok": False}, "peer rejected the session configuration"),
+], ids=["results", "indices", "values", "block_size", "block_size_float", "parities", "hello"])
+def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
+    # each list is well formed on its own but does not fit the block it
+    # belongs to; without its check the session would run on, or fail
+    # with a bare numpy IndexError or ValueError
+    t_a, t_b = loopback_pair()
+    if sender == "alice":
+        t_a = RewritingTransport(t_a, kind, payload)
+    else:
+        t_b = RewritingTransport(t_b, kind, payload)
+    with pytest.raises(SessionAbort, match=message) as info:
+        run_session(make_cfg(bits_per_block=1024), channel=(t_a, t_b))
+    assert isinstance(info.value.__cause__, (ProtocolDesyncError, SessionAbort))
+
+
 def test_valid_bias_on_error_check_values_is_judged():
     t_a, t_b = loopback_pair()
     rep = run_session(make_cfg(bits_per_block=1024), channel=(t_a, bias_transport(t_b, 1)))
@@ -322,13 +350,6 @@ def test_estimate_ber_removes_disclosed_positions():
     t = s - int(0.25 * s)
     assert np.array_equal(rep.sifted_key_alice, rep.sifted_key_bob)
     assert len(rep.reconciled_key) == t - math.ceil(t / 8)
-
-
-def test_zero_bias():
-    assert zero_bias(np.zeros(10, dtype=np.uint8)) == 1.0
-    assert zero_bias(np.array([0, 1, 0, 1])) == 0.5
-    with pytest.raises(InsufficientKeyError):
-        zero_bias(np.zeros(0, dtype=np.uint8))
 
 
 def brute_force_block_parity(alice, bob, block_size):
@@ -1086,6 +1107,62 @@ def test_ber_crossing_distance():
         assert d is not None and np.isfinite(d)
         assert analytic_ber(hw, d) >= threshold
         assert analytic_ber(hw, d * 0.99) < threshold
+    # already over the threshold at the sender's door
+    poor = HardwareProfile(interferometer=InterferometerConfig(visibility=0.5))
+    assert analytic_ber(poor, 0.0) > 0.05
+    assert ber_crossing_distance(poor, 0.05) == 0.0
+    # without dark counts the error rate stays at its visibility floor
+    # however long the fiber, so a threshold above it is never reached
+    quiet = with_fields(hw, dark_rate=0.0)
+    assert ber_crossing_distance(quiet, 0.05) is None
+    assert ber_crossing_distance(quiet, 0.05, d_max=50.0) is None
+
+
+def test_analytic_ber_ideal_source_closed_form():
+    # one photon a pulse: the signal hit chances are t*eta*w, linear in
+    # the window w, so without dark counts the error rate is
+    # (1-V)/(2-V) at every length; dark counts then add d(1 - p)
+    v = 0.99
+    hw = HardwareProfile(source=SourceParams(ideal_single_photon=True, mean_photons=2.0),
+                         interferometer=InterferometerConfig(visibility=v))
+    for distance_km in (0.0, 25.0, 80.0):
+        at = with_fields(hw, length_km=distance_km)
+        signal = fiber_transmission(at.fiber) * at.detector.efficiency / 8.0
+        d = dark_probability(at.detector)
+        hit_same = signal + d * (1.0 - signal)
+        hit_diff = signal * (1.0 - v) + d * (1.0 - signal * (1.0 - v))
+        assert analytic_ber(hw, distance_km) == pytest.approx(
+            hit_diff / (hit_same + hit_diff), rel=1e-12)
+        quiet = with_fields(hw, dark_rate=0.0)
+        assert analytic_ber(quiet, distance_km) == pytest.approx((1 - v) / (2 - v), rel=1e-12)
+
+
+def test_analytic_ber_with_nothing_to_hit_is_zero():
+    hw = HardwareProfile(detector=DetectorParams(efficiency=0.0, dark_rate=0.0))
+    assert analytic_ber(hw, 0.0) == 0.0
+    assert analytic_ber(hw, 50.0) == 0.0
+
+
+def test_unknown_names_and_no_blocks_are_config_errors():
+    with pytest.raises(ConfigError, match="n_blocks"):
+        run_session(make_cfg(), n_blocks=0)
+    with pytest.raises(ConfigError, match="unknown mode 'quantum'"):
+        Mode.from_str("quantum")
+    with pytest.raises(ConfigError, match="unknown eve strategy 'bogus'"):
+        EveStrategy.from_str("bogus")
+    assert Mode.from_str("PHYSICAL") is Mode.PHYSICAL
+    assert EveStrategy.from_str("Fixed") is EveStrategy.FIXED_PROJECTION
+
+
+def test_session_that_sifts_nothing_has_no_bias_and_fails_closed():
+    # a blind detector: no hits, so no sifted bits, no disclosed sample
+    # and no zero fraction to report
+    hw = HardwareProfile(detector=DetectorParams(efficiency=0.0, dark_rate=0.0))
+    rep = run_session(make_cfg(mode=Mode.PHYSICAL, hardware=hw, bits_per_block=512), n_blocks=2)
+    assert rep.n_rounds == 1024 and len(rep.sifted_key_alice) == 0
+    assert len(rep.sifted_key_bob) == 0 and len(rep.reconciled_key) == 0
+    assert math.isnan(rep.zero_bias)
+    assert rep.alarm and rep.alarm_reason == "sample"
 
 
 def test_session_config_validation():
