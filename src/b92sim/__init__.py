@@ -15,7 +15,6 @@ from .errors import (
     InvalidStateError,
     ModelValidityError,
     PadDepletedError,
-    PhaseRangeError,
     ProtocolDesyncError,
     SessionAbort,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "InvalidStateError",
     "ModelValidityError",
     "PadDepletedError",
-    "PhaseRangeError",
     "ProtocolDesyncError",
     "SessionAbort",
     "HardwareProfile",

@@ -72,15 +72,17 @@ def bits_to_hex(bits: np.ndarray) -> str:
 
 def hex_to_bits(s: str, n: int) -> np.ndarray:
     """Inverse of bits_to_hex for a known bit count; the hex must hold
-    exactly the ceil(n / 8) bytes that bits_to_hex writes."""
+    exactly the ceil(n / 8) bytes that bits_to_hex writes, pad bits zero."""
     try:
-        raw = np.frombuffer(bytes.fromhex(s), dtype=np.uint8)
+        raw = bytes.fromhex(s)
     except (TypeError, ValueError) as exc:
         raise ProtocolDesyncError(f"bits are not a hex string: {exc}") from exc
     want = (n + 7) // 8
     if len(raw) != want:
         raise ProtocolDesyncError(f"hex carries {len(raw)} bytes, expected {want} for {n} bits")
-    return np.unpackbits(raw)[:n]
+    if n % 8 and raw[-1] & (0xFF >> n % 8):
+        raise ProtocolDesyncError(f"last byte {raw[-1]:#04x} sets pad bits beyond bit {n}")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n]
 
 
 def checked_field(obj: dict, key: str, *types):

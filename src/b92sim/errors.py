@@ -13,10 +13,6 @@ class InvalidStateError(ValueError):
     """A state vector failed normalization."""
 
 
-class PhaseRangeError(ValueError):
-    """Modulator drive voltage outside the calibrated range."""
-
-
 class ChannelError(RuntimeError):
     """Transport-level failure on the classical channel."""
 

@@ -39,12 +39,7 @@ class Pad:
     """Single-use key material with an explicit consumption cursor."""
 
     def __init__(self, symbols, base: int):
-        if base < 2:
-            raise ValueError("base must be >= 2")
-        arr = np.asarray(symbols, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= base):
-            raise ValueError(f"pad symbols must lie in [0, {base})")
-        self._symbols = arr
+        self._symbols = Message(symbols, base).symbols
         self.base = base
         self._consumed = 0
 
@@ -135,29 +130,3 @@ def pad_from_key(bits, base: int, n_symbols: int | None = None) -> Pad:
             )
         symbols = symbols[:n_symbols]
     return Pad(symbols, base)
-
-
-def save_pad(pad: Pad, path) -> None:
-    """Write a pad as hex text with a {base, length, consumed} header."""
-    if pad.base > 256:
-        raise ValueError("pad files support bases up to 256")
-    with open(path, "w") as f:
-        f.write(f"base={pad.base} length={len(pad)} consumed={pad.consumed}\n")
-        f.write(bytes(int(s) for s in pad._symbols).hex() + "\n")
-
-
-def load_pad(path) -> Pad:
-    with open(path) as f:
-        header = f.readline().strip()
-        body = f.readline().strip()
-    try:
-        kv = dict(part.split("=", 1) for part in header.split())
-        base, length, consumed = int(kv["base"]), int(kv["length"]), int(kv["consumed"])
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"bad pad header {header!r}") from exc
-    symbols = np.frombuffer(bytes.fromhex(body), dtype=np.uint8).astype(np.int64)
-    if len(symbols) != length:
-        raise ValueError(f"pad body has {len(symbols)} symbols, header says {length}")
-    pad = Pad(symbols, base)
-    pad._take(consumed)  # replay consumption so used symbols stay used
-    return pad

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PhaseRangeError
+from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,17 +73,6 @@ class InterferometerConfig:
 
 
 @dataclass(frozen=True)
-class ModulatorParams:
-    """Electro-optic phase modulator calibration."""
-
-    v_pi: float = 1.0
-
-    def __post_init__(self):
-        if self.v_pi <= 0:
-            raise ConfigError("v_pi must be positive")
-
-
-@dataclass(frozen=True)
 class WindowDistribution:
     """Arrival probabilities per (output port, time window).
 
@@ -105,9 +94,6 @@ class WindowDistribution:
     @property
     def detector_central(self) -> float:
         return self.port3_central
-
-    def detector_windows(self) -> tuple[float, float, float]:
-        return (self.port3_prompt, self.port3_central, self.port3_delayed)
 
     def total(self) -> float:
         return (
@@ -202,17 +188,6 @@ def effective_hit_prob(alice_bit: int, bob_bit: int, visibility: float) -> float
     return tm_window_distribution(phases, cfg).detector_central
 
 
-def voltage_to_phase(v: float, m: ModulatorParams) -> float:
-    """Phase produced by drive voltage ``v``: arccos(v / v_pi).
-
-    The calibration is arccos in the drive voltage; the TE/TM
-    drive-voltage asymmetry of real modulators is not modeled.
-    """
-    if abs(v) > m.v_pi:
-        raise PhaseRangeError(f"|v| = {abs(v)} exceeds v_pi = {m.v_pi}")
-    return math.acos(v / m.v_pi)
-
-
 # Size bounds of ``arrival_histogram``, checked before it allocates:
 # about 33 bytes a bin (edges, centers, counts), so 10**6 bins take about
 # 33 MB; about 7 bytes an expected photon (the arrival times of the photons
@@ -284,7 +259,7 @@ def arrival_histogram(
         raise ConfigError(f"{expected:.4g} expected photons exceed the limit of "
                           f"{MAX_EXPECTED_PHOTONS}; lower the pulses or mean_photons")
     dist = tm_window_distribution(phases, cfg)
-    probs = np.array(dist.detector_windows())
+    probs = np.array([dist.port3_prompt, dist.port3_central, dist.port3_delayed])
     lost = 1.0 - probs.sum()
     n_photons = int(rng.poisson(mean_photons * n_pulses))
     window_counts = rng.multinomial(n_photons, np.append(probs, lost))[:3]

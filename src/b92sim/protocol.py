@@ -425,6 +425,17 @@ def _hello_payload(cfg: SessionConfig) -> dict:
     }
 
 
+# the types ``_hello_payload`` writes each field with; a peer's Hello
+# must use the same, since == alone lets 1024.0 pass for 1024
+_HELLO_TYPES = {
+    "bits_per_block": (int,),
+    "mode": (str,),
+    "eve": (str,),
+    "reconcile_block_size": (int,),
+    "error_sample_fraction": (int, float),
+}
+
+
 def _joined(blocks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.zeros(0, np.uint8)
 
@@ -476,11 +487,13 @@ class AliceEngine(_Party):
 
     def handshake(self) -> None:
         self.peer_step()
-        hello = self.pipe.recv(expect_kind="Hello")
-        if hello.payload != _hello_payload(self.cfg):
-            raise SessionAbort(
-                f"peer configuration mismatch: {hello.payload} != {_hello_payload(self.cfg)}"
-            )
+        hello = self.pipe.recv(expect_kind="Hello").payload
+        mine = _hello_payload(self.cfg)
+        # a missing field fails its type check, an extra one the comparison
+        for key, types in _HELLO_TYPES.items():
+            checked_field(hello, key, *types)
+        if hello != mine:
+            raise SessionAbort(f"peer configuration mismatch: {hello} != {mine}")
         self.pipe.send("Hello", {"ok": True})
 
     def run_block(self) -> None:

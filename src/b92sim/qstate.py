@@ -76,38 +76,6 @@ class Projector:
         return f"Projector({self.matrix.tolist()})"
 
 
-@dataclass(frozen=True)
-class PauliSet:
-    """The three spin operators plus the Levi-Civita coefficient tying
-    them together via [sigma_i, sigma_j] = 2i eps_ijk sigma_k."""
-
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    sigma3: np.ndarray
-
-    def all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.sigma1, self.sigma2, self.sigma3)
-
-
-def _levi_civita() -> np.ndarray:
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, k] = 1.0
-        eps[j, i, k] = -1.0
-    return eps
-
-
-LEVI_CIVITA = _levi_civita()
-LEVI_CIVITA.setflags(write=False)
-
-PAULI = PauliSet(
-    sigma1=np.array([[0, 1], [1, 0]], dtype=complex),
-    sigma2=np.array([[0, -1j], [1j, 0]], dtype=complex),
-    sigma3=np.array([[1, 0], [0, -1]], dtype=complex),
-)
-for _m in PAULI.all():
-    _m.setflags(write=False)
-
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 

@@ -34,6 +34,13 @@ def test_bits_hex_roundtrip():
         assert np.array_equal(hex_to_bits(bits_to_hex(bits), n), bits)
 
 
+@pytest.mark.parametrize("s, n", [("ff", 4), ("f8", 4), ("01", 7), ("ff40", 9)])
+def test_hex_to_bits_rejects_set_pad_bits(s, n):
+    # bits_to_hex pads with zeros, so "ff" and "f0" must not both decode to 1111
+    with pytest.raises(ProtocolDesyncError, match="pad bits"):
+        hex_to_bits(s, n)
+
+
 def test_frame_roundtrip():
     msg = PublicMessage(kind="Hello", payload={"x": 1}, session_id=7, sequence=3)
     data = encode_frame(msg)

@@ -15,6 +15,7 @@ from b92sim.hardware import (
     afterpulse_probability,
     dark_probability,
     fiber_transmission,
+    gate_block,
     gate_detector,
     load_profile,
     sample_photon_count,
@@ -160,6 +161,25 @@ def test_afterpulse_decay_folds_through_misses():
         direct = 0.05 * math.exp(-t / 2e-6)
         assert afterpulse_probability(d, st, t) == pytest.approx(direct, rel=1e-12)
         _, st = gate_detector(False, 0.0, d, st, t, rng)
+
+
+def test_gate_block_first_afterpulse_follows_the_hazard():
+    # with no signal and no dark counts, the first hit of a run that
+    # starts on a full trap is an afterpulse: it lands on gate j with
+    # probability h_j * prod_{i<j} (1 - h_i), h_j the hazard at (j+1)*dt
+    d = DetectorParams(dark_rate=0.0, afterpulse_prob0=0.5, afterpulse_tau=3e-6)
+    st, dt, n_gates, trials = DetectorState(1.0, 0.0), 1e-6, 6, 20_000
+    rng = np.random.default_rng(12)
+    counts = np.zeros(n_gates + 1)  # the last cell counts runs with no hit
+    for _ in range(trials):
+        hits, _ = gate_block(np.zeros(n_gates), d, st, dt, rng)
+        counts[np.argmax(hits) if hits.any() else n_gates] += 1
+    hazards = [afterpulse_probability(d, st, (j + 1) * dt) for j in range(n_gates)]
+    assert hazards == pytest.approx([0.5 * math.exp(-(j + 1) / 3) for j in range(n_gates)])
+    survive = np.cumprod([1.0] + [1.0 - h for h in hazards])
+    expected = np.append(np.array(hazards) * survive[:-1], survive[-1])
+    z = (counts - trials * expected) / np.sqrt(trials * expected * (1.0 - expected))
+    assert np.all(np.abs(z) < 4.0), z
 
 
 def test_gate_detector_hit_resets_trap():

@@ -10,9 +10,7 @@ from b92sim.otp import (
     ascii_encode,
     decrypt,
     encrypt,
-    load_pad,
     pad_from_key,
-    save_pad,
 )
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -162,19 +160,3 @@ def test_ciphertext_uniformity_proxy():
         all_symbols.append(c.symbols)
     counts = np.bincount(np.concatenate(all_symbols), minlength=26)
     assert stats.chisquare(counts).pvalue > 0.01
-
-
-def test_pad_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    pad = Pad(rng.integers(0, 26, size=40), 26)
-    encrypt(letters_msg("KEYS"), pad)
-    path = tmp_path / "pad.hex"
-    save_pad(pad, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "base=26 length=40 consumed=4"
-    loaded = load_pad(path)
-    assert loaded.base == 26
-    assert loaded.consumed == 4
-    c1, _ = encrypt(letters_msg("NEXT"), pad)
-    c2, _ = encrypt(letters_msg("NEXT"), loaded)
-    assert np.array_equal(c1.symbols, c2.symbols)

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from b92sim.errors import ConfigError, PhaseRangeError
+from b92sim.errors import ConfigError
 from b92sim.photonics import (
     InterferometerConfig,
-    ModulatorParams,
     PhasePair,
     arrival_histogram,
     b92_phase,
@@ -14,7 +13,6 @@ from b92sim.photonics import (
     effective_hit_prob,
     mz_detect_prob,
     tm_window_distribution,
-    voltage_to_phase,
 )
 
 BIT_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -148,15 +146,6 @@ def test_effective_hit_prob():
     assert effective_hit_prob(1, 0, 0.995) == pytest.approx(6.25e-4, abs=1e-12)
 
 
-def test_voltage_to_phase():
-    m = ModulatorParams(v_pi=4.0)
-    assert voltage_to_phase(4.0, m) == pytest.approx(0.0, abs=1e-12)
-    assert voltage_to_phase(0.0, m) == pytest.approx(math.pi / 2, abs=1e-12)
-    assert voltage_to_phase(-4.0, m) == pytest.approx(math.pi, abs=1e-12)
-    with pytest.raises(PhaseRangeError):
-        voltage_to_phase(4.1, m)
-
-
 def test_interferometer_config_validation():
     with pytest.raises(ConfigError):
         InterferometerConfig(delta_t=100e-12, pulse_width=300e-12)
@@ -164,8 +153,6 @@ def test_interferometer_config_validation():
         InterferometerConfig(visibility=1.2)
     with pytest.raises(ConfigError):
         InterferometerConfig(long_path_loss_a=-0.1)
-    with pytest.raises(ConfigError):
-        ModulatorParams(v_pi=0.0)
 
 
 def test_arrival_histogram_balanced_phases():

@@ -304,7 +304,12 @@ def shortened(p):
     ("alice", "Parities", lambda p: {**p, "block_size": 8.0}, "block_size 8.0 is not int"),
     ("alice", "Parities", shortened, "parity lists differ in length"),
     ("alice", "Hello", lambda p: {"ok": False}, "peer rejected the session configuration"),
-], ids=["results", "indices", "values", "block_size", "block_size_float", "parities", "hello"])
+    # 1024.0 == 1024 and 8.0 == 8, so only a typed check refuses these
+    ("bob", "Hello", lambda p: {**p, "bits_per_block": 1024.0}, "bits_per_block 1024.0 is not int"),
+    ("bob", "Hello", lambda p: {**p, "reconcile_block_size": 8.0},
+     "reconcile_block_size 8.0 is not int"),
+], ids=["results", "indices", "values", "block_size", "block_size_float", "parities", "hello",
+        "hello_bits_per_block_float", "hello_reconcile_block_size_float"])
 def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
     # each list is well formed on its own but does not fit the block it
     # belongs to; without its check the session would run on, or fail
@@ -317,6 +322,21 @@ def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
     with pytest.raises(SessionAbort, match=message) as info:
         run_session(make_cfg(bits_per_block=1024), channel=(t_a, t_b))
     assert isinstance(info.value.__cause__, (ProtocolDesyncError, SessionAbort))
+
+
+def with_pad_bits_set(p):
+    """A one-chunk bit list whose last byte has its pad bits set."""
+    raw = bytearray.fromhex(p["bits"])
+    raw[-1] |= 0xFF >> p["total"] % 8
+    return {**p, "bits": raw.hex()}
+
+
+def test_results_with_set_pad_bits_abort():
+    t_a, t_b = loopback_pair()
+    with pytest.raises(SessionAbort, match="pad bits") as info:
+        run_session(make_cfg(bits_per_block=1020),
+                    channel=(RewritingTransport(t_a, "Results", with_pad_bits_set), t_b))
+    assert isinstance(info.value.__cause__, ProtocolDesyncError)
 
 
 def test_valid_bias_on_error_check_values_is_judged():

@@ -14,7 +14,6 @@ from b92sim.qstate import (
     P_DOWN,
     P_LEFT,
     P_UP,
-    PAULI,
     RIGHT,
     UP,
     Projector,
@@ -187,17 +186,6 @@ def test_commutator_norms():
     expected = math.sqrt(2.0) / 2.0
     assert commutator_norm(P_UP, qstate.P_RIGHT) == pytest.approx(expected, abs=1e-12)
     assert commutator_norm(P_DOWN, P_LEFT) == pytest.approx(expected, abs=1e-12)
-
-
-def test_pauli_algebra_exact():
-    sigmas = PAULI.all()
-    for i in range(3):
-        for j in range(3):
-            comm = sigmas[i] @ sigmas[j] - sigmas[j] @ sigmas[i]
-            expected = sum(
-                2j * qstate.LEVI_CIVITA[i, j, k] * sigmas[k] for k in range(3)
-            )
-            assert np.array_equal(comm, expected)
 
 
 def test_projector_completeness():
