@@ -219,6 +219,28 @@ def _render_ciphertext(bits: np.ndarray) -> str:
     return f"{raw.hex()} ({chars})"
 
 
+# blocks in a row that sift no bit while the alarm is up, after which
+# the chat sender stops: the key of such a link would never grow. A
+# 1024-pulse block sifts nothing with a chance of about 0.27 at the
+# defaults and 0.8 at 25 km; in-process chats out to 30 km never
+# reached 64 such blocks in a row.
+CHAT_EMPTY_BLOCKS = 64
+
+
+def _chat_continue(needed: int):
+    """The chat sender's continue function: run blocks until the
+    reconciled key covers ``needed`` bits, but stop once the alarm has
+    been up over CHAT_EMPTY_BLOCKS blocks in a row that sifted no bit."""
+    empty = 0
+
+    def more(eng) -> bool:
+        nonlocal empty
+        empty = empty + 1 if eng.alarm and not len(eng.sifted_blocks[-1]) else 0
+        return empty < CHAT_EMPTY_BLOCKS and sum(map(len, eng.reconciled_blocks)) < needed
+
+    return more
+
+
 def _cmd_chat(args) -> int:
     cfg = _session_config(args)
     if args.role == "alice":
@@ -234,7 +256,7 @@ def _cmd_chat(args) -> int:
         pipe = MessagePipe(SocketTransport(accept_one(listener)), cfg.session_id())
         try:
             alice = AliceEngine(cfg, pipe)
-            alice.run(lambda eng: sum(map(len, eng.reconciled_blocks)) < needed)
+            alice.run(_chat_continue(needed))
             if alice.alarm:
                 print(f"alarm ({alice.alarm_reason}): key discarded, nothing sent")
                 return 1

@@ -8,8 +8,9 @@ hazard fed by trapped avalanche charge.
 The detector is modelled one gate at a time (``gate_detector``) and one
 run of gates at a time (``gate_block``), on a single step rule. The run
 is event-driven: gates that hit whatever the trap holds are found for
-the whole run at once, and only the gates while the trap holds charge
-are stepped one by one, so a run costs about as much as its hits.
+the whole run at once, and only the gates whose verdict the trap's
+hazard can still change are stepped one by one, so a run costs about
+as much as its hits.
 """
 from __future__ import annotations
 
@@ -219,10 +220,16 @@ def gate_block(
 
     With afterpulsing, the hits, final state and random draws are
     those of one ``gate_detector`` call per gate, but event-driven:
-    gates are stepped one by one only while the trap holds charge,
-    from the incoming state and from each avalanche until the decayed
-    charge underflows to exactly 0 (about 22 gates at 10 kHz and
-    tau = 3 us). The walk then jumps to the next trap-free hit.
+    from the incoming state and from each avalanche, gates are stepped
+    one by one only while the afterpulse hazard p_after still moves
+    1 - p_after off 1.0 in floating point, for the gate itself or, as
+    a bound, for any later gate before the next hit (the charge a miss
+    leaves times afterpulse_prob0). From there on each verdict is the
+    trap-free one, so the walk jumps to the next trap-free hit: at
+    10 kHz and tau = 3 us that is one stepped gate a hit. After the
+    last hit, the remaining gates, all misses, are stepped on their
+    draws until the charge is 0 or the run ends (about 22 gates at
+    10 kHz and tau = 3 us), which gives the exact final state.
     """
     p_dark = dark_probability(d)
     u = rng.random(len(p_signal))
@@ -232,19 +239,33 @@ def gate_block(
     trap_free_hits = np.flatnonzero(hits)
     base = st.last_avalanche_time
     charge, last = st.trap_charge, base
+    p0 = d.afterpulse_prob0
     i, n = 0, len(hits)
     while True:
-        while charge != 0.0 and i < n:
+        while i < n:
+            now = base + (i + 1) * dt
+            decay = _trap_decay(d, charge, last, now)
+            # this gate's hazard, and the charge a miss leaves, which
+            # bounds the hazard of every later gate up to the next hit
+            if 1.0 - p0 * charge * decay == 1.0 and 1.0 - p0 * (charge * decay) == 1.0:
+                break
             hits[i], charge, last = _gate_step(
-                float(p_signal[i]), p_dark, d, charge, last, base + (i + 1) * dt, float(u[i])
+                float(p_signal[i]), p_dark, d, charge, last, now, float(u[i])
             )
             i += 1
         j = int(np.searchsorted(trap_free_hits, i))
         if j == len(trap_free_hits):
-            return hits, DetectorState(trap_charge=charge, last_avalanche_time=last)
+            break
         i = int(trap_free_hits[j])
         charge, last = 1.0, base + (i + 1) * dt
         i += 1
+    # no hit is left in the run: stepping its misses decays the trap
+    while charge != 0.0 and i < n:
+        hits[i], charge, last = _gate_step(
+            float(p_signal[i]), p_dark, d, charge, last, base + (i + 1) * dt, float(u[i])
+        )
+        i += 1
+    return hits, DetectorState(trap_charge=charge, last_avalanche_time=last)
 
 
 # parameter group of each profile field

@@ -264,13 +264,14 @@ def eve_intercept(
 
 
 # Born-rule tables, derived from the state algebra rather than typed in.
+# The pass tables are flat: entry 2*sent + bob_bit.
 _PASS_TABLE = np.array(
-    [[pass_probability(alice_prepare(a), bob_projector(b)) for b in (0, 1)] for a in (0, 1)]
+    [pass_probability(alice_prepare(a), bob_projector(b)) for a in (0, 1) for b in (0, 1)]
 )
 _EVE_PASS = np.array([pass_probability(alice_prepare(a), P_UP) for a in (0, 1)])
 _FWD_STATES = (UP, DOWN)  # Eve forwards index 0 on pass, 1 on fail
 _FWD_PASS = np.array(
-    [[pass_probability(s, bob_projector(b)) for b in (0, 1)] for s in _FWD_STATES]
+    [pass_probability(s, bob_projector(b)) for s in _FWD_STATES for b in (0, 1)]
 )
 
 
@@ -285,11 +286,14 @@ class BlockPhysics:
 class PhysicsKernel:
     """Owns the physics RNG and simulates transmission blocks.
 
-    Whole blocks are vectorized. Every Physical block takes one
-    detector path: ``_gated_walk`` forms the signal hazards and hands
-    the block to ``hardware.gate_block``, which marks the trap-free
-    hits at once and walks gate by gate only while an afterpulsing
-    trap holds charge, with the same draws and hits as a per-gate loop.
+    Whole blocks are vectorized. The Born pass probability of each
+    pulse comes from a flat four-entry table. Every Physical block
+    takes one detector path: ``_gated_walk`` forms the signal hazards
+    on the lit pulses (those with a surviving photon; the rest are 0)
+    and hands the block to ``hardware.gate_block``, which marks the
+    trap-free hits at once and walks gate by gate only while an
+    afterpulsing trap can still change a verdict, with the same draws,
+    hits and final detector state as a per-gate loop.
     """
 
     def __init__(self, cfg: SessionConfig, rng: np.random.Generator):
@@ -311,9 +315,10 @@ class PhysicsKernel:
         if physical:
             counts = (np.ones(n, dtype=np.int64) if hw.source.ideal_single_photon
                       else self.rng.poisson(hw.source.mean_photons, size=n).astype(np.int64))
-        # Born pass probability q of each pulse is table[sent, bob_bits]
+        # Born pass probability q of each pulse is table[2*sent + bob_bits],
+        # sent being the index of the state on the link
         if self.cfg.eve is EveStrategy.NONE:
-            table, sent = _PASS_TABLE, alice_bits
+            table, cell = _PASS_TABLE, 2 * alice_bits + bob_bits
             guesses = np.full(n, -1, dtype=np.int8)
         else:
             # Eve measures the logical signal ahead of fiber loss; her
@@ -321,26 +326,29 @@ class PhysicsKernel:
             # 1-guess, and the guess indexes the state she forwards.
             # Empty pulses give her nothing to measure.
             guesses = (self.rng.random(n) >= _EVE_PASS[alice_bits]).astype(np.int8)
-            table, sent = _FWD_PASS, guesses.copy()
+            table, cell = _FWD_PASS, 2 * guesses + bob_bits
             if physical:
                 guesses[counts == 0] = -1
         if not physical:
-            q = table[sent, bob_bits]
+            q = table[cell]
             hits = (self.rng.random(n) < q).astype(np.uint8)
             # one photon a pulse, made after the draw so as not to raise its peak memory
             counts = np.ones(n, dtype=np.int64)
         else:
             survivors = self.rng.binomial(counts, fiber_transmission(hw.fiber)).astype(np.int64)
             # the fringe phase of a pass probability q has cos(delta) = 2q - 1
-            p_window = central_window(hw.interferometer, 2.0 * table - 1.0)[sent, bob_bits]
+            p_window = central_window(hw.interferometer, 2.0 * table - 1.0)[cell]
             hits, self.detector_state = self._gated_walk(p_window, survivors)
         self.logs.extend(alice_bits, bob_bits, counts, guesses, hits)
         return BlockPhysics(hits, counts, guesses, self.detector_state)
 
     def _gated_walk(self, p_window, survivors) -> tuple[np.ndarray, DetectorState]:
         hw = self.cfg.hardware
-        # signal hazard 1 - (1 - p*eta)^k of k surviving photons
-        p_signal = 1.0 - (1.0 - p_window * hw.detector.efficiency) ** survivors
+        # signal hazard 1 - (1 - p*eta)^k of k surviving photons, formed
+        # on the lit pulses only: with k = 0 it is exactly 0
+        lit = np.flatnonzero(survivors)
+        p_signal = np.zeros(len(survivors))
+        p_signal[lit] = 1.0 - (1.0 - p_window[lit] * hw.detector.efficiency) ** survivors[lit]
         return gate_block(
             p_signal, hw.detector, self.detector_state, 1.0 / hw.source.pulse_rate, self.rng
         )
@@ -534,14 +542,15 @@ class AliceEngine(_Party):
             apply_block_verdicts(trimmed, drop_mask, RECONCILE_BLOCK_SIZE)
         )
         self.blocks_done += 1
-
-    def send_done(self, more: bool) -> None:
+        # the session's verdict so far, which ``run``'s continue_fn sees
         self.ber = (
             self.mismatch_total / self.disclosed_total if self.disclosed_total else 0.0
         )
         self.alarm, self.alarm_reason = _evaluate_alarm(
             self.disclosed_total, self.ber, self.bob_bias
         )
+
+    def send_done(self, more: bool) -> None:
         self.pipe.send(
             "Done",
             {

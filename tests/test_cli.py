@@ -13,7 +13,7 @@ import pytest
 
 from b92sim import channel, cli
 from b92sim.channel import MessagePipe, SocketTransport, accept_one, open_listener
-from b92sim.cli import MAX_SWEEP_ROWS, _session_config, build_parser, main
+from b92sim.cli import CHAT_EMPTY_BLOCKS, MAX_SWEEP_ROWS, _session_config, build_parser, main
 from b92sim.photonics import MAX_EXPECTED_PHOTONS, MAX_HISTOGRAM_BINS
 from b92sim.protocol import MAX_BITS_PER_BLOCK, AliceEngine, run_session
 
@@ -268,6 +268,47 @@ def test_chat_receiver_discards_a_key_without_a_sample(capsys):
     assert code == 1
     assert "alarm (sample): key discarded" in out
     assert "decrypted" not in out
+
+
+def run_chat_processes(message, flags, timeout=20):
+    """Both roles of ``b92sim chat`` as OS processes over 127.0.0.1;
+    returns (sender, receiver) as (exit code, stdout) pairs."""
+    chat = [sys.executable, "-m", "b92sim", "chat"]
+    alice = subprocess.Popen(
+        [*chat, "--role", "alice", "--listen", "127.0.0.1:0", "--message", message, *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        port = int(alice.stdout.readline().strip().rsplit(":", 1)[1])
+        bob = subprocess.run(
+            [*chat, "--role", "bob", "--connect", f"127.0.0.1:{port}", *flags],
+            capture_output=True, text=True, timeout=timeout,
+        )
+        alice_out, _ = alice.communicate(timeout=timeout)
+    finally:
+        if alice.poll() is None:
+            alice.kill()
+            alice.communicate()
+    return (alice.returncode, alice_out), (bob.returncode, bob.stdout)
+
+
+def test_chat_on_a_link_that_sifts_nothing_stops_on_the_alarm():
+    # the sender stops once the alarm has been up over CHAT_EMPTY_BLOCKS
+    # blocks in a row that sifted no bit, and both parties report it
+    (a_code, a_out), (b_code, b_out) = run_chat_processes("hi", EMPTY_SAMPLE_FLAGS, timeout=10)
+    assert a_code == b_code == 1
+    assert "alarm (sample): key discarded, nothing sent" in a_out
+    assert "alarm (sample): key discarded" in b_out
+    assert "decrypted" not in b_out
+
+
+def test_physical_chat_at_the_defaults_delivers_a_multi_block_message():
+    # the key needs many blocks, and the sample alarm is up until one of
+    # them sifts 4 bits; the empty-block stop must not end the chat
+    (a_code, a_out), (b_code, b_out) = run_chat_processes("HELLO BOB", ["--mode", "physical"])
+    assert a_code == b_code == 0, (a_out, b_out)
+    assert int(a_out.split("blocks: ")[1].split()[0]) > CHAT_EMPTY_BLOCKS
+    assert "decrypted: HELLO BOB" in b_out
 
 
 def test_model_validity_error_exits_2_with_its_cause(capsys):

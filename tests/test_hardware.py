@@ -182,6 +182,39 @@ def test_gate_block_first_afterpulse_follows_the_hazard():
     assert np.all(np.abs(z) < 4.0), z
 
 
+class FixedDraws:
+    """Stands in for a Generator and hands out the given uniform draws."""
+
+    def __init__(self, u):
+        self.u = list(u)
+
+    def random(self, n=None):
+        if n is None:
+            return self.u.pop(0)
+        drawn, self.u = self.u[:n], self.u[n:]
+        return np.array(drawn)
+
+
+def test_gate_block_steps_the_trap_while_its_hazard_can_move_a_verdict():
+    # no signal and no dark counts, so a draw of 0.0 hits exactly when
+    # the afterpulse hazard moves 1 - hazard off 1.0. With the decay
+    # e^-1 a gate from a full trap at 0.5, gate 29 (hazard ~5e-14) hits
+    # on such a draw, and gate 75, 46 gates after it (hazard ~5e-21),
+    # does not
+    d = DetectorParams(dark_rate=0.0, afterpulse_prob0=0.5, afterpulse_tau=1e-6)
+    st, dt, n = DetectorState(1.0, 0.0), 1e-6, 80
+    u = np.full(n, 0.5)
+    u[29] = u[75] = 0.0
+    hits, got = gate_block(np.zeros(n), d, st, dt, FixedDraws(u))
+    draws, ref, want = FixedDraws(u), st, []
+    for i in range(n):
+        hit, ref = gate_detector(False, 0.0, d, ref, (i + 1) * dt, draws)
+        want.append(int(hit))
+    assert np.flatnonzero(hits).tolist() == np.flatnonzero(want).tolist() == [29]
+    assert got == ref
+    assert 0.0 < got.trap_charge < 1e-20
+
+
 def test_gate_detector_hit_resets_trap():
     rng = np.random.default_rng(9)
     d = DetectorParams(efficiency=1.0, dark_rate=0.0, afterpulse_prob0=0.1)

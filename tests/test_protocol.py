@@ -23,6 +23,7 @@ from b92sim.errors import (
     ProtocolDesyncError,
     SessionAbort,
 )
+from b92sim import hardware, protocol
 from b92sim.hardware import (
     DetectorParams,
     DetectorState,
@@ -32,6 +33,7 @@ from b92sim.hardware import (
     SourceParams,
     dark_probability,
     fiber_transmission,
+    gate_block,
     gate_detector,
     sample_photon_count,
     thin_photons,
@@ -1331,8 +1333,18 @@ def bench_detector(**kw):
         # the start of every block, and empties now and then in between
         (bench_detector(afterpulse_tau=3e-5, dark_rate=1e8), 3, 3000,
          DetectorState(trap_charge=0.5, last_avalanche_time=1.0)),
+        # a trap that never decays: its hazard moves every verdict
+        (bench_detector(afterpulse_tau=1e20), 2, 5000, DetectorState()),
+        # a slow decay: the trap moves verdicts for many gates after a hit
+        (HardwareProfile(detector=DetectorParams(afterpulse_prob0=0.5, afterpulse_tau=1e-3)),
+         2, 5000, DetectorState()),
+        # multi-photon pulses: the signal hazard of k > 1 photons
+        (HardwareProfile(source=SourceParams(mean_photons=5.0),
+                         detector=DetectorParams(afterpulse_prob0=0.05)), 2, 20000,
+         DetectorState()),
     ],
-    ids=["bench_profile", "afterpulsing_hw", "tau_0", "efficiency_0", "charged_start"],
+    ids=["bench_profile", "afterpulsing_hw", "tau_0", "efficiency_0", "charged_start",
+         "never_decays", "slow_decay", "multi_photon"],
 )
 def test_afterpulse_walk_equals_per_gate_loop_exactly(hw, n_blocks, block, start):
     cfg = make_cfg(mode=Mode.PHYSICAL, hardware=hw, bits_per_block=block)
@@ -1349,6 +1361,56 @@ def test_afterpulse_walk_equals_per_gate_loop_exactly(hw, n_blocks, block, start
         assert got.detector_state == want.detector_state
         assert kernel.rng.bit_generator.state == ref.rng.bit_generator.state
     assert want.hits.sum() > 0
+
+
+def test_afterpulse_walk_steps_at_most_two_gates_per_hit(monkeypatch):
+    # on the benchmark profile the trap's hazard vanishes beside 1 one
+    # gate after an avalanche, so the walk steps about one gate per hit
+    steps = 0
+    gate_step = hardware._gate_step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return gate_step(*args)
+
+    monkeypatch.setattr(hardware, "_gate_step", counted)
+    cfg = make_cfg(mode=Mode.PHYSICAL, hardware=bench_detector(), bits_per_block=65536)
+    kernel = PhysicsKernel(cfg, np.random.default_rng(77))
+    bits = np.random.default_rng(5)
+    hits = 0
+    for _ in range(4):
+        a, b = generate_bits(65536, bits), generate_bits(65536, bits)
+        hits += int(kernel.transmit_block(a, b).hits.sum())
+    assert hits > 100
+    assert steps <= 2 * hits, (steps, hits)
+
+
+@pytest.mark.parametrize("mu", [0.1, 5.0])
+def test_signal_hazards_equal_the_whole_block_law_exactly(monkeypatch, mu):
+    # the hazards are formed on the lit pulses only; every one equals
+    # 1 - (1 - p*eta)^k formed over the whole block, bit for bit
+    seen = {}
+
+    class Recording(PhysicsKernel):
+        def _gated_walk(self, p_window, survivors):
+            seen.update(p_window=p_window, survivors=survivors)
+            return super()._gated_walk(p_window, survivors)
+
+    def recording_gate_block(p_signal, *args):
+        seen["p_signal"] = p_signal
+        return gate_block(p_signal, *args)
+
+    monkeypatch.setattr(protocol, "gate_block", recording_gate_block)
+    hw = HardwareProfile(source=SourceParams(mean_photons=mu), fiber=FiberParams(length_km=5.0),
+                         interferometer=InterferometerConfig(visibility=0.97))
+    kernel = Recording(make_cfg(mode=Mode.PHYSICAL, hardware=hw), np.random.default_rng(77))
+    bits = np.random.default_rng(5)
+    kernel.transmit_block(generate_bits(20_000, bits), generate_bits(20_000, bits))
+    k = seen["survivors"]
+    whole = 1.0 - (1.0 - seen["p_window"] * hw.detector.efficiency) ** k
+    assert np.array_equal(seen["p_signal"], whole)
+    assert 0 < np.count_nonzero(k) < len(k) and (k > 1).any()
 
 
 class InlineMemorylessKernel(PhysicsKernel):
