@@ -10,7 +10,9 @@ run of gates at a time (``gate_block``), on a single step rule. The run
 is event-driven: gates that hit whatever the trap holds are found for
 the whole run at once, and only the gates whose verdict the trap's
 hazard can still change are stepped one by one, so a run costs about
-as much as its hits.
+as much as its hits. A run takes the signal hazards of its lit gates
+only, those a photon reaches; every other gate's trap-free verdict is
+one compare against the dark-count threshold.
 """
 from __future__ import annotations
 
@@ -200,23 +202,23 @@ def gate_detector(
 
 
 def gate_block(
-    p_signal: np.ndarray,
-    d: DetectorParams,
-    st: DetectorState,
-    dt: float,
-    rng: np.random.Generator,
+    n: int, lit: np.ndarray, p_signal: np.ndarray,
+    d: DetectorParams, st: DetectorState, dt: float, rng: np.random.Generator,
 ) -> tuple[np.ndarray, DetectorState]:
-    """A run of gates at times ``base + (i+1)*dt``, where ``base`` is the
-    clock of the incoming state ``st``, with signal hazards ``p_signal``.
+    """A run of ``n`` gates at times ``base + (i+1)*dt``, where ``base``
+    is the clock of the incoming state ``st``. ``lit`` holds the sorted
+    indices of the gates a photon reaches and ``p_signal`` their signal
+    hazards; every other gate's signal hazard is 0.
 
     Every Physical block of ``PhysicsKernel`` takes this path. One
     ``rng.random(n)`` gives the doubles that n scalar draws would. A
     gate whose draw lies below 1 - (1 - p_signal)(1 - p_dark) hits
     whatever the trap holds, and while the trap is empty nothing else
-    can hit, so those hits are marked for the whole run at once.
-    Without afterpulsing (``afterpulse_prob0 == 0``) the trap can add
-    no hit, so these are the run's hits and the state is returned as
-    it came.
+    can hit, so those hits are marked for the whole run at once: one
+    compare against the threshold at p_signal = 0 for every gate, then
+    the lit gates again with their own hazards. Without afterpulsing
+    (``afterpulse_prob0 == 0``) the trap can add no hit, so these are
+    the run's hits and the state is returned as it came.
 
     With afterpulsing, the hits, final state and random draws are
     those of one ``gate_detector`` call per gate, but event-driven:
@@ -232,26 +234,36 @@ def gate_block(
     10 kHz and tau = 3 us), which gives the exact final state.
     """
     p_dark = dark_probability(d)
-    u = rng.random(len(p_signal))
-    hits = (u < 1.0 - (1.0 - p_signal) * (1.0 - p_dark)).astype(np.uint8)
+    u = rng.random(n)
+    # 1 - (1 - 0)(1 - p_dark), the double the law gives at p_signal = 0
+    hits = u < 1.0 - (1.0 - p_dark)
+    hits[lit] = u[lit] < 1.0 - (1.0 - p_signal) * (1.0 - p_dark)
+    hits = hits.view(np.uint8)
     if d.afterpulse_prob0 == 0.0:
         return hits, st
     trap_free_hits = np.flatnonzero(hits)
     base = st.last_avalanche_time
     charge, last = st.trap_charge, base
     p0 = d.afterpulse_prob0
-    i, n = 0, len(hits)
+
+    def step(i: int) -> None:
+        # one gate on the trap, with its signal hazard looked up in the lit arrays
+        nonlocal charge, last
+        j = int(lit.searchsorted(i))
+        p = float(p_signal[j]) if j < len(lit) and lit[j] == i else 0.0
+        hits[i], charge, last = _gate_step(
+            p, p_dark, d, charge, last, base + (i + 1) * dt, float(u[i])
+        )
+
+    i = 0
     while True:
         while i < n:
-            now = base + (i + 1) * dt
-            decay = _trap_decay(d, charge, last, now)
+            decay = _trap_decay(d, charge, last, base + (i + 1) * dt)
             # this gate's hazard, and the charge a miss leaves, which
             # bounds the hazard of every later gate up to the next hit
             if 1.0 - p0 * charge * decay == 1.0 and 1.0 - p0 * (charge * decay) == 1.0:
                 break
-            hits[i], charge, last = _gate_step(
-                float(p_signal[i]), p_dark, d, charge, last, now, float(u[i])
-            )
+            step(i)
             i += 1
         j = int(np.searchsorted(trap_free_hits, i))
         if j == len(trap_free_hits):
@@ -261,9 +273,7 @@ def gate_block(
         i += 1
     # no hit is left in the run: stepping its misses decays the trap
     while charge != 0.0 and i < n:
-        hits[i], charge, last = _gate_step(
-            float(p_signal[i]), p_dark, d, charge, last, base + (i + 1) * dt, float(u[i])
-        )
+        step(i)
         i += 1
     return hits, DetectorState(trap_charge=charge, last_avalanche_time=last)
 

@@ -287,13 +287,13 @@ class PhysicsKernel:
     """Owns the physics RNG and simulates transmission blocks.
 
     Whole blocks are vectorized. The Born pass probability of each
-    pulse comes from a flat four-entry table. Every Physical block
-    takes one detector path: ``_gated_walk`` forms the signal hazards
-    on the lit pulses (those with a surviving photon; the rest are 0)
-    and hands the block to ``hardware.gate_block``, which marks the
-    trap-free hits at once and walks gate by gate only while an
-    afterpulsing trap can still change a verdict, with the same draws,
-    hits and final detector state as a per-gate loop.
+    pulse comes from a flat four-entry table. In Physical mode, fiber
+    thinning runs on the non-empty pulses only (numpy's binomial draws
+    nothing for n = 0, so the stream is that of thinning every pulse),
+    and the window and signal hazard on the lit ones, which hold a
+    surviving photon. ``hardware.gate_block`` takes the block length,
+    the lit indices and their hazards, and gives the same draws, hits
+    and final detector state as one ``gate_detector`` call a pulse.
     """
 
     def __init__(self, cfg: SessionConfig, rng: np.random.Generator):
@@ -314,44 +314,41 @@ class PhysicsKernel:
         physical = self.cfg.mode is Mode.PHYSICAL
         if physical:
             counts = (np.ones(n, dtype=np.int64) if hw.source.ideal_single_photon
-                      else self.rng.poisson(hw.source.mean_photons, size=n).astype(np.int64))
+                      else self.rng.poisson(hw.source.mean_photons, size=n))
         # Born pass probability q of each pulse is table[2*sent + bob_bits],
         # sent being the index of the state on the link
         if self.cfg.eve is EveStrategy.NONE:
-            table, cell = _PASS_TABLE, 2 * alice_bits + bob_bits
+            table, sent = _PASS_TABLE, alice_bits
             guesses = np.full(n, -1, dtype=np.int8)
         else:
             # Eve measures the logical signal ahead of fiber loss; her
             # statistics commute with per-photon survival. A fail is a
             # 1-guess, and the guess indexes the state she forwards.
-            # Empty pulses give her nothing to measure.
+            # Empty pulses give her nothing to measure (and are never lit).
             guesses = (self.rng.random(n) >= _EVE_PASS[alice_bits]).astype(np.int8)
-            table, cell = _FWD_PASS, 2 * guesses + bob_bits
+            table, sent = _FWD_PASS, guesses
             if physical:
                 guesses[counts == 0] = -1
         if not physical:
-            q = table[cell]
+            q = table[2 * sent + bob_bits]
             hits = (self.rng.random(n) < q).astype(np.uint8)
             # one photon a pulse, made after the draw so as not to raise its peak memory
             counts = np.ones(n, dtype=np.int64)
         else:
-            survivors = self.rng.binomial(counts, fiber_transmission(hw.fiber)).astype(np.int64)
+            nonempty = np.flatnonzero(counts)
+            k = self.rng.binomial(counts[nonempty], fiber_transmission(hw.fiber))
+            lit, k = nonempty[k > 0], k[k > 0]
             # the fringe phase of a pass probability q has cos(delta) = 2q - 1
-            p_window = central_window(hw.interferometer, 2.0 * table - 1.0)[cell]
-            hits, self.detector_state = self._gated_walk(p_window, survivors)
+            p_window = central_window(hw.interferometer, 2.0 * table - 1.0)[
+                2 * sent[lit] + bob_bits[lit]]
+            # signal hazard 1 - (1 - p*eta)^k of k surviving photons
+            p_signal = 1.0 - (1.0 - p_window * hw.detector.efficiency) ** k
+            hits, self.detector_state = gate_block(
+                n, lit, p_signal, hw.detector, self.detector_state,
+                1.0 / hw.source.pulse_rate, self.rng,
+            )
         self.logs.extend(alice_bits, bob_bits, counts, guesses, hits)
         return BlockPhysics(hits, counts, guesses, self.detector_state)
-
-    def _gated_walk(self, p_window, survivors) -> tuple[np.ndarray, DetectorState]:
-        hw = self.cfg.hardware
-        # signal hazard 1 - (1 - p*eta)^k of k surviving photons, formed
-        # on the lit pulses only: with k = 0 it is exactly 0
-        lit = np.flatnonzero(survivors)
-        p_signal = np.zeros(len(survivors))
-        p_signal[lit] = 1.0 - (1.0 - p_window[lit] * hw.detector.efficiency) ** survivors[lit]
-        return gate_block(
-            p_signal, hw.detector, self.detector_state, 1.0 / hw.source.pulse_rate, self.rng
-        )
 
 
 # ---------------------------------------------------------------------------

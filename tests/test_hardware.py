@@ -80,6 +80,36 @@ def test_thin_never_creates_photons():
         assert thin_photons(n, float(rng.uniform(0, 1)), rng) <= n
 
 
+def test_binomial_draws_nothing_for_an_empty_pulse():
+    # the premise of thinning only the non-empty pulses: numpy's
+    # binomial returns 0 for n = 0 without consuming a draw
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    assert rng.binomial(0, 0.3) == 0
+    assert not rng.binomial(np.zeros(1000, dtype=np.int64), 0.7).any()
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
+def test_thinning_the_non_empty_pulses_equals_thinning_every_pulse(p):
+    # scattered back, the sparse draw has the dense draw's values and
+    # leaves the stream where the dense draw does, on counts with zeros
+    # and on both sides of numpy's n*min(p, 1-p) = 30 switch from
+    # inversion to BTPE
+    gen = np.random.default_rng(4)
+    counts = np.where(gen.random(5000) < 0.6, 0, gen.integers(1, 400, 5000))
+    if 0.0 < p < 1.0:
+        mean = counts * min(p, 1.0 - p)
+        assert (mean > 30).any() and ((0 < mean) & (mean <= 30)).any()
+    dense, sparse = np.random.default_rng(5), np.random.default_rng(5)
+    want = dense.binomial(counts, p)
+    nonempty = np.flatnonzero(counts)
+    got = np.zeros_like(want)
+    got[nonempty] = sparse.binomial(counts[nonempty], p)
+    assert np.array_equal(got, want)
+    assert sparse.bit_generator.state == dense.bit_generator.state
+
+
 def test_source_then_loss_is_poisson():
     # thinning a Poisson source is again Poisson at the scaled mean
     rng = np.random.default_rng(4)
@@ -163,6 +193,10 @@ def test_afterpulse_decay_folds_through_misses():
         _, st = gate_detector(False, 0.0, d, st, t, rng)
 
 
+# no gate of the run is reached by a photon
+NONE_LIT = np.zeros(0, dtype=np.intp)
+
+
 def test_gate_block_first_afterpulse_follows_the_hazard():
     # with no signal and no dark counts, the first hit of a run that
     # starts on a full trap is an afterpulse: it lands on gate j with
@@ -172,7 +206,7 @@ def test_gate_block_first_afterpulse_follows_the_hazard():
     rng = np.random.default_rng(12)
     counts = np.zeros(n_gates + 1)  # the last cell counts runs with no hit
     for _ in range(trials):
-        hits, _ = gate_block(np.zeros(n_gates), d, st, dt, rng)
+        hits, _ = gate_block(n_gates, NONE_LIT, np.zeros(0), d, st, dt, rng)
         counts[np.argmax(hits) if hits.any() else n_gates] += 1
     hazards = [afterpulse_probability(d, st, (j + 1) * dt) for j in range(n_gates)]
     assert hazards == pytest.approx([0.5 * math.exp(-(j + 1) / 3) for j in range(n_gates)])
@@ -205,7 +239,7 @@ def test_gate_block_steps_the_trap_while_its_hazard_can_move_a_verdict():
     st, dt, n = DetectorState(1.0, 0.0), 1e-6, 80
     u = np.full(n, 0.5)
     u[29] = u[75] = 0.0
-    hits, got = gate_block(np.zeros(n), d, st, dt, FixedDraws(u))
+    hits, got = gate_block(n, NONE_LIT, np.zeros(0), d, st, dt, FixedDraws(u))
     draws, ref, want = FixedDraws(u), st, []
     for i in range(n):
         hit, ref = gate_detector(False, 0.0, d, ref, (i + 1) * dt, draws)
@@ -213,6 +247,26 @@ def test_gate_block_steps_the_trap_while_its_hazard_can_move_a_verdict():
     assert np.flatnonzero(hits).tolist() == np.flatnonzero(want).tolist() == [29]
     assert got == ref
     assert 0.0 < got.trap_charge < 1e-20
+
+
+def test_gate_block_verdicts_sit_on_the_per_gate_law_to_the_last_bit():
+    # draws on each gate's threshold and one ulp below it: the compare
+    # for the unlit gates and for the lit ones must use the per-gate
+    # law's own doubles, and 1 - (1 - 0)(1 - p_dark) is not p_dark
+    d = DetectorParams(efficiency=1.0)
+    p_dark, dt = dark_probability(d), 1e-4
+    assert 1.0 - (1.0 - p_dark) != p_dark
+    lit, p_signal = np.array([2, 3]), np.array([0.3, 0.3])
+    signal = np.zeros(4)
+    signal[lit] = p_signal
+    threshold = 1.0 - (1.0 - signal) * (1.0 - p_dark)
+    u = np.where([False, True, False, True], np.nextafter(threshold, 0.0), threshold)
+    hits, _ = gate_block(4, lit, p_signal, d, DetectorState(), dt, FixedDraws(u))
+    draws, st, want = FixedDraws(u), DetectorState(), []
+    for i in range(4):
+        hit, st = gate_detector(signal[i] > 0, signal[i], d, st, (i + 1) * dt, draws)
+        want.append(int(hit))
+    assert hits.tolist() == want == [0, 1, 0, 1]
 
 
 def test_gate_detector_hit_resets_trap():

@@ -1257,27 +1257,46 @@ def test_afterpulse_walk_matches_per_pulse_reference():
     assert abs(kernel_rate - ref_rate) < 4.0 * sigma, (kernel_rate, ref_rate, sigma)
 
 
-class PerGateKernel(PhysicsKernel):
-    """The kernel with its afterpulse walk as one gate_detector call per
-    pulse: the reference the event-driven walk must equal exactly."""
+def dense_stages(cfg, rng, alice_bits, bob_bits):
+    """The Physical block's stages ahead of the detector, over every
+    pulse: Poisson counts, Eve, binomial thinning of every pulse and
+    the central window of every pulse. Returns (p_window, survivors)."""
+    hw = cfg.hardware
+    n = len(alice_bits)
+    counts = (np.ones(n, dtype=np.int64) if hw.source.ideal_single_photon
+              else rng.poisson(hw.source.mean_photons, size=n).astype(np.int64))
+    if cfg.eve is EveStrategy.NONE:
+        table, cell = protocol._PASS_TABLE, 2 * alice_bits + bob_bits
+    else:
+        guesses = (rng.random(n) >= protocol._EVE_PASS[alice_bits]).astype(np.int8)
+        table, cell = protocol._FWD_PASS, 2 * guesses + bob_bits
+    survivors = rng.binomial(counts, fiber_transmission(hw.fiber)).astype(np.int64)
+    return central_window(hw.interferometer, 2.0 * table - 1.0)[cell], survivors
 
-    def _gated_walk(self, p_window, survivors):
-        det = self.cfg.hardware.detector
-        dt = 1.0 / self.cfg.hardware.source.pulse_rate
-        base = self.detector_state.last_avalanche_time
-        state = self.detector_state
-        hits = np.zeros(len(survivors), dtype=np.uint8)
-        eta = det.efficiency
-        for i, (p, k) in enumerate(zip(p_window, survivors)):
-            if k > 0 and eta > 0.0:
-                p_eff = (1.0 - (1.0 - p * eta) ** int(k)) / eta
-            else:
-                p_eff = 0.0
-            hit, state = gate_detector(
-                k > 0, p_eff, det, state, base + (i + 1) * dt, self.rng
-            )
-            hits[i] = hit
-        return hits, state
+
+def dense_reference_block(cfg, rng, state, alice_bits, bob_bits, per_gate):
+    """A Physical block over every pulse (``dense_stages``), then the
+    detector: one ``gate_detector`` call a pulse (``per_gate``), or the
+    memoryless hit law 1 - (1 - p_signal)(1 - p_dark) of every pulse on
+    one ``rng.random(n)``. The reference the kernel's lit-pulse path
+    must equal exactly; returns (hits, detector state)."""
+    hw, det = cfg.hardware, cfg.hardware.detector
+    p_window, survivors = dense_stages(cfg, rng, alice_bits, bob_bits)
+    eta = det.efficiency
+    if not per_gate:
+        p_signal = 1.0 - (1.0 - p_window * eta) ** survivors
+        p_hit = 1.0 - (1.0 - p_signal) * (1.0 - dark_probability(det))
+        return (rng.random(len(survivors)) < p_hit).astype(np.uint8), state
+    dt = 1.0 / hw.source.pulse_rate
+    base = state.last_avalanche_time
+    hits = np.zeros(len(survivors), dtype=np.uint8)
+    for i, (p, k) in enumerate(zip(p_window, survivors)):
+        if k > 0 and eta > 0.0:
+            p_eff = (1.0 - (1.0 - p * eta) ** int(k)) / eta
+        else:
+            p_eff = 0.0
+        hits[i], state = gate_detector(k > 0, p_eff, det, state, base + (i + 1) * dt, rng)
+    return hits, state
 
 
 def test_kernel_stages_equal_the_scalar_references():
@@ -1349,18 +1368,19 @@ def bench_detector(**kw):
 def test_afterpulse_walk_equals_per_gate_loop_exactly(hw, n_blocks, block, start):
     cfg = make_cfg(mode=Mode.PHYSICAL, hardware=hw, bits_per_block=block)
     kernel = PhysicsKernel(cfg, np.random.default_rng(77))
-    ref = PerGateKernel(cfg, np.random.default_rng(77))
-    kernel.detector_state = ref.detector_state = start
+    ref = np.random.default_rng(77)
+    kernel.detector_state = state = start
     bits = np.random.default_rng(5)
     for _ in range(n_blocks):
         if start.trap_charge:  # every block starts with a charged trap
-            assert ref.detector_state.trap_charge != 0.0
+            assert state.trap_charge != 0.0
         a, b = generate_bits(block, bits), generate_bits(block, bits)
-        got, want = kernel.transmit_block(a, b), ref.transmit_block(a, b)
-        assert np.array_equal(got.hits, want.hits)
-        assert got.detector_state == want.detector_state
-        assert kernel.rng.bit_generator.state == ref.rng.bit_generator.state
-    assert want.hits.sum() > 0
+        got = kernel.transmit_block(a, b)
+        want, state = dense_reference_block(cfg, ref, state, a, b, per_gate=True)
+        assert np.array_equal(got.hits, want)
+        assert got.detector_state == state
+        assert kernel.rng.bit_generator.state == ref.bit_generator.state
+    assert want.sum() > 0
 
 
 def test_afterpulse_walk_steps_at_most_two_gates_per_hit(monkeypatch):
@@ -1386,43 +1406,104 @@ def test_afterpulse_walk_steps_at_most_two_gates_per_hit(monkeypatch):
     assert steps <= 2 * hits, (steps, hits)
 
 
+class CountedDraws:
+    """Stands in for a Generator and records, for each binomial call,
+    the number of counts it thins and how many of them come out nonzero."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.binomial_calls = []
+
+    def binomial(self, n, p):
+        out = self.rng.binomial(n, p)
+        self.binomial_calls.append((np.size(n), np.count_nonzero(out)))
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_kernel_thins_and_gates_only_the_pulses_that_carry_a_photon(monkeypatch):
+    # on the benchmark profile about 90 % of pulses are empty; fiber
+    # thinning must see only the non-empty ones, and the detector only
+    # the hazards of the lit ones, not whole-block arrays
+    handed = []
+
+    def recording_gate_block(n, lit, p_signal, *args):
+        handed.append((n, len(lit), len(p_signal)))
+        return gate_block(n, lit, p_signal, *args)
+
+    monkeypatch.setattr(protocol, "gate_block", recording_gate_block)
+    cfg = make_cfg(mode=Mode.PHYSICAL, hardware=bench_detector(), bits_per_block=65536)
+    draws = CountedDraws(np.random.default_rng(77))
+    kernel = PhysicsKernel(cfg, draws)
+    bits = np.random.default_rng(5)
+    for block in range(4):
+        a, b = generate_bits(65536, bits), generate_bits(65536, bits)
+        nonempty = np.count_nonzero(kernel.transmit_block(a, b).photon_counts)
+        (thinned, survived), (n, n_lit, n_hazards) = draws.binomial_calls[block], handed[block]
+        assert n == 65536 and 0 < nonempty < 0.2 * n
+        assert thinned <= nonempty, (thinned, nonempty)
+        assert n_lit <= survived and n_hazards <= survived, (n_lit, n_hazards, survived)
+    assert len(draws.binomial_calls) == len(handed) == 4
+
+
+def test_fiber_thinning_hit_rates_follow_the_closed_form():
+    # mu = 1 over 50 km with dark counts in 1 of 2,000 gates: the hit
+    # rate of each pulse is p + dark(1 - p), p = 1 - exp(-mu T eta w),
+    # on agreeing bits (w = 1/8; dark counts about 2 in 5 hits) and on
+    # differing bits (w = (1 - V)/8; dark counts most of the hits)
+    hw = HardwareProfile(
+        source=SourceParams(mean_photons=1.0),
+        fiber=FiberParams(length_km=50.0),
+        detector=DetectorParams(dark_rate=5e6),
+        interferometer=InterferometerConfig(visibility=0.9),
+    )
+    det, v = hw.detector, hw.interferometer.visibility
+    dark = dark_probability(det)
+    mu_t_eta = hw.source.mean_photons * fiber_transmission(hw.fiber) * det.efficiency
+    block, n_blocks = 65536, 8
+    cfg = make_cfg(mode=Mode.PHYSICAL, hardware=hw, bits_per_block=block)
+    kernel = PhysicsKernel(cfg, np.random.default_rng(91))
+    bits = np.random.default_rng(92)
+    for _ in range(n_blocks):
+        kernel.transmit_block(generate_bits(block, bits), generate_bits(block, bits))
+    logs = kernel.logs
+    w = np.array([effective_hit_prob(a, b, v) for a in (0, 1) for b in (0, 1)])
+    for agree in (True, False):
+        rows = (logs.alice_bits == logs.bob_bits) == agree
+        p = 1.0 - np.exp(-mu_t_eta * w[2 * logs.alice_bits[rows] + logs.bob_bits[rows]])
+        expected = p + dark * (1.0 - p)
+        sigma = math.sqrt(float((expected * (1.0 - expected)).sum()))
+        got = int(logs.hits[rows].sum())
+        assert abs(got - expected.sum()) < 4.0 * sigma, (agree, got, expected.sum(), sigma)
+
+
 @pytest.mark.parametrize("mu", [0.1, 5.0])
 def test_signal_hazards_equal_the_whole_block_law_exactly(monkeypatch, mu):
-    # the hazards are formed on the lit pulses only; every one equals
-    # 1 - (1 - p*eta)^k formed over the whole block, bit for bit
+    # the hazards are formed on the lit pulses only; scattered back,
+    # they equal 1 - (1 - p*eta)^k formed over the whole block, bit for bit
     seen = {}
 
-    class Recording(PhysicsKernel):
-        def _gated_walk(self, p_window, survivors):
-            seen.update(p_window=p_window, survivors=survivors)
-            return super()._gated_walk(p_window, survivors)
-
-    def recording_gate_block(p_signal, *args):
-        seen["p_signal"] = p_signal
-        return gate_block(p_signal, *args)
+    def recording_gate_block(n, lit, p_signal, *args):
+        seen.update(n=n, lit=lit, p_signal=p_signal)
+        return gate_block(n, lit, p_signal, *args)
 
     monkeypatch.setattr(protocol, "gate_block", recording_gate_block)
     hw = HardwareProfile(source=SourceParams(mean_photons=mu), fiber=FiberParams(length_km=5.0),
                          interferometer=InterferometerConfig(visibility=0.97))
-    kernel = Recording(make_cfg(mode=Mode.PHYSICAL, hardware=hw), np.random.default_rng(77))
+    cfg = make_cfg(mode=Mode.PHYSICAL, hardware=hw)
+    kernel = PhysicsKernel(cfg, np.random.default_rng(77))
     bits = np.random.default_rng(5)
-    kernel.transmit_block(generate_bits(20_000, bits), generate_bits(20_000, bits))
-    k = seen["survivors"]
-    whole = 1.0 - (1.0 - seen["p_window"] * hw.detector.efficiency) ** k
-    assert np.array_equal(seen["p_signal"], whole)
+    a, b = generate_bits(20_000, bits), generate_bits(20_000, bits)
+    kernel.transmit_block(a, b)
+    p_window, k = dense_stages(cfg, np.random.default_rng(77), a, b)
+    whole = 1.0 - (1.0 - p_window * hw.detector.efficiency) ** k
+    scattered = np.zeros(seen["n"])
+    scattered[seen["lit"]] = seen["p_signal"]
+    assert np.array_equal(scattered, whole)
+    assert np.array_equal(seen["lit"], np.flatnonzero(k))
     assert 0 < np.count_nonzero(k) < len(k) and (k > 1).any()
-
-
-class InlineMemorylessKernel(PhysicsKernel):
-    """The kernel with the inline hit law it once used for a detector
-    without afterpulsing: the reference the one detector path must
-    equal exactly there."""
-
-    def _gated_walk(self, p_window, survivors):
-        det = self.cfg.hardware.detector
-        p_signal = 1.0 - (1.0 - p_window * det.efficiency) ** survivors
-        p_hit = 1.0 - (1.0 - p_signal) * (1.0 - dark_probability(det))
-        return (self.rng.random(len(survivors)) < p_hit).astype(np.uint8), self.detector_state
 
 
 @pytest.mark.parametrize("eve", [EveStrategy.NONE, EveStrategy.FIXED_PROJECTION])
@@ -1435,12 +1516,13 @@ def test_memoryless_detector_equals_the_inline_hit_law_exactly(mu, eve):
     )
     cfg = make_cfg(mode=Mode.PHYSICAL, eve=eve, hardware=hw, bits_per_block=20_000)
     kernel = PhysicsKernel(cfg, np.random.default_rng(77))
-    ref = InlineMemorylessKernel(cfg, np.random.default_rng(77))
+    ref = np.random.default_rng(77)
     bits = np.random.default_rng(5)
     for _ in range(3):
         a, b = generate_bits(20_000, bits), generate_bits(20_000, bits)
-        got, want = kernel.transmit_block(a, b), ref.transmit_block(a, b)
-        assert np.array_equal(got.hits, want.hits)
-        assert got.detector_state == want.detector_state == DetectorState()
-        assert kernel.rng.bit_generator.state == ref.rng.bit_generator.state
-    assert want.hits.sum() > 0
+        got = kernel.transmit_block(a, b)
+        want, state = dense_reference_block(cfg, ref, DetectorState(), a, b, per_gate=False)
+        assert np.array_equal(got.hits, want)
+        assert got.detector_state == state == DetectorState()
+        assert kernel.rng.bit_generator.state == ref.bit_generator.state
+    assert want.sum() > 0
