@@ -27,8 +27,8 @@ while True:
 if rep.alarm:
     raise SystemExit(f"alarm ({rep.alarm_reason}): would not use this key")
 
-sender_pad = pad_from_key(rep.reconciled_key, 2, n_symbols=needed)
-receiver_pad = pad_from_key(rep.reconciled_key, 2, n_symbols=needed)
+sender_pad = pad_from_key(rep.reconciled_key, n_symbols=needed)
+receiver_pad = pad_from_key(rep.reconciled_key, n_symbols=needed)
 
 plain = ascii_encode(text)
 cipher, _ = encrypt(plain, sender_pad)

@@ -206,10 +206,14 @@ def _cmd_histogram(args) -> int:
     return 0
 
 
-def _parse_hostport(spec: str) -> tuple[str, int]:
+def _parse_hostport(spec: str, lowest: int) -> tuple[str, int]:
+    """HOST:PORT with the port in [lowest, 65535]: 0 lets a listener
+    pick a free port, while a connection needs a real one."""
     host, _, port = spec.rpartition(":")
     if not host or not port.isdigit():
         raise ConfigError(f"expected HOST:PORT, got {spec!r}")
+    if not lowest <= int(port) <= 65535:
+        raise ConfigError(f"port {port} of {spec!r} is outside [{lowest}, 65535]")
     return host, int(port)
 
 
@@ -246,7 +250,7 @@ def _cmd_chat(args) -> int:
     if args.role == "alice":
         if not args.listen:
             raise ConfigError("--role alice requires --listen HOST:PORT")
-        host, port = _parse_hostport(args.listen)
+        host, port = _parse_hostport(args.listen, 0)
         listener = open_listener(host, port)
         print(f"listening on {host}:{listener.getsockname()[1]}", flush=True)
         text = args.message if args.message is not None else input("message> ")
@@ -260,7 +264,7 @@ def _cmd_chat(args) -> int:
             if alice.alarm:
                 print(f"alarm ({alice.alarm_reason}): key discarded, nothing sent")
                 return 1
-            pad = pad_from_key(alice.reconciled_key(), 2, n_symbols=needed)
+            pad = pad_from_key(alice.reconciled_key(), n_symbols=needed)
             cipher, _ = encrypt(ascii_encode(text), pad)
             bits = cipher.symbols.astype(np.uint8)
             send_bit_frames(pipe, "Ciphertext", bits, extra={"chars": len(text)})
@@ -272,7 +276,7 @@ def _cmd_chat(args) -> int:
         return 0
     if not args.connect:
         raise ConfigError("--role bob requires --connect HOST:PORT")
-    host, port = _parse_hostport(args.connect)
+    host, port = _parse_hostport(args.connect, 1)
     pipe = MessagePipe(SocketTransport(connect_with_retry(host, port)), cfg.session_id())
     try:
         bob = BobEngine(cfg, pipe)
@@ -282,7 +286,7 @@ def _cmd_chat(args) -> int:
             return 1
         bits, _head = recv_bit_frames(pipe, "Ciphertext", len(bob.reconciled_key()))
         print(f"ciphertext: {_render_ciphertext(bits)}")
-        pad = pad_from_key(bob.reconciled_key(), 2, n_symbols=len(bits))
+        pad = pad_from_key(bob.reconciled_key(), n_symbols=len(bits))
         plain, _ = decrypt(Message(bits.astype(np.int64), 2), pad)
         print(f"decrypted: {ascii_decode(plain)}")
     finally:

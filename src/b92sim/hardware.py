@@ -327,9 +327,10 @@ def load_profile(path) -> HardwareProfile:
     """Read a flat key=value profile file.
 
     Keys are the field names of the four parameter groups (units as
-    declared there); '#' starts a comment; unknown keys are an error.
+    declared there); '#' starts a comment; an unknown key, or one set
+    twice, is an error.
     """
-    values = {}
+    values, seen = {}, {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -340,5 +341,10 @@ def load_profile(path) -> HardwareProfile:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in _PROFILE_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown profile key {key!r}")
+            if key in seen:
+                raise ConfigError(
+                    f"{path}:{lineno}: profile key {key!r} is set again (first on line {seen[key]})"
+                )
+            seen[key] = lineno
             values[key] = _parse_value(key, raw)
     return with_fields(HardwareProfile(), **values)

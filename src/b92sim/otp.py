@@ -8,7 +8,6 @@ Messages are sequences of integers below a common base (2 for bits,
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,28 +104,15 @@ def ascii_decode(m: Message) -> str:
         raise EncodingError(f"bits do not decode as ASCII: {exc}") from exc
 
 
-def pad_from_key(bits, base: int, n_symbols: int | None = None) -> Pad:
-    """Build a pad from uniform key bits.
-
-    Base 2 maps bits directly. Otherwise ceil(log2(base)) bits form one
-    candidate word and words >= base are rejected, which keeps the
-    surviving symbols uniform. With ``n_symbols`` set, fewer usable
-    symbols than requested raises PadDepletedError.
-    """
-    arr = np.asarray(bits, dtype=np.uint8)
-    if base == 2:
-        symbols = arr.astype(np.int64)
-    else:
-        width = math.ceil(math.log2(base))
-        usable = (len(arr) // width) * width
-        words = arr[:usable].reshape(-1, width)
-        weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
-        values = words.astype(np.int64) @ weights
-        symbols = values[values < base]
+def pad_from_key(bits, n_symbols: int | None = None) -> Pad:
+    """A base-2 pad of uniform key bits, one symbol a bit. With
+    ``n_symbols`` set, it holds the first ``n_symbols`` bits, and fewer
+    bits than that raise PadDepletedError."""
+    symbols = np.asarray(bits, dtype=np.uint8)
     if n_symbols is not None:
         if len(symbols) < n_symbols:
             raise PadDepletedError(
-                f"key bits yield {len(symbols)} symbols, {n_symbols} required"
+                f"key has {len(symbols)} bits, {n_symbols} required"
             )
         symbols = symbols[:n_symbols]
-    return Pad(symbols, base)
+    return Pad(symbols, 2)

@@ -132,37 +132,40 @@ class SessionConfig:
         ) & 0x7FFFFFFF
 
 
+def _joined(blocks: list[np.ndarray], dtype=np.uint8) -> np.ndarray:
+    """Per-block arrays as one; an empty list gives an empty ``dtype`` array."""
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype)
+
+
+# the round log's columns, in ``RoundLogs.extend``'s argument order
+_LOG_DTYPES = {
+    "alice_bits": np.uint8,
+    "bob_bits": np.uint8,
+    "photon_counts": np.int64,
+    "eve_guesses": np.int8,
+    "hits": np.uint8,
+}
+
+
 class RoundLogs:
     """Columnar per-round record; eve_guess is -1 where Eve saw nothing.
 
-    ``extend`` keeps each block's arrays (callers must not mutate them
-    afterwards); a read concatenates the columns, and the result is
-    kept. ``extend`` also merges them once two or more pending blocks
-    hold as many rounds as the merged part, so the merges copy about
-    twice the rounds appended, and few blocks' arrays stay alive:
-    keeping all of them made blocks of 65536 pulses page-fault about
-    twice as often.
+    ``extend`` only appends each block's arrays (callers must not
+    mutate them afterwards), so it copies nothing, and every block's
+    arrays, 12 bytes a pulse, stay alive until the log is dropped. The
+    first read of a column joins its blocks, one copy of the column,
+    and keeps the result; a session that never reads its log never
+    pays for that copy.
     """
 
     def __init__(self):
-        self._chunks = {
-            "alice_bits": [np.zeros(0, dtype=np.uint8)],
-            "bob_bits": [np.zeros(0, dtype=np.uint8)],
-            "photon_counts": [np.zeros(0, dtype=np.int64)],
-            "eve_guesses": [np.zeros(0, dtype=np.int8)],
-            "hits": [np.zeros(0, dtype=np.uint8)],
-        }
-        self._pending = 0  # rounds appended since the columns were last merged
-
-    def _merge(self) -> None:
-        for chunks in self._chunks.values():
-            chunks[:] = [np.concatenate(chunks)]
-        self._pending = 0
+        self._blocks = {name: [] for name in _LOG_DTYPES}
 
     def _column(self, name: str) -> np.ndarray:
-        if len(self._chunks[name]) > 1:
-            self._merge()
-        return self._chunks[name][0]
+        blocks = self._blocks[name]
+        if len(blocks) != 1:
+            blocks[:] = [_joined(blocks, _LOG_DTYPES[name])]
+        return blocks[0]
 
     alice_bits = property(lambda self: self._column("alice_bits"))
     bob_bits = property(lambda self: self._column("bob_bits"))
@@ -171,16 +174,13 @@ class RoundLogs:
     hits = property(lambda self: self._column("hits"))
 
     def __len__(self) -> int:
-        return int(self.hits.size)
+        return sum(len(block) for block in self._blocks["hits"])
 
     def extend(self, alice_bits, bob_bits, photon_counts, eve_guesses, hits) -> None:
-        for chunks, arr in zip(
-            self._chunks.values(), (alice_bits, bob_bits, photon_counts, eve_guesses, hits)
+        for blocks, arr in zip(
+            self._blocks.values(), (alice_bits, bob_bits, photon_counts, eve_guesses, hits)
         ):
-            chunks.append(arr)
-        self._pending += len(hits)
-        if len(self._chunks["hits"]) > 2 and self._pending >= len(self._chunks["hits"][0]):
-            self._merge()
+            blocks.append(arr)
 
     def write_csv(self, path) -> None:
         import csv
@@ -275,14 +275,6 @@ _FWD_PASS = np.array(
 )
 
 
-@dataclass(frozen=True)
-class BlockPhysics:
-    hits: np.ndarray
-    photon_counts: np.ndarray
-    eve_guesses: np.ndarray
-    detector_state: DetectorState
-
-
 class PhysicsKernel:
     """Owns the physics RNG and simulates transmission blocks.
 
@@ -294,6 +286,9 @@ class PhysicsKernel:
     surviving photon. ``hardware.gate_block`` takes the block length,
     the lit indices and their hazards, and gives the same draws, hits
     and final detector state as one ``gate_detector`` call a pulse.
+
+    A block's photon counts and Eve's guesses go to ``logs``, and the
+    detector state it leaves to ``detector_state``.
     """
 
     def __init__(self, cfg: SessionConfig, rng: np.random.Generator):
@@ -302,11 +297,12 @@ class PhysicsKernel:
         self.detector_state = DetectorState()
         self.logs = RoundLogs()
 
-    def transmit_block(self, alice_bits: np.ndarray, bob_bits: np.ndarray) -> BlockPhysics:
-        """One block through the quantum link, with draws in this order:
-        Poisson photon counts (Physical), the eavesdropper, fiber
-        thinning, then the detector. Ideal mode is the lossless limit:
-        one photon per pulse and one hit draw per pulse."""
+    def transmit_block(self, alice_bits: np.ndarray, bob_bits: np.ndarray) -> np.ndarray:
+        """One block through the quantum link; returns its hits (uint8).
+        Draws run in this order: Poisson photon counts (Physical), the
+        eavesdropper, fiber thinning, then the detector. Ideal mode is
+        the lossless limit: one photon per pulse and one hit draw per
+        pulse."""
         if len(alice_bits) != len(bob_bits):
             raise ProtocolDesyncError("bit blocks differ in length")
         hw = self.cfg.hardware
@@ -348,7 +344,7 @@ class PhysicsKernel:
                 1.0 / hw.source.pulse_rate, self.rng,
             )
         self.logs.extend(alice_bits, bob_bits, counts, guesses, hits)
-        return BlockPhysics(hits, counts, guesses, self.detector_state)
+        return hits
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +437,6 @@ _HELLO_TYPES = {
 }
 
 
-def _joined(blocks: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(blocks) if blocks else np.zeros(0, np.uint8)
-
-
 class _Party:
     """What both parties keep: the configuration, the public channel,
     the party's own bit stream, and the per-block keys."""
@@ -505,7 +497,7 @@ class AliceEngine(_Party):
         cfg = self.cfg
         bits = generate_bits(cfg.bits_per_block, self.rng)
         bob_bits = generate_bits(cfg.bits_per_block, self._bob_replica_rng)
-        hits = self.kernel.transmit_block(bits, bob_bits).hits
+        hits = self.kernel.transmit_block(bits, bob_bits)
         send_bit_frames(self.pipe, "Results", hits)
         key = _sift(bits, hits)
         self.rounds_sent += len(bits)

@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import asdict
 
 import pytest
@@ -452,6 +453,21 @@ def test_chat_requires_endpoints(capsys):
     assert code == 2
     code, _, _ = run_cli(["chat", "--role", "bob"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, port", [
+    (["--role", "alice", "--listen", "127.0.0.1:99999", "--message", "hi"], "99999"),
+    (["--role", "alice", "--listen", "127.0.0.1:65536", "--message", "hi"], "65536"),
+    (["--role", "bob", "--connect", "127.0.0.1:70000"], "70000"),
+    (["--role", "bob", "--connect", "127.0.0.1:0"], "0"),
+], ids=["alice_99999", "alice_65536", "bob_70000", "bob_0"])
+def test_chat_port_out_of_range_exits_2_before_any_socket(capsys, argv, port):
+    start = time.monotonic()
+    code, out, err = run_cli(["chat", *argv], capsys)
+    assert code == 2
+    assert f"port {port} " in err
+    assert out == ""
+    assert time.monotonic() - start < 0.5
 
 
 def test_chat_connection_killed_mid_session_exits_3():

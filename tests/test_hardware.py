@@ -342,6 +342,14 @@ def test_load_profile_rejects_unknown_key(tmp_path):
         load_profile(path)
 
 
+def test_load_profile_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "twice.profile"
+    path.write_text("mean_photons = 0.1\nlength_km = 2\n\nmean_photons = 0.5\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}:4: profile key 'mean_photons' is set again (first on line 1)")):
+        load_profile(path)
+
+
 def test_with_fields_routes_each_field_to_its_group():
     hw = with_fields(HardwareProfile(), mean_photons=0.2, length_km=4.0, dark_rate=10.0)
     assert (hw.source.mean_photons, hw.fiber.length_km, hw.detector.dark_rate) == (0.2, 4.0, 10.0)

@@ -124,27 +124,17 @@ def test_ascii_rejects_non_encodable():
 
 def test_pad_from_key_base2():
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-    pad = pad_from_key(bits, 2)
-    assert len(pad) == 8
+    pad = pad_from_key(bits)
+    assert len(pad) == 8 and pad.base == 2
     c, _ = encrypt(Message(np.zeros(8, dtype=int), 2), pad)
     assert np.array_equal(c.symbols, bits)
-
-
-def test_pad_from_key_rejection_sampling():
-    rng = np.random.default_rng(7)
-    bits = rng.integers(0, 2, size=100_000, dtype=np.uint8)
-    pad = pad_from_key(bits, 26)
-    symbols = pad._symbols
-    assert symbols.max() < 26  # rejected 5-bit words (26..31) never appear
-    counts = np.bincount(symbols, minlength=26)
-    assert stats.chisquare(counts).pvalue > 0.01
 
 
 def test_pad_from_key_shortfall():
     bits = np.ones(20, dtype=np.uint8)
     with pytest.raises(PadDepletedError):
-        pad_from_key(bits, 2, n_symbols=21)
-    pad = pad_from_key(bits, 2, n_symbols=16)
+        pad_from_key(bits, n_symbols=21)
+    pad = pad_from_key(bits, n_symbols=16)
     assert len(pad) == 16
 
 

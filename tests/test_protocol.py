@@ -174,10 +174,12 @@ def test_eve_guess_statistics_over_random_stream():
 
 
 def transmit(cfg, alice_bit, bob_bit, n, seed):
+    """The round log of one block through a fresh kernel."""
     kernel = PhysicsKernel(cfg, np.random.default_rng(seed))
-    return kernel.transmit_block(
+    kernel.transmit_block(
         np.full(n, alice_bit, dtype=np.uint8), np.full(n, bob_bit, dtype=np.uint8)
     )
+    return kernel.logs
 
 
 def test_transmit_round_ideal_differing_bits_never_hit():
@@ -497,11 +499,21 @@ def test_round_logs_empty_columns():
         assert col.dtype == dtype and col.size == 0
 
 
-def test_round_logs_columns_equal_the_concatenated_blocks():
-    rng = np.random.default_rng(15)
+def test_round_logs_columns_equal_the_concatenated_blocks(monkeypatch):
+    # extend only appends: 1,000 blocks join nothing until a read, the
+    # first read of a column joins its blocks once, and a second read
+    # returns the kept array without joining again
+    concatenate, joins = np.concatenate, []
+
+    def counted(arrays, *args, **kwargs):
+        joins.append(len(arrays))
+        return concatenate(arrays, *args, **kwargs)
+
+    rng = np.random.default_rng(15)  # seeding concatenates, so before the count
+    monkeypatch.setattr(np, "concatenate", counted)
     logs = RoundLogs()
-    blocks = []
-    for n in (5, 0, 11):
+    blocks, rounds = [], 0
+    for n in (5, 0, 11) + (3,) * 997:
         block = {
             "alice_bits": rng.integers(0, 2, n, dtype=np.uint8),
             "bob_bits": rng.integers(0, 2, n, dtype=np.uint8),
@@ -511,30 +523,17 @@ def test_round_logs_columns_equal_the_concatenated_blocks():
         }
         logs.extend(**block)
         blocks.append(block)
-        assert len(logs) == sum(len(b["hits"]) for b in blocks)
+        rounds += n
+        assert len(logs) == rounds
         if n == 5:
             assert np.array_equal(logs.hits, block["hits"])  # a read between extends
-    for name, dtype in LOG_DTYPES.items():
+    assert joins == []
+    for read, (name, dtype) in enumerate(LOG_DTYPES.items(), 1):
         col = getattr(logs, name)
+        assert joins == [1000] * read
         assert col.dtype == dtype
-        assert np.array_equal(col, np.concatenate([b[name] for b in blocks]))
-        assert getattr(logs, name) is col  # concatenated once, then kept
-
-
-def test_round_logs_merge_pending_blocks_geometrically():
-    rng = np.random.default_rng(16)
-    logs = RoundLogs()
-    hits = []
-    for i in range(1, 41):
-        block = rng.integers(0, 2, 64, dtype=np.uint8)
-        logs.extend(block, block, block.astype(np.int64), block.astype(np.int8), block)
-        hits.append(block)
-        # merged after blocks 2, 4, 8, ...; the blocks since stay pending
-        pending = 1 if i == 1 else i - (1 << (i.bit_length() - 1))
-        assert len(logs._chunks["hits"]) == 1 + pending
-    assert len(logs) == 40 * 64
-    assert np.array_equal(logs.hits, np.concatenate(hits))
-    assert np.array_equal(logs.photon_counts, np.concatenate(hits).astype(np.int64))
+        assert np.array_equal(col, concatenate([b[name] for b in blocks]))
+        assert getattr(logs, name) is col and len(joins) == read
 
 
 # ---------------------------------------------------------------------------
@@ -1314,7 +1313,8 @@ def test_kernel_stages_equal_the_scalar_references():
     bits = np.random.default_rng(5)
     alice_bits, bob_bits = generate_bits(n, bits), generate_bits(n, bits)
     kernel = PhysicsKernel(cfg, np.random.default_rng(77))
-    got = kernel.transmit_block(alice_bits, bob_bits)
+    got_hits = kernel.transmit_block(alice_bits, bob_bits)
+    logs = kernel.logs
 
     rng = np.random.default_rng(77)
     counts = [sample_photon_count(hw.source, rng) for _ in range(n)]
@@ -1329,10 +1329,10 @@ def test_kernel_stages_equal_the_scalar_references():
         p_eff = (1.0 - (1.0 - p_window * det.efficiency) ** k) / det.efficiency if k else 0.0
         hit, state = gate_detector(k > 0, p_eff, det, state, (i + 1) * dt, rng)
         hits.append(int(hit))
-    assert got.photon_counts.tolist() == counts
-    assert got.eve_guesses.tolist() == [g if c else -1 for (g, _), c in zip(eve, counts)]
-    assert got.hits.tolist() == hits
-    assert got.detector_state == state
+    assert logs.photon_counts.tolist() == counts
+    assert logs.eve_guesses.tolist() == [g if c else -1 for (g, _), c in zip(eve, counts)]
+    assert got_hits.tolist() == hits == logs.hits.tolist()
+    assert kernel.detector_state == state
     assert kernel.rng.bit_generator.state == rng.bit_generator.state
     assert sum(k > 1 for k in survivors) > 100 and 0 < sum(hits)
 
@@ -1377,8 +1377,8 @@ def test_afterpulse_walk_equals_per_gate_loop_exactly(hw, n_blocks, block, start
         a, b = generate_bits(block, bits), generate_bits(block, bits)
         got = kernel.transmit_block(a, b)
         want, state = dense_reference_block(cfg, ref, state, a, b, per_gate=True)
-        assert np.array_equal(got.hits, want)
-        assert got.detector_state == state
+        assert np.array_equal(got, want)
+        assert kernel.detector_state == state
         assert kernel.rng.bit_generator.state == ref.bit_generator.state
     assert want.sum() > 0
 
@@ -1401,7 +1401,7 @@ def test_afterpulse_walk_steps_at_most_two_gates_per_hit(monkeypatch):
     hits = 0
     for _ in range(4):
         a, b = generate_bits(65536, bits), generate_bits(65536, bits)
-        hits += int(kernel.transmit_block(a, b).hits.sum())
+        hits += int(kernel.transmit_block(a, b).sum())
     assert hits > 100
     assert steps <= 2 * hits, (steps, hits)
 
@@ -1440,7 +1440,8 @@ def test_kernel_thins_and_gates_only_the_pulses_that_carry_a_photon(monkeypatch)
     bits = np.random.default_rng(5)
     for block in range(4):
         a, b = generate_bits(65536, bits), generate_bits(65536, bits)
-        nonempty = np.count_nonzero(kernel.transmit_block(a, b).photon_counts)
+        kernel.transmit_block(a, b)
+        nonempty = np.count_nonzero(kernel.logs.photon_counts[block * 65536:])
         (thinned, survived), (n, n_lit, n_hazards) = draws.binomial_calls[block], handed[block]
         assert n == 65536 and 0 < nonempty < 0.2 * n
         assert thinned <= nonempty, (thinned, nonempty)
@@ -1522,7 +1523,7 @@ def test_memoryless_detector_equals_the_inline_hit_law_exactly(mu, eve):
         a, b = generate_bits(20_000, bits), generate_bits(20_000, bits)
         got = kernel.transmit_block(a, b)
         want, state = dense_reference_block(cfg, ref, DetectorState(), a, b, per_gate=False)
-        assert np.array_equal(got.hits, want)
-        assert got.detector_state == state == DetectorState()
+        assert np.array_equal(got, want)
+        assert kernel.detector_state == state == DetectorState()
         assert kernel.rng.bit_generator.state == ref.bit_generator.state
     assert want.sum() > 0
