@@ -2,15 +2,16 @@
 
 Runs one small ideal-mode block and prints what each stage of the
 protocol did: the raw bit streams, the hit record, sifting, error
-estimation, and block-parity reconciliation.
+estimation, and block-parity reconciliation. The per-round record is
+kept only because this script hands the session a log to fill.
 """
 import numpy as np
 
-from b92sim.protocol import SessionConfig, run_session
+from b92sim.protocol import RoundLogs, SessionConfig, run_session
 
 cfg = SessionConfig(seed_alice=2, seed_bob=102, seed_physics=202, bits_per_block=32)
-rep = run_session(cfg)
-logs = rep.round_logs
+logs = RoundLogs()
+rep = run_session(cfg, logs=logs)
 
 print("round:     " + " ".join(f"{i:2d}" for i in range(len(logs))))
 print("sender:    " + " ".join(f"{b:2d}" for b in logs.alice_bits))

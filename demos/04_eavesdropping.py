@@ -5,12 +5,14 @@ state and forwards the collapsed result. It identifies the sender's
 1-bits with certainty, but the collapsed states it forwards light up
 rounds that could never fire, and the receiver's statistics give the
 game away three times over: error rate, zero bias, and extra hits.
+Her guesses come from the tapped session's per-round record, which a
+session keeps only in a log its caller hands in.
 """
 import math
 
 import numpy as np
 
-from b92sim.protocol import EveStrategy, SessionConfig, run_session
+from b92sim.protocol import EveStrategy, RoundLogs, SessionConfig, run_session
 
 clean = SessionConfig(seed_alice=61, seed_bob=71, seed_physics=83, bits_per_block=100_000)
 tapped = SessionConfig(
@@ -19,8 +21,8 @@ tapped = SessionConfig(
 )
 
 r0 = run_session(clean)
-r1 = run_session(tapped)
-logs = r1.round_logs
+logs = RoundLogs()
+r1 = run_session(tapped, logs=logs)
 ones = logs.eve_guesses == 1
 zeros = logs.eve_guesses == 0
 

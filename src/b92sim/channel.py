@@ -255,19 +255,12 @@ def send_bit_frames(
     on the first frame only.
     """
     arr = np.asarray(bits, dtype=np.uint8)
-    total = int(len(arr))
-    offset = 0
-    first = True
-    while True:
-        chunk = arr[offset: offset + CHUNK_BITS]
-        payload = {"total": total, "offset": offset, "bits": bits_to_hex(chunk)}
-        if first and extra:
+    for offset in range(0, max(len(arr), 1), CHUNK_BITS):  # an empty list takes one frame
+        payload = {"total": len(arr), "offset": offset,
+                   "bits": bits_to_hex(arr[offset: offset + CHUNK_BITS])}
+        if offset == 0 and extra:
             payload.update(extra)
         pipe.send(kind, payload)
-        first = False
-        offset += len(chunk)
-        if offset >= total:
-            break
 
 
 def recv_bit_frames(pipe: MessagePipe, kind: str, max_total: int) -> tuple[np.ndarray, dict]:

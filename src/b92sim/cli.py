@@ -6,7 +6,7 @@ distance, ``histogram`` emits the time-of-arrival spectrum as CSV,
 and ``chat`` runs two OS processes that distill a key over TCP and
 exchange one one-time-pad encrypted ASCII message.
 
-Exit codes: 0 success, 2 configuration error, 3 transport error.
+Exit codes: 0 success, 1 chat alarm, 2 configuration or file error, 3 transport error.
 All outputs are deterministic given explicit seeds.
 """
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .protocol import (
     BobEngine,
     EveStrategy,
     Mode,
+    RoundLogs,
     SessionConfig,
     analytic_ber,
     predict_key_rate,
@@ -125,7 +126,8 @@ def _session_config(args, mode=None, bits_per_block=None) -> SessionConfig:
 
 def _cmd_session(args) -> int:
     cfg = _session_config(args)
-    report = run_session(cfg, n_blocks=args.blocks)
+    logs = RoundLogs() if args.out else None
+    report = run_session(cfg, n_blocks=args.blocks, logs=logs)
     rate_s = report.sifted_fraction * cfg.hardware.source.pulse_rate
     print(f"mode={cfg.mode.value} eve={cfg.eve.value} "
           f"blocks={args.blocks} bits_per_block={cfg.bits_per_block}")
@@ -139,7 +141,7 @@ def _cmd_session(args) -> int:
           f"| {rate_s:.2f} bits/s")
     print(f"alarm:           {report.alarm_reason if report.alarm else 'no'}")
     if args.out:
-        report.round_logs.write_csv(args.out)
+        logs.write_csv(args.out)
         print(f"round log written to {args.out}")
     return 0
 
@@ -340,7 +342,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ConfigError, ModelValidityError, EncodingError, PadDepletedError) as exc:
+    # channel.py turns a socket's OSError into ChannelError, so an OSError is a file's
+    except (ConfigError, ModelValidityError, EncodingError, PadDepletedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ChannelError, SessionAbort, ProtocolDesyncError) as exc:

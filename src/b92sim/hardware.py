@@ -324,27 +324,31 @@ def _parse_value(key: str, raw: str):
 
 
 def load_profile(path) -> HardwareProfile:
-    """Read a flat key=value profile file.
+    """Read a flat key=value profile file of UTF-8 text.
 
     Keys are the field names of the four parameter groups (units as
     declared there); '#' starts a comment; an unknown key, or one set
     twice, is an error.
     """
     values, seen = {}, {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _PROFILE_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown profile key {key!r}")
-            if key in seen:
-                raise ConfigError(
-                    f"{path}:{lineno}: profile key {key!r} is set again (first on line {seen[key]})"
-                )
-            seen[key] = lineno
-            values[key] = _parse_value(key, raw)
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _PROFILE_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown profile key {key!r}")
+        if key in seen:
+            raise ConfigError(
+                f"{path}:{lineno}: profile key {key!r} is set again (first on line {seen[key]})"
+            )
+        seen[key] = lineno
+        values[key] = _parse_value(key, raw)
     return with_fields(HardwareProfile(), **values)

@@ -150,12 +150,11 @@ _LOG_DTYPES = {
 class RoundLogs:
     """Columnar per-round record; eve_guess is -1 where Eve saw nothing.
 
-    ``extend`` only appends each block's arrays (callers must not
-    mutate them afterwards), so it copies nothing, and every block's
-    arrays, 12 bytes a pulse, stay alive until the log is dropped. The
-    first read of a column joins its blocks, one copy of the column,
-    and keeps the result; a session that never reads its log never
-    pays for that copy.
+    A session keeps one only if its caller passes it in. ``extend``
+    only appends each block's arrays (callers must not mutate them
+    afterwards), so it copies nothing; they take 12 bytes a pulse until
+    the log is dropped. The first read of a column joins its blocks,
+    one copy of the column, and keeps the result.
     """
 
     def __init__(self):
@@ -211,7 +210,6 @@ class SessionReport:
     alarm: bool
     alarm_reason: str | None
     n_rounds: int
-    round_logs: RoundLogs
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +285,15 @@ class PhysicsKernel:
     the lit indices and their hazards, and gives the same draws, hits
     and final detector state as one ``gate_detector`` call a pulse.
 
-    A block's photon counts and Eve's guesses go to ``logs``, and the
+    A block's round record goes to ``logs`` if one is given, and the
     detector state it leaves to ``detector_state``.
     """
 
-    def __init__(self, cfg: SessionConfig, rng: np.random.Generator):
+    def __init__(self, cfg: SessionConfig, rng: np.random.Generator, logs=None):
         self.cfg = cfg
         self.rng = rng
         self.detector_state = DetectorState()
-        self.logs = RoundLogs()
+        self.logs = logs
 
     def transmit_block(self, alice_bits: np.ndarray, bob_bits: np.ndarray) -> np.ndarray:
         """One block through the quantum link; returns its hits (uint8).
@@ -315,21 +313,15 @@ class PhysicsKernel:
         # sent being the index of the state on the link
         if self.cfg.eve is EveStrategy.NONE:
             table, sent = _PASS_TABLE, alice_bits
-            guesses = np.full(n, -1, dtype=np.int8)
         else:
             # Eve measures the logical signal ahead of fiber loss; her
             # statistics commute with per-photon survival. A fail is a
             # 1-guess, and the guess indexes the state she forwards.
-            # Empty pulses give her nothing to measure (and are never lit).
             guesses = (self.rng.random(n) >= _EVE_PASS[alice_bits]).astype(np.int8)
             table, sent = _FWD_PASS, guesses
-            if physical:
-                guesses[counts == 0] = -1
         if not physical:
             q = table[2 * sent + bob_bits]
             hits = (self.rng.random(n) < q).astype(np.uint8)
-            # one photon a pulse, made after the draw so as not to raise its peak memory
-            counts = np.ones(n, dtype=np.int64)
         else:
             nonempty = np.flatnonzero(counts)
             k = self.rng.binomial(counts[nonempty], fiber_transmission(hw.fiber))
@@ -343,7 +335,14 @@ class PhysicsKernel:
                 n, lit, p_signal, hw.detector, self.detector_state,
                 1.0 / hw.source.pulse_rate, self.rng,
             )
-        self.logs.extend(alice_bits, bob_bits, counts, guesses, hits)
+        if self.logs is not None:
+            # one photon a pulse in Ideal mode; no guess without Eve or from an empty pulse
+            if self.cfg.eve is EveStrategy.NONE:
+                guesses = np.full(n, -1, dtype=np.int8)
+            elif physical:
+                guesses[counts == 0] = -1
+            counts = counts if physical else np.ones(n, dtype=np.int64)
+            self.logs.extend(alice_bits, bob_bits, counts, guesses, hits)
         return hits
 
 
@@ -465,13 +464,13 @@ class AliceEngine(_Party):
     ErrorCheckValues and its DiscardList, and after sending Done.
     ``run_session`` passes one that advances the receiver's
     ``steps()`` in the same thread; over TCP the receiver runs in its
-    own process and the default does nothing.
+    own process and the default does nothing. ``logs`` goes to the kernel.
     """
 
-    def __init__(self, cfg: SessionConfig, pipe: MessagePipe, peer_step=lambda: None):
+    def __init__(self, cfg: SessionConfig, pipe: MessagePipe, peer_step=lambda: None, logs=None):
         super().__init__(cfg, pipe, cfg.seed_alice)
         self.peer_step = peer_step
-        self.kernel = PhysicsKernel(cfg, np.random.default_rng(cfg.seed_physics))
+        self.kernel = PhysicsKernel(cfg, np.random.default_rng(cfg.seed_physics), logs)
         self._bob_replica_rng = np.random.default_rng(cfg.seed_bob)
         self.blocks_done = 0
         self.rounds_sent = 0
@@ -643,6 +642,7 @@ def run_session(
     cfg: SessionConfig,
     channel: tuple | None = None,
     n_blocks: int = 1,
+    logs: RoundLogs | None = None,
 ) -> SessionReport:
     """Run a complete session in one thread and assemble its report.
 
@@ -650,7 +650,8 @@ def run_session(
     sender's ``peer_step`` advances the receiver's ``steps()`` at each
     point where the sender waits for it. ``channel`` may supply a
     (alice_transport, bob_transport) pair so tests can watch the
-    frames; by default a loopback pair is built. A failure of the
+    frames; by default a loopback pair is built. The round record goes
+    to ``logs`` if given, and nowhere otherwise. A failure of the
     channel or the protocol raises SessionAbort, chained to its cause;
     other errors, such as a ConfigError or a ModelValidityError from
     the physics, propagate unchanged.
@@ -661,7 +662,7 @@ def run_session(
     sid = cfg.session_id()
     bob = BobEngine(cfg, MessagePipe(t_b, sid))
     bob_steps = bob.steps()
-    alice = AliceEngine(cfg, MessagePipe(t_a, sid), peer_step=lambda: next(bob_steps, None))
+    alice = AliceEngine(cfg, MessagePipe(t_a, sid), lambda: next(bob_steps, None), logs)
     try:
         alice.run(lambda eng: eng.blocks_done < n_blocks)
     except (ChannelError, ProtocolDesyncError, SessionAbort) as exc:
@@ -680,7 +681,6 @@ def run_session(
         alarm=alice.alarm,
         alarm_reason=alice.alarm_reason,
         n_rounds=n_rounds,
-        round_logs=alice.kernel.logs,
     )
 
 

@@ -32,6 +32,7 @@ from b92sim.photonics import (
 from b92sim.protocol import (
     EveStrategy,
     Mode,
+    RoundLogs,
     SessionConfig,
     alice_prepare,
     analytic_ber,
@@ -152,8 +153,8 @@ def test_c03_eavesdropper_signature():
         seed_alice=61, seed_bob=71, seed_physics=83, bits_per_block=120_000,
         eve=EveStrategy.FIXED_PROJECTION, error_sample_fraction=0.5,
     )
-    rep = run_session(cfg)
-    logs = rep.round_logs
+    logs = RoundLogs()
+    rep = run_session(cfg, logs=logs)
     ones = logs.eve_guesses == 1
     zeros = logs.eve_guesses == 0
     one_cover = float(np.mean(ones))

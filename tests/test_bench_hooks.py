@@ -33,7 +33,8 @@ SCRIPT = textwrap.dedent("""
     channel = tracer.loopback_pair()
     tracer.active = True
     cfg = SessionConfig(seed_alice=1, seed_bob=2, seed_physics=3, bits_per_block=512)
-    run_session(cfg, channel=channel, n_blocks=2)
+    # with a log, so that RoundLogs.extend, which the tracer wraps, runs
+    run_session(cfg, channel=channel, n_blocks=2, logs=protocol.RoundLogs())
     tracer.active = False
 
     wanted = {{n for n in set_up if n.startswith(("protocol.", "channel."))}}

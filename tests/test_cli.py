@@ -16,7 +16,7 @@ from b92sim import channel, cli
 from b92sim.channel import MessagePipe, SocketTransport, accept_one, open_listener
 from b92sim.cli import CHAT_EMPTY_BLOCKS, MAX_SWEEP_ROWS, _session_config, build_parser, main
 from b92sim.photonics import MAX_EXPECTED_PHOTONS, MAX_HISTOGRAM_BINS
-from b92sim.protocol import MAX_BITS_PER_BLOCK, AliceEngine, run_session
+from b92sim.protocol import MAX_BITS_PER_BLOCK, AliceEngine, RoundLogs, run_session
 
 
 def run_cli(argv, capsys):
@@ -87,8 +87,9 @@ def test_session_round_log_csv_bytes(tmp_path, capsys, flags, eve_cells):
     code, _, _ = run_cli(argv + ["--out", str(tmp_path / "new.csv")], capsys)
     assert code == 0
     args = build_parser().parse_args(argv)
-    report = run_session(_session_config(args), n_blocks=args.blocks)
-    write_csv_row_by_row(report.round_logs, tmp_path / "ref.csv")
+    logs = RoundLogs()
+    run_session(_session_config(args), n_blocks=args.blocks, logs=logs)
+    write_csv_row_by_row(logs, tmp_path / "ref.csv")
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert {line.split(",")[4] for line in new.decode().splitlines()[1:]} == eve_cells
@@ -102,6 +103,35 @@ def test_session_profile_file(tmp_path, capsys):
          "--bits-per-block", "4096"], capsys
     )
     assert code == 0
+
+
+def one_error_line_naming(path, err):
+    return err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_profile_exits_2(tmp_path, capsys, kind):
+    prof = tmp_path / "hw.profile"
+    if kind == "directory":
+        prof.mkdir()
+    elif kind == "not_utf8":
+        prof.write_bytes(b"mean_photons = 0.05 # \xb5\n")
+    code, out, err = run_cli(["session", "--profile", str(prof)], capsys)
+    assert code == 2
+    assert one_error_line_naming(prof, err), err
+    assert "sifted bits" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["session", "--bits-per-block", "64"],
+    ["sweep", "--km-stop", "5", "--pulses", "1000"],
+    ["histogram", "--pulses", "1000"],
+])
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.csv"
+    code, _, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 2
+    assert one_error_line_naming(path, err), err
 
 
 def test_bad_flag_exits_2(capsys):

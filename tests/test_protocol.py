@@ -2,6 +2,7 @@ import hashlib
 import math
 import socket
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -175,11 +176,12 @@ def test_eve_guess_statistics_over_random_stream():
 
 def transmit(cfg, alice_bit, bob_bit, n, seed):
     """The round log of one block through a fresh kernel."""
-    kernel = PhysicsKernel(cfg, np.random.default_rng(seed))
+    logs = RoundLogs()
+    kernel = PhysicsKernel(cfg, np.random.default_rng(seed), logs)
     kernel.transmit_block(
         np.full(n, alice_bit, dtype=np.uint8), np.full(n, bob_bit, dtype=np.uint8)
     )
-    return kernel.logs
+    return logs
 
 
 def test_transmit_round_ideal_differing_bits_never_hit():
@@ -554,8 +556,8 @@ def test_session_clean_ideal():
 def test_session_never_pass_rule():
     # one million noiseless rounds: no differing-bit round may hit
     cfg = make_cfg(bits_per_block=1_000_000)
-    rep = run_session(cfg)
-    logs = rep.round_logs
+    logs = RoundLogs()
+    run_session(cfg, logs=logs)
     differing = logs.alice_bits != logs.bob_bits
     assert int(logs.hits[differing].sum()) == 0
 
@@ -621,11 +623,12 @@ GOLDEN_SESSIONS = {
 @pytest.mark.parametrize("name", list(GOLDEN_SESSIONS))
 def test_golden_digests_of_key_and_hits(name):
     cfg, n_blocks, key_sha, hits_sha = GOLDEN_SESSIONS[name]
-    rep = run_session(cfg, n_blocks=n_blocks)
-    assert rep.reconciled_key.dtype == rep.round_logs.hits.dtype == np.uint8
-    assert len(rep.round_logs) == n_blocks * cfg.bits_per_block
+    logs = RoundLogs()
+    rep = run_session(cfg, n_blocks=n_blocks, logs=logs)
+    assert rep.reconciled_key.dtype == logs.hits.dtype == np.uint8
+    assert len(logs) == n_blocks * cfg.bits_per_block
     assert sha256_of(rep.reconciled_key) == key_sha
-    assert sha256_of(rep.round_logs.hits) == hits_sha
+    assert sha256_of(logs.hits) == hits_sha
 
 
 # sha256 of all frames each party sends in the GOLDEN_SESSIONS, one
@@ -678,13 +681,30 @@ def test_golden_digests_of_every_frame(name):
 
 def test_session_deterministic():
     cfg = make_cfg(bits_per_block=20_000, eve=EveStrategy.FIXED_PROJECTION)
-    r1 = run_session(cfg)
-    r2 = run_session(cfg)
+    logs1, logs2 = RoundLogs(), RoundLogs()
+    r1 = run_session(cfg, logs=logs1)
+    r2 = run_session(cfg, logs=logs2)
     assert np.array_equal(r1.sifted_key_alice, r2.sifted_key_alice)
     assert np.array_equal(r1.reconciled_key, r2.reconciled_key)
     assert r1.ber_estimate == r2.ber_estimate
     assert r1.zero_bias == r2.zero_bias
-    assert np.array_equal(r1.round_logs.hits, r2.round_logs.hits)
+    assert np.array_equal(logs1.hits, logs2.hits)
+
+
+def test_a_session_without_a_log_keeps_no_per_pulse_record():
+    # 500 blocks of 1,024 Ideal pulses: what stays allocated once the
+    # session has returned, its report included, is its keys, under a
+    # byte a pulse, and not a round log of 12 bytes a pulse
+    cfg = make_cfg()
+    run_session(cfg)  # first-call imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        rep = run_session(cfg, n_blocks=500)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.n_rounds == 500 * cfg.bits_per_block
+    assert retained / rep.n_rounds < 4.0
 
 
 def test_session_multi_block_accumulates():
@@ -792,16 +812,17 @@ def socket_pair():
     return SocketTransport(s_a, timeout=30.0), SocketTransport(s_b, timeout=30.0)
 
 
-def run_two_process(cfg, n_blocks=1, record_to_bob=None, record_to_alice=None):
+def run_two_process(cfg, n_blocks=1, record_to_bob=None, record_to_alice=None, logs=None):
     """Both engines in wire mode (sender owns the physics), each in its
-    own thread over a socket pair, where every receive blocks."""
+    own thread over a socket pair, where every receive blocks; the
+    sender's round log goes to ``logs``, if given."""
     t_a, t_b = socket_pair()
     if record_to_bob is not None:
         t_a = RecordingTransport(t_a, record_to_bob)
     if record_to_alice is not None:
         t_b = RecordingTransport(t_b, record_to_alice)
     sid = cfg.session_id()
-    alice = AliceEngine(cfg, MessagePipe(t_a, sid))
+    alice = AliceEngine(cfg, MessagePipe(t_a, sid), logs=logs)
     bob = BobEngine(cfg, MessagePipe(t_b, sid))
     failures = []
 
@@ -847,21 +868,22 @@ def test_two_process_mode_equals_in_process():
         (make_cfg(mode=Mode.PHYSICAL, hardware=afterpulsing_hw(), bits_per_block=4096), 3),
     ]
     for cfg, n_blocks in cases:
-        rep = run_session(cfg, n_blocks=n_blocks)
-        alice, bob = run_two_process(cfg, n_blocks=n_blocks)
+        logs, wire_logs = RoundLogs(), RoundLogs()
+        rep = run_session(cfg, n_blocks=n_blocks, logs=logs)
+        alice, bob = run_two_process(cfg, n_blocks=n_blocks, logs=wire_logs)
         assert alice.blocks_done == n_blocks
         assert np.array_equal(alice.sifted_key(), rep.sifted_key_alice)
         assert np.array_equal(bob.sifted_key(), rep.sifted_key_bob)
         assert np.array_equal(alice.reconciled_key(), rep.reconciled_key)
-        assert np.array_equal(alice.kernel.logs.hits, rep.round_logs.hits)
+        assert np.array_equal(wire_logs.hits, logs.hits)
         assert alice.ber == rep.ber_estimate
 
 
 def test_message_schema_and_results_content():
     cfg = make_cfg(bits_per_block=4096)
     to_bob, to_alice = [], []
-    alice, bob = run_two_process(cfg, record_to_bob=to_bob, record_to_alice=to_alice)
-    kernel_logs = alice.kernel.logs
+    kernel_logs = RoundLogs()
+    run_two_process(cfg, record_to_bob=to_bob, record_to_alice=to_alice, logs=kernel_logs)
     results_bits = None
     for raw in to_bob + to_alice:
         msg = decode_frame(raw[4:])
@@ -874,6 +896,35 @@ def test_message_schema_and_results_content():
     assert np.array_equal(results_bits, kernel_logs.hits)
     assert not np.array_equal(results_bits, kernel_logs.bob_bits)
     assert not np.array_equal(results_bits, kernel_logs.alice_bits)
+
+
+@pytest.mark.parametrize("cfg", [
+    make_cfg(bits_per_block=4096),
+    make_cfg(mode=Mode.PHYSICAL, bits_per_block=16384,
+             hardware=HardwareProfile(detector=DetectorParams(afterpulse_prob0=0.05))),
+    make_cfg(bits_per_block=4096, eve=EveStrategy.FIXED_PROJECTION),
+    make_cfg(mode=Mode.PHYSICAL, bits_per_block=16384, eve=EveStrategy.FIXED_PROJECTION,
+             hardware=HardwareProfile(source=SourceParams(mean_photons=3.0))),
+], ids=["ideal", "physical_afterpulse", "eve_fixed", "physical_eve_fixed"])
+def test_a_round_log_touches_no_draw(cfg):
+    # the same seeds with and without a log give the same keys and the
+    # same frames, and leave the sender's, the receiver replica's, the
+    # physics and the receiver's streams in the same state
+    runs = []
+    for logs in (None, RoundLogs()):
+        frames = []
+        alice, bob = run_two_process(cfg, n_blocks=3, record_to_bob=frames, logs=logs)
+        streams = [rng.bit_generator.state for rng in
+                   (alice.rng, alice._bob_replica_rng, alice.kernel.rng, bob.rng)]
+        runs.append((alice.reconciled_key(), bob.reconciled_key(), frames, streams))
+    (key_a, key_b, frames, streams), logged = runs
+    assert np.array_equal(key_a, logged[0]) and np.array_equal(key_b, logged[1])
+    assert frames == logged[2] and streams == logged[3]
+    sent = [decode_frame(raw[4:]) for raw in frames]
+    hits = np.concatenate([hex_to_bits(msg.payload["bits"], msg.payload["total"])
+                           for msg in sent if msg.kind == "Results"])
+    assert len(hits) == 3 * cfg.bits_per_block
+    assert np.array_equal(hits, logs.hits)
 
 
 def test_sequences_strictly_increase():
@@ -975,8 +1026,8 @@ def test_eve_before_or_after_loss_is_observationally_equivalent():
     )
     cfg = make_cfg(mode=Mode.PHYSICAL, hardware=hw,
                    eve=EveStrategy.FIXED_PROJECTION, bits_per_block=n)
-    rep = run_session(cfg)
-    logs = rep.round_logs
+    logs = RoundLogs()
+    rep = run_session(cfg, logs=logs)
 
     rng = np.random.default_rng(101)
     alice_bits = logs.alice_bits
@@ -1095,8 +1146,8 @@ def test_long_arm_loss_reaches_the_session():
 
     cfg = SessionConfig(seed_alice=11, seed_bob=12, seed_physics=13, bits_per_block=200_000,
                         mode=Mode.PHYSICAL, hardware=hw)
-    report = run_session(cfg, n_blocks=2)
-    logs = report.round_logs
+    logs = RoundLogs()
+    report = run_session(cfg, n_blocks=2, logs=logs)
     agree = logs.alice_bits == logs.bob_bits
     for sel, p in ((agree, p_same), (~agree, p_diff)):
         n = int(sel.sum())
@@ -1215,12 +1266,12 @@ def test_afterpulse_path_in_session():
                          afterpulse_prob0=0.2, afterpulse_tau=3e-3)
     hw = noiseless_hw(detector=det)
     cfg = make_cfg(mode=Mode.PHYSICAL, hardware=hw, bits_per_block=20_000)
-    rep = run_session(cfg)
+    logs = RoundLogs()
+    rep = run_session(cfg, logs=logs)
     base = make_cfg(mode=Mode.PHYSICAL, hardware=noiseless_hw(), bits_per_block=20_000)
     rep_base = run_session(base)
     # trapped charge releases extra hits, some on differing-bit rounds
     assert rep.sifted_fraction > rep_base.sifted_fraction
-    logs = rep.round_logs
     differing = logs.alice_bits != logs.bob_bits
     assert logs.hits[differing].sum() > 0
 
@@ -1232,7 +1283,8 @@ def test_afterpulse_walk_matches_per_pulse_reference():
     # on across the block boundaries
     hw = afterpulsing_hw()
     cfg = make_cfg(mode=Mode.PHYSICAL, hardware=hw, bits_per_block=15_000)
-    logs = run_session(cfg, n_blocks=3).round_logs
+    logs = RoundLogs()
+    run_session(cfg, n_blocks=3, logs=logs)
     rng = np.random.default_rng(202)
     det = hw.detector
     transmission = fiber_transmission(hw.fiber)
@@ -1312,9 +1364,9 @@ def test_kernel_stages_equal_the_scalar_references():
     n = 4000
     bits = np.random.default_rng(5)
     alice_bits, bob_bits = generate_bits(n, bits), generate_bits(n, bits)
-    kernel = PhysicsKernel(cfg, np.random.default_rng(77))
+    logs = RoundLogs()
+    kernel = PhysicsKernel(cfg, np.random.default_rng(77), logs)
     got_hits = kernel.transmit_block(alice_bits, bob_bits)
-    logs = kernel.logs
 
     rng = np.random.default_rng(77)
     counts = [sample_photon_count(hw.source, rng) for _ in range(n)]
@@ -1436,12 +1488,13 @@ def test_kernel_thins_and_gates_only_the_pulses_that_carry_a_photon(monkeypatch)
     monkeypatch.setattr(protocol, "gate_block", recording_gate_block)
     cfg = make_cfg(mode=Mode.PHYSICAL, hardware=bench_detector(), bits_per_block=65536)
     draws = CountedDraws(np.random.default_rng(77))
-    kernel = PhysicsKernel(cfg, draws)
+    logs = RoundLogs()
+    kernel = PhysicsKernel(cfg, draws, logs)
     bits = np.random.default_rng(5)
     for block in range(4):
         a, b = generate_bits(65536, bits), generate_bits(65536, bits)
         kernel.transmit_block(a, b)
-        nonempty = np.count_nonzero(kernel.logs.photon_counts[block * 65536:])
+        nonempty = np.count_nonzero(logs.photon_counts[block * 65536:])
         (thinned, survived), (n, n_lit, n_hazards) = draws.binomial_calls[block], handed[block]
         assert n == 65536 and 0 < nonempty < 0.2 * n
         assert thinned <= nonempty, (thinned, nonempty)
@@ -1465,11 +1518,11 @@ def test_fiber_thinning_hit_rates_follow_the_closed_form():
     mu_t_eta = hw.source.mean_photons * fiber_transmission(hw.fiber) * det.efficiency
     block, n_blocks = 65536, 8
     cfg = make_cfg(mode=Mode.PHYSICAL, hardware=hw, bits_per_block=block)
-    kernel = PhysicsKernel(cfg, np.random.default_rng(91))
+    logs = RoundLogs()
+    kernel = PhysicsKernel(cfg, np.random.default_rng(91), logs)
     bits = np.random.default_rng(92)
     for _ in range(n_blocks):
         kernel.transmit_block(generate_bits(block, bits), generate_bits(block, bits))
-    logs = kernel.logs
     w = np.array([effective_hit_prob(a, b, v) for a in (0, 1) for b in (0, 1)])
     for agree in (True, False):
         rows = (logs.alice_bits == logs.bob_bits) == agree
