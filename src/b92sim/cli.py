@@ -12,6 +12,7 @@ All outputs are deterministic given explicit seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -127,7 +128,11 @@ def _session_config(args, mode=None, bits_per_block=None) -> SessionConfig:
 def _cmd_session(args) -> int:
     cfg = _session_config(args)
     logs = RoundLogs() if args.out else None
-    report = run_session(cfg, n_blocks=args.blocks, logs=logs)
+    # the round log's file is opened first, so a bad path fails before any pulse is drawn
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as out:
+        report = run_session(cfg, n_blocks=args.blocks, logs=logs)
+        if out:
+            logs.write_csv(out)
     rate_s = report.sifted_fraction * cfg.hardware.source.pulse_rate
     print(f"mode={cfg.mode.value} eve={cfg.eve.value} "
           f"blocks={args.blocks} bits_per_block={cfg.bits_per_block}")
@@ -141,7 +146,6 @@ def _cmd_session(args) -> int:
           f"| {rate_s:.2f} bits/s")
     print(f"alarm:           {report.alarm_reason if report.alarm else 'no'}")
     if args.out:
-        logs.write_csv(args.out)
         print(f"round log written to {args.out}")
     return 0
 

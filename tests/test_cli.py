@@ -129,9 +129,11 @@ def test_unreadable_profile_exits_2(tmp_path, capsys, kind):
 ])
 def test_out_into_a_missing_directory_exits_2(tmp_path, capsys, argv):
     path = tmp_path / "missing" / "out.csv"
-    code, _, err = run_cli(argv + ["--out", str(path)], capsys)
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
     assert code == 2
     assert one_error_line_naming(path, err), err
+    # the file is opened before any pulse is drawn, so no report was printed
+    assert "sifted bits" not in out and "monte-carlo" not in out, out
 
 
 def test_bad_flag_exits_2(capsys):

@@ -50,6 +50,7 @@ from b92sim.protocol import (
     RoundLogs,
     SessionConfig,
     _sift,
+    _split,
     alice_prepare,
     analytic_ber,
     apply_block_verdicts,
@@ -237,6 +238,41 @@ def test_sift_length_mismatch():
         _sift(np.array([1, 0, 1], dtype=np.uint8), np.array([0, 0], dtype=np.uint8))
 
 
+def test_compress_on_a_bool_mask_equals_indexing():
+    # the premise of selecting with ``x.compress(m)``: on a bool mask of
+    # x's length it picks what ``x[m]`` picks, in the same dtype; on a
+    # shorter mask it truncates where indexing raises, so every
+    # selection checks the mask's length itself
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 7, 1024):
+        x = generate_bits(n, rng) if n else np.zeros(0, np.uint8)
+        for m in (rng.random(n) < 0.25, np.zeros(n, bool), np.ones(n, bool)):
+            got = x.compress(m)
+            assert got.dtype == x.dtype and np.array_equal(got, x[m])
+    x, m = np.arange(5), np.ones(4, bool)
+    assert x.compress(m).tolist() == [0, 1, 2, 3]
+    with pytest.raises(IndexError):
+        x[m]
+
+
+@pytest.mark.parametrize("n", [1, 9, 1024])
+def test_selections_refuse_a_mask_of_the_wrong_length(n):
+    # one entry short or long: ProtocolDesyncError, not a silently
+    # shorter key nor a bare IndexError
+    rng = np.random.default_rng(n)
+    key = generate_bits(n, rng)
+    for m in (n - 1, n + 1):
+        hits = generate_bits(m, rng) if m else np.zeros(0, np.uint8)
+        with pytest.raises(ProtocolDesyncError, match="hit record"):
+            _sift(key, hits)
+        with pytest.raises(ProtocolDesyncError, match="error-check mask"):
+            _split(key, np.ones(m, dtype=bool))
+    n_blocks = math.ceil(n / 8)
+    for m in (n_blocks - 1, n_blocks + 1):
+        with pytest.raises(ProtocolDesyncError, match="verdicts"):
+            apply_block_verdicts(key, np.zeros(m, np.uint8), 8)
+
+
 # ---------------------------------------------------------------------------
 # error estimation, bias, reconciliation
 
@@ -302,9 +338,17 @@ def shortened(p):
     return {**p, "total": n, "bits": bits_to_hex(hex_to_bits(p["bits"], n + 1)[:n])}
 
 
+def lengthened(p):
+    """A one-chunk bit list with a zero bit appended."""
+    n = p["total"]
+    bits = np.append(hex_to_bits(p["bits"], n), np.uint8(0))
+    return {**p, "total": n + 1, "bits": bits_to_hex(bits)}
+
+
 @pytest.mark.parametrize("sender, kind, payload, message", [
     ("alice", "Results", shortened, "hit record of 1023 entries against 1024 bits"),
     ("alice", "ErrorCheckIndices", shortened, "error-check mask does not match the key"),
+    ("alice", "ErrorCheckIndices", lengthened, "ErrorCheckIndices announces"),
     ("bob", "ErrorCheckValues", shortened, "disclosed values do not match the sample"),
     ("alice", "Parities", lambda p: {**p, "block_size": 4}, "different reconciliation block"),
     ("alice", "Parities", lambda p: {**p, "block_size": 8.0}, "block_size 8.0 is not int"),
@@ -314,8 +358,8 @@ def shortened(p):
     ("bob", "Hello", lambda p: {**p, "bits_per_block": 1024.0}, "bits_per_block 1024.0 is not int"),
     ("bob", "Hello", lambda p: {**p, "reconcile_block_size": 8.0},
      "reconcile_block_size 8.0 is not int"),
-], ids=["results", "indices", "values", "block_size", "block_size_float", "parities", "hello",
-        "hello_bits_per_block_float", "hello_reconcile_block_size_float"])
+], ids=["results", "indices", "indices_long", "values", "block_size", "block_size_float",
+        "parities", "hello", "hello_bits_per_block_float", "hello_reconcile_block_size_float"])
 def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
     # each list is well formed on its own but does not fit the block it
     # belongs to; without its check the session would run on, or fail
@@ -1348,6 +1392,43 @@ def dense_reference_block(cfg, rng, state, alice_bits, bob_bits, per_gate):
             p_eff = 0.0
         hits[i], state = gate_detector(k > 0, p_eff, det, state, base + (i + 1) * dt, rng)
     return hits, state
+
+
+def dense_ideal_block(cfg, rng, alice_bits, bob_bits):
+    """An Ideal block by gathering the pass table per pulse: Eve's
+    guesses first, then one uniform a pulse against table[2*sent + bob].
+    The reference the kernel's per-value compares must equal exactly."""
+    n = len(alice_bits)
+    if cfg.eve is EveStrategy.NONE:
+        table, sent = protocol._PASS_TABLE, alice_bits
+    else:
+        sent = (rng.random(n) >= protocol._EVE_PASS[alice_bits]).astype(np.int8)
+        table = protocol._FWD_PASS
+    return (rng.random(n) < table[2 * sent + bob_bits]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("eve", [EveStrategy.NONE, EveStrategy.FIXED_PROJECTION])
+@pytest.mark.parametrize("n", [1, 7, 1024, 100_003])
+def test_ideal_hits_equal_the_gathered_table_exactly(n, eve):
+    cfg = make_cfg(eve=eve, bits_per_block=n)
+    logs = RoundLogs()
+    kernel = PhysicsKernel(cfg, np.random.default_rng(77), logs)
+    # bits of a wider integer type give the same hits
+    wide = PhysicsKernel(cfg, np.random.default_rng(77))
+    ref = np.random.default_rng(77)
+    bits = np.random.default_rng(n)
+    for _ in range(3):
+        a, b = generate_bits(n, bits), generate_bits(n, bits)
+        got = kernel.transmit_block(a, b)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, dense_ideal_block(cfg, ref, a, b))
+        assert kernel.rng.bit_generator.state == ref.bit_generator.state
+        got_wide = wide.transmit_block(a.astype(np.int64), b.astype(np.int64))
+        assert got_wide.dtype == np.uint8 and np.array_equal(got_wide, got)
+    if n > 1000:
+        assert 0 < logs.hits.sum() < len(logs)
+        assert set(np.unique(logs.eve_guesses).tolist()) == (
+            {-1} if eve is EveStrategy.NONE else {0, 1})
 
 
 def test_kernel_stages_equal_the_scalar_references():
