@@ -47,7 +47,8 @@ print(f"  total                             : {d.total():.6f}")
 rng = np.random.default_rng(7)
 hist = arrival_histogram(PhasePair(0, 0), cfg, 100_000, 1.0, rng)
 prompt, central, delayed = hist.peak_masses(cfg.delta_t)
-hist.write_csv("arrival_histogram.csv")
+with open("arrival_histogram.csv", "w", newline="") as f:
+    hist.write_csv(f)
 print(f"\n100k-pulse arrival histogram written to arrival_histogram.csv")
 print(f"  peak masses prompt/central/delayed = {prompt}/{central}/{delayed}"
       f"  (central carries ~4x each side peak)")

@@ -125,13 +125,18 @@ def _session_config(args, mode=None, bits_per_block=None) -> SessionConfig:
     )
 
 
+def _open_out(args):
+    """The ``--out`` file, opened for writing, or else stdout. Each
+    command opens it before any work, so a bad path costs no pulse."""
+    return open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+
+
 def _cmd_session(args) -> int:
     cfg = _session_config(args)
     logs = RoundLogs() if args.out else None
-    # the round log's file is opened first, so a bad path fails before any pulse is drawn
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as out:
+    with _open_out(args) as out:
         report = run_session(cfg, n_blocks=args.blocks, logs=logs)
-        if out:
+        if logs is not None:
             logs.write_csv(out)
     rate_s = report.sifted_fraction * cfg.hardware.source.pulse_rate
     print(f"mode={cfg.mode.value} eve={cfg.eve.value} "
@@ -162,38 +167,34 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"sweep of {n_rows:.6g} rows exceeds the limit of {MAX_SWEEP_ROWS}")
     cfg = _session_config(args, Mode.PHYSICAL, args.pulses)
     threshold = ALARM_BER_THRESHOLD
-    rows = []  # distance, transmission, analytic key rate, analytic ber, hardware
-    for d in np.arange(args.km_start, args.km_stop + args.km_step / 2, args.km_step).tolist():
-        hw = with_fields(cfg.hardware, length_km=d)
-        rate = predict_key_rate(replace(cfg, hardware=hw)).bits_per_pulse
-        rows.append((d, fiber_transmission(hw.fiber), rate, analytic_ber(hw), hw))
-
-    def write_rows(f):
-        w = csv.writer(f)
+    rows = []  # distance, analytic key rate, analytic ber, hardware
+    with _open_out(args) as out:
+        w = csv.writer(out)
         w.writerow(["distance_km", "transmission", "key_rate_bits_per_pulse", "ber", "alarm"])
-        w.writerows([f"{d:.6g}", f"{t:.10g}", f"{rate:.10g}", f"{ber:.10g}",
-                     "true" if ber > threshold else "false"] for d, t, rate, ber, _ in rows)
-
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            write_rows(f)
-        # Monte Carlo cross-check of the analytic rate, one block per distance
-        for i, (d, _, rate, ber, hw) in enumerate(rows):
-            mcfg = replace(cfg, hardware=hw, seed_physics=cfg.seed_physics + i,
-                           error_sample_fraction=0.0)
-            rep = run_session(mcfg)
-            print(f"{d:g} km: analytic {rate:.4g} "
-                  f"bits/pulse, monte-carlo {rep.sifted_fraction:.4g} "
-                  f"({len(rep.sifted_key_alice)} hits in {args.pulses} pulses), "
-                  f"ber {ber:.4g}")
-        crossing = next((d for d, _, _, ber, _ in rows if ber > threshold), None)
-        if crossing is None:
-            print(f"ber stays below the alarm threshold {threshold} out to {args.km_stop:g} km")
-        else:
-            print(f"ber crosses the alarm threshold {threshold} at {crossing:g} km")
-        print(f"sweep written to {args.out}")
+        for d in np.arange(args.km_start, args.km_stop + args.km_step / 2, args.km_step).tolist():
+            hw = with_fields(cfg.hardware, length_km=d)
+            rate = predict_key_rate(replace(cfg, hardware=hw)).bits_per_pulse
+            ber = analytic_ber(hw)
+            rows.append((d, rate, ber, hw))
+            w.writerow([f"{d:.6g}", f"{fiber_transmission(hw.fiber):.10g}", f"{rate:.10g}",
+                        f"{ber:.10g}", "true" if ber > threshold else "false"])
+    if not args.out:
+        return 0
+    # Monte Carlo cross-check of the analytic rate, one block per distance
+    for i, (d, rate, ber, hw) in enumerate(rows):
+        mcfg = replace(cfg, hardware=hw, seed_physics=cfg.seed_physics + i,
+                       error_sample_fraction=0.0)
+        rep = run_session(mcfg)
+        print(f"{d:g} km: analytic {rate:.4g} "
+              f"bits/pulse, monte-carlo {rep.sifted_fraction:.4g} "
+              f"({len(rep.sifted_key_alice)} hits in {args.pulses} pulses), "
+              f"ber {ber:.4g}")
+    crossing = next((d for d, _, ber, _ in rows if ber > threshold), None)
+    if crossing is None:
+        print(f"ber stays below the alarm threshold {threshold} out to {args.km_stop:g} km")
     else:
-        write_rows(sys.stdout)
+        print(f"ber crosses the alarm threshold {threshold} at {crossing:g} km")
+    print(f"sweep written to {args.out}")
     return 0
 
 
@@ -202,9 +203,10 @@ def _cmd_histogram(args) -> int:
     itf = hw.interferometer
     phases = PhasePair(args.phi_a, args.phi_b)
     rng = np.random.default_rng(args.seed_physics)
-    hist = arrival_histogram(phases, itf, args.pulses, hw.source.mean_photons, rng,
-                             bin_width=None if args.bin_ps is None else args.bin_ps * 1e-12)
-    hist.write_csv(args.out or sys.stdout)
+    with _open_out(args) as out:
+        hist = arrival_histogram(phases, itf, args.pulses, hw.source.mean_photons, rng,
+                                 bin_width=None if args.bin_ps is None else args.bin_ps * 1e-12)
+        hist.write_csv(out)
     if args.out:
         masses = hist.peak_masses(itf.delta_t)
         print(f"peak masses prompt/central/delayed: {masses[0]}/{masses[1]}/{masses[2]}")

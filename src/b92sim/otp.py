@@ -62,22 +62,21 @@ class Pad:
         return out
 
 
+def _shift(m: Message, pad: Pad, sign: int) -> tuple[Message, Pad]:
+    """m_i + sign * k_i mod base, consuming len(m) pad symbols."""
+    if m.base != pad.base:
+        raise ValueError(f"message base {m.base} != pad base {pad.base}")
+    return Message((m.symbols + sign * pad._take(len(m))) % m.base, m.base), pad
+
+
 def encrypt(p: Message, pad: Pad) -> tuple[Message, Pad]:
     """c_i = (p_i + k_i) mod base, consuming len(p) pad symbols."""
-    if p.base != pad.base:
-        raise ValueError(f"message base {p.base} != pad base {pad.base}")
-    k = pad._take(len(p))
-    c = (p.symbols + k) % p.base
-    return Message(c, p.base), pad
+    return _shift(p, pad, 1)
 
 
 def decrypt(c: Message, pad: Pad) -> tuple[Message, Pad]:
     """p_i = (c_i - k_i) mod base; inverse of encrypt at the same cursor."""
-    if c.base != pad.base:
-        raise ValueError(f"message base {c.base} != pad base {pad.base}")
-    k = pad._take(len(c))
-    p = (c.symbols - k) % c.base
-    return Message(p, c.base), pad
+    return _shift(c, pad, -1)
 
 
 def ascii_encode(text: str) -> Message:
@@ -86,8 +85,6 @@ def ascii_encode(text: str) -> Message:
     for ch in text:
         if ord(ch) >= 128 or not (ch.isprintable() or ch in "\t\n\r"):
             raise EncodingError(f"character {ch!r} is not 7-bit printable")
-    if not text:
-        return Message(np.zeros(0, dtype=np.int64), 2)
     raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     return Message(np.unpackbits(raw).astype(np.int64), 2)
 

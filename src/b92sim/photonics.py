@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,11 +211,7 @@ class ArrivalHistogram:
         return tuple(masses)
 
     def write_csv(self, out) -> None:
-        """Write the counts as CSV to ``out``, a path or an open text stream."""
-        if isinstance(out, (str, os.PathLike)):
-            with open(out, "w", newline="") as f:
-                self.write_csv(f)
-            return
+        """Write the counts as CSV to ``out``, an open text stream."""
         w = csv.writer(out)
         w.writerow(["time_bin_seconds", "counts"])
         for t, c in zip(self.bin_centers, self.counts):

@@ -12,10 +12,11 @@ A wire cannot carry a qubit, so a session has one shape: the sender's
 side owns the physics. It rebuilds the receiver's bit stream from the
 shared seed, simulates the whole quantum layer, and sends the hit
 flags as Results frames; the receiver learns nothing beyond what the
-message schema carries. The receiver's session is a generator that
-yields wherever it waits for the sender, and the sender calls an
-injected ``peer_step`` wherever it waits for the receiver.
-``run_session`` drives both parties in one thread over a loopback
+message schema carries. Each party waits on the other at three
+reads: the sender calls an injected ``peer_step`` before it reads the
+Hello, ErrorCheckValues and DiscardList, and the receiver's session is
+a generator that yields before it reads the Hello reply, Parities and
+Done. ``run_session`` drives both in one thread over a loopback
 channel; ``b92sim chat`` runs each in its own process over TCP, where
 every receive blocks on the socket instead.
 
@@ -470,17 +471,6 @@ def _hello_payload(cfg: SessionConfig) -> dict:
     }
 
 
-# the types ``_hello_payload`` writes each field with; a peer's Hello
-# must use the same, since == alone lets 1024.0 pass for 1024
-_HELLO_TYPES = {
-    "bits_per_block": (int,),
-    "mode": (str,),
-    "eve": (str,),
-    "reconcile_block_size": (int,),
-    "error_sample_fraction": (int, float),
-}
-
-
 class _Party:
     """What both parties keep: the configuration, the public channel,
     the party's own bit stream, and the per-block keys."""
@@ -504,12 +494,12 @@ class AliceEngine(_Party):
 
     Each block it draws its bits, rebuilds the receiver's from the
     shared seed, runs both through the PhysicsKernel, and sends the
-    hit flags as Results frames. ``peer_step`` is called wherever the
-    sender waits for the receiver: before receiving its Hello, its
-    ErrorCheckValues and its DiscardList, and after sending Done.
-    ``run_session`` passes one that advances the receiver's
-    ``steps()`` in the same thread; over TCP the receiver runs in its
-    own process and the default does nothing. ``logs`` goes to the kernel.
+    hit flags as Results frames. ``peer_step`` is called at the three
+    points where the sender waits for the receiver: before receiving
+    its Hello, its ErrorCheckValues and its DiscardList. ``run_session``
+    passes one that advances the receiver's ``steps()`` in the same
+    thread; over TCP the receiver runs in its own process and the
+    default does nothing. ``logs`` goes to the kernel.
     """
 
     def __init__(self, cfg: SessionConfig, pipe: MessagePipe, peer_step=lambda: None, logs=None):
@@ -517,8 +507,6 @@ class AliceEngine(_Party):
         self.peer_step = peer_step
         self.kernel = PhysicsKernel(cfg, np.random.default_rng(cfg.seed_physics), logs)
         self._bob_replica_rng = np.random.default_rng(cfg.seed_bob)
-        self.blocks_done = 0
-        self.rounds_sent = 0
         self.disclosed_total = 0
         self.mismatch_total = 0
         self.bob_bias: float | None = None
@@ -526,13 +514,17 @@ class AliceEngine(_Party):
         self.alarm = False
         self.alarm_reason: str | None = None
 
+    blocks_done = property(lambda self: len(self.reconciled_blocks))
+    rounds_sent = property(lambda self: self.blocks_done * self.cfg.bits_per_block)
+
     def handshake(self) -> None:
         self.peer_step()
         hello = self.pipe.recv(expect_kind="Hello").payload
         mine = _hello_payload(self.cfg)
-        # a missing field fails its type check, an extra one the comparison
-        for key, types in _HELLO_TYPES.items():
-            checked_field(hello, key, *types)
+        # each field must have the type this side writes it with, since
+        # == alone lets 1024.0 pass for 1024; an extra field fails the comparison
+        for key, value in mine.items():
+            checked_field(hello, key, type(value))
         if hello != mine:
             raise SessionAbort(f"peer configuration mismatch: {hello} != {mine}")
         self.pipe.send("Hello", {"ok": True})
@@ -544,7 +536,6 @@ class AliceEngine(_Party):
         hits = self.kernel.transmit_block(bits, bob_bits)
         send_bit_frames(self.pipe, "Results", hits)
         key = _sift(bits, hits)
-        self.rounds_sent += len(bits)
         self.sifted_blocks.append(key)
 
         k = int(cfg.error_sample_fraction * len(key))
@@ -572,7 +563,6 @@ class AliceEngine(_Party):
         self.reconciled_blocks.append(
             apply_block_verdicts(trimmed, drop_mask, RECONCILE_BLOCK_SIZE)
         )
-        self.blocks_done += 1
         # the session's verdict so far, which ``run``'s continue_fn sees
         self.ber = (
             self.mismatch_total / self.disclosed_total if self.disclosed_total else 0.0
@@ -592,7 +582,6 @@ class AliceEngine(_Party):
                 "reason": self.alarm_reason,
             },
         )
-        self.peer_step()
 
     def run(self, continue_fn) -> "AliceEngine":
         self.handshake()
@@ -609,7 +598,7 @@ class BobEngine(_Party):
 
     It receives the hit record as Results frames; its decisions read
     only this party's bits and the messages. ``steps()`` is the whole
-    session as a generator that yields wherever the receiver waits for
+    session as a generator that yields before each read that waits on
     the sender. ``run_session`` advances it from the sender's
     ``peer_step`` in one thread; ``run`` (TCP) exhausts it, and each
     receive blocks on the socket.
@@ -653,9 +642,9 @@ class BobEngine(_Party):
         )
 
     def steps(self):
-        """The whole session; yields wherever the receiver waits for
-        the sender: for the Hello reply, the Parities, the Done, and
-        after a Done that asks for more, the next block's Results."""
+        """The whole session; yields before each read that waits on the
+        sender: the Hello reply, the Parities and the Done. By its next
+        turn a Done that asks for more has the next block behind it."""
         self.pipe.send("Hello", _hello_payload(self.cfg))
         yield
         if not checked_field(self.pipe.recv(expect_kind="Hello").payload, "ok", bool):
@@ -669,7 +658,6 @@ class BobEngine(_Party):
             self.final = done
             if not checked_field(done, "more", bool):
                 return
-            yield
 
     def run(self) -> "BobEngine":
         for _ in self.steps():
@@ -686,8 +674,9 @@ def run_session(
     """Run a complete session in one thread and assemble its report.
 
     Both parties speak the wire protocol of ``b92sim chat``: the
-    sender's ``peer_step`` advances the receiver's ``steps()`` at each
-    point where the sender waits for it. ``channel`` may supply a
+    sender's ``peer_step`` advances the receiver's ``steps()`` before
+    each of its three waits, and the receiver then runs to its end,
+    reading the last Done. ``channel`` may supply a
     (alice_transport, bob_transport) pair so tests can watch the
     frames; by default a loopback pair is built. The round record goes
     to ``logs`` if given, and nowhere otherwise. A failure of the
@@ -704,6 +693,8 @@ def run_session(
     alice = AliceEngine(cfg, MessagePipe(t_a, sid), lambda: next(bob_steps, None), logs)
     try:
         alice.run(lambda eng: eng.blocks_done < n_blocks)
+        for _ in bob_steps:
+            pass
     except (ChannelError, ProtocolDesyncError, SessionAbort) as exc:
         raise SessionAbort(f"session failed: {exc}") from exc
 

@@ -127,12 +127,16 @@ def test_unreadable_profile_exits_2(tmp_path, capsys, kind):
     ["sweep", "--km-stop", "5", "--pulses", "1000"],
     ["histogram", "--pulses", "1000"],
 ])
-def test_out_into_a_missing_directory_exits_2(tmp_path, capsys, argv):
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(cli, "run_session", lambda *a, **k: calls.append("run_session"))
+    monkeypatch.setattr(cli, "arrival_histogram", lambda *a, **k: calls.append("histogram"))
     path = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli(argv + ["--out", str(path)], capsys)
     assert code == 2
     assert one_error_line_naming(path, err), err
     # the file is opened before any pulse is drawn, so no report was printed
+    assert calls == []
     assert "sifted bits" not in out and "monte-carlo" not in out, out
 
 

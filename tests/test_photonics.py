@@ -187,7 +187,8 @@ def test_arrival_histogram_csv(tmp_path):
     rng = np.random.default_rng(24)
     hist = arrival_histogram(PhasePair(0, 0), cfg, 1000, 0.5, rng)
     out = tmp_path / "hist.csv"
-    hist.write_csv(out)
+    with open(out, "w", newline="") as f:
+        hist.write_csv(f)
     lines = out.read_text().splitlines()
     assert lines[0] == "time_bin_seconds,counts"
     assert len(lines) == len(hist.bin_centers) + 1

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import socket
 import threading
 import tracemalloc
@@ -332,6 +333,41 @@ def test_mistyped_frame_to_the_receiver_aborts(kind, payload, message):
                     channel=(RewritingTransport(t_a, kind, payload), t_b))
 
 
+def first_only(rewrite):
+    """``rewrite`` for the first payload it is given; later ones pass unchanged."""
+    seen = []
+
+    def payload(p):
+        seen.append(p)
+        return rewrite(p) if len(seen) == 1 else p
+
+    return payload
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_a_session_leaves_no_frame_unread(n_blocks):
+    # the receiver reads each Done at its next turn, and run_session
+    # finishes it after the sender's last block, so the last Done is read too
+    t_a, t_b = loopback_pair()
+    rep = run_session(make_cfg(bits_per_block=1024), channel=(t_a, t_b), n_blocks=n_blocks)
+    assert rep.n_rounds == 1024 * n_blocks
+    for t in (t_a, t_b):
+        with pytest.raises(ProtocolDesyncError, match="nothing queued"):
+            t.recv_frame()
+
+
+@pytest.mark.parametrize("payload, message", [
+    (lambda p: {**p, "more": "no"}, "more 'no' is not bool"),
+    (lambda p: [], "malformed frame"),
+], ids=["more", "list"])
+def test_mistyped_done_in_the_middle_of_a_session_aborts(payload, message):
+    t_a, t_b = loopback_pair()
+    with pytest.raises(SessionAbort, match=message) as info:
+        run_session(make_cfg(bits_per_block=1024), n_blocks=3,
+                    channel=(RewritingTransport(t_a, "Done", first_only(payload)), t_b))
+    assert isinstance(info.value.__cause__, ProtocolDesyncError)
+
+
 def shortened(p):
     """A one-chunk bit list with its last bit dropped."""
     n = p["total"] - 1
@@ -343,6 +379,24 @@ def lengthened(p):
     n = p["total"]
     bits = np.append(hex_to_bits(p["bits"], n), np.uint8(0))
     return {**p, "total": n + 1, "bits": bits_to_hex(bits)}
+
+
+def hello_cases():
+    """(row, id) for each field of the receiver's Hello with a value of
+    another type and with the field missing, and for a Hello with an
+    extra field."""
+    for key, value in protocol._hello_payload(make_cfg()).items():
+        wrong = [value] if isinstance(value, str) else str(value)
+        for rewrite, shown, case in [
+            (lambda p, key=key, wrong=wrong: {**p, key: wrong}, wrong, "type"),
+            (lambda p, key=key: {k: v for k, v in p.items() if k != key}, None, "missing"),
+        ]:
+            message = re.escape(f"{key} {shown!r} is not {type(value).__name__}")
+            yield ("bob", "Hello", rewrite, message), f"hello_{key}_{case}"
+    yield ("bob", "Hello", lambda p: {**p, "extra": 1}, "peer configuration mismatch"), "hello_extra"
+
+
+HELLO_ROWS, HELLO_IDS = zip(*hello_cases())
 
 
 @pytest.mark.parametrize("sender, kind, payload, message", [
@@ -358,8 +412,10 @@ def lengthened(p):
     ("bob", "Hello", lambda p: {**p, "bits_per_block": 1024.0}, "bits_per_block 1024.0 is not int"),
     ("bob", "Hello", lambda p: {**p, "reconcile_block_size": 8.0},
      "reconcile_block_size 8.0 is not int"),
+    *HELLO_ROWS,
 ], ids=["results", "indices", "indices_long", "values", "block_size", "block_size_float",
-        "parities", "hello", "hello_bits_per_block_float", "hello_reconcile_block_size_float"])
+        "parities", "hello", "hello_bits_per_block_float", "hello_reconcile_block_size_float",
+        *HELLO_IDS])
 def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
     # each list is well formed on its own but does not fit the block it
     # belongs to; without its check the session would run on, or fail
@@ -371,7 +427,9 @@ def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
         t_b = RewritingTransport(t_b, kind, payload)
     with pytest.raises(SessionAbort, match=message) as info:
         run_session(make_cfg(bits_per_block=1024), channel=(t_a, t_b))
-    assert isinstance(info.value.__cause__, (ProtocolDesyncError, SessionAbort))
+    # a configuration verdict is the engine's own; every other check is a desync
+    cause = SessionAbort if "configuration" in message else ProtocolDesyncError
+    assert isinstance(info.value.__cause__, cause)
 
 
 def with_pad_bits_set(p):

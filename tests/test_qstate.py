@@ -22,7 +22,6 @@ from b92sim.qstate import (
     commutator_norm,
     inner,
     measure,
-    norm,
     pass_probability,
     states_equal,
 )
@@ -42,7 +41,7 @@ def test_basis_state_coefficients():
 def test_orthonormality():
     assert inner(UP, DOWN) == 0
     assert abs(inner(UP, RIGHT)) == pytest.approx(INV_SQRT2, abs=1e-12)
-    assert norm(LEFT) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(LEFT.vec()) == pytest.approx(1.0, abs=1e-12)
     assert abs(inner(RIGHT, LEFT)) < 1e-12
     assert abs(inner(UP, UP) - 1) < 1e-12
 
@@ -115,7 +114,7 @@ def test_measure_collapse_on_pass():
             assert states_equal(collapsed, DOWN)
         else:
             assert states_equal(collapsed, UP)
-        assert abs(norm(collapsed) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(collapsed.vec()) - 1.0) < 1e-12
     assert seen_pass
 
 
