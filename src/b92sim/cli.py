@@ -15,7 +15,10 @@ import argparse
 import contextlib
 import csv
 import math
+import os
+import stat
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -125,10 +128,37 @@ def _session_config(args, mode=None, bits_per_block=None) -> SessionConfig:
     )
 
 
+@contextlib.contextmanager
 def _open_out(args):
     """The ``--out`` file, opened for writing, or else stdout. Each
-    command opens it before any work, so a bad path costs no pulse."""
-    return open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    command opens it before any work, so a bad path costs no pulse.
+    A new or regular file is written to a temporary file beside it,
+    which replaces it only when the command succeeds: a failed command
+    leaves the path as it was. Anything else, such as /dev/null or a
+    symlink like /dev/stdout, is written in place."""
+    path = args.out
+    if not path:
+        yield sys.stdout
+        return
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, "w", newline="") as out:
+            yield out
+        return
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+                                   dir=os.path.dirname(path) or ".")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", newline="") as out:
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.chmod(fd, 0o666 & ~umask)  # the mode open() gives a new file
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_session(args) -> int:

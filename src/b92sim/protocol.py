@@ -218,10 +218,17 @@ class SessionReport:
 
 
 def generate_bits(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent fair bits from the given stream."""
+    """n independent fair bits from the given stream: the top bit of
+    each byte of full-range 32-bit words, low byte first. That is what
+    numpy's ``integers(0, 2, size=n, dtype=np.uint8)`` returns, from the
+    same words and with the same generator state after
+    (``test_generate_bits_equals_numpys_uint8_draw``)."""
     if n <= 0:
         raise ValueError("n must be positive")
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
+    words = rng.integers(0, 1 << 32, size=(n + 3) // 4, dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.uint8)[:n]
+    bits >>= 7  # in place: a new array for the result made a 2M-bit draw about twice as slow
+    return bits
 
 
 def alice_prepare(bit: int) -> StateVector:

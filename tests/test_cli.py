@@ -15,6 +15,7 @@ import pytest
 from b92sim import channel, cli
 from b92sim.channel import MessagePipe, SocketTransport, accept_one, open_listener
 from b92sim.cli import CHAT_EMPTY_BLOCKS, MAX_SWEEP_ROWS, _session_config, build_parser, main
+from b92sim.errors import SessionAbort
 from b92sim.photonics import MAX_EXPECTED_PHOTONS, MAX_HISTOGRAM_BINS
 from b92sim.protocol import MAX_BITS_PER_BLOCK, AliceEngine, RoundLogs, run_session
 
@@ -138,6 +139,67 @@ def test_out_into_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch, arg
     # the file is opened before any pulse is drawn, so no report was printed
     assert calls == []
     assert "sifted bits" not in out and "monte-carlo" not in out, out
+
+
+@pytest.mark.parametrize("argv", [
+    ["session", "--blocks", "0"],
+    ["histogram", "--pulses", "0"],
+])
+def test_a_failed_command_leaves_no_out_file(tmp_path, capsys, argv):
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _failing_write_csv(logs, out):
+    out.write("index,alice_bit\n")
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("fault", ["config", "write", "abort"])
+def test_a_failed_session_keeps_the_old_out_file(tmp_path, capsys, monkeypatch, fault):
+    path = tmp_path / "rounds.csv"
+    path.write_bytes(b"old,bytes\r\n")
+    argv = ["session", "--bits-per-block", "64", "--out", str(path)]
+    if fault == "config":
+        argv += ["--blocks", "0"]
+    elif fault == "write":
+        monkeypatch.setattr(RoundLogs, "write_csv", _failing_write_csv)
+    else:
+        def abort(*a, **k):
+            raise SessionAbort("peer went away")
+        monkeypatch.setattr(cli, "run_session", abort)
+    code, _, _ = run_cli(argv, capsys)
+    assert code == (3 if fault == "abort" else 2)
+    assert path.read_bytes() == b"old,bytes\r\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_session_replaces_the_old_out_file(tmp_path, capsys):
+    path = tmp_path / "rounds.csv"
+    path.write_text("x" * 100_000)
+    fresh = tmp_path / "fresh"
+    fresh.write_text("")
+    code, _, _ = run_cli(["session", "--bits-per-block", "64", "--out", str(path)], capsys)
+    assert code == 0
+    assert len(path.read_text().splitlines()) == 65
+    # the mode open() gives a new file, not the temporary file's 0o600
+    assert path.stat().st_mode == fresh.stat().st_mode
+    assert sorted(tmp_path.iterdir()) == [fresh, path]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target = tmp_path / "hist.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _, _ = run_cli(["histogram", "--pulses", "2000", "--out", str(link)], capsys)
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith("time_bin_seconds,counts\n")
+    assert sorted(tmp_path.iterdir()) == [target, link]
 
 
 def test_bad_flag_exits_2(capsys):

@@ -102,6 +102,27 @@ def test_generate_bits_fairness():
     assert abs(np.mean(bits == 0) - 0.5) < 0.05
 
 
+@pytest.mark.parametrize("n", [*range(1, 10), 1023, 1024, 1025, 65_536, 2_000_001])
+@pytest.mark.parametrize("before", ["fresh", "uint8_draw", "choice"])
+def test_generate_bits_equals_numpys_uint8_draw(n, before):
+    # the premise of generate_bits: the same bits, the same dtype and the
+    # same generator state after, also from half a 64-bit word buffered
+    for seed in (0, 5, 102):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (ours, numpys):
+            if before == "uint8_draw":
+                rng.integers(0, 2, size=3, dtype=np.uint8)
+            elif before == "choice":
+                rng.choice(1000, size=10, replace=False)
+        if before != "fresh":
+            assert ours.bit_generator.state["has_uint32"] == 1
+        got = generate_bits(n, ours)
+        want = numpys.integers(0, 2, size=n, dtype=np.uint8)
+        assert got.dtype == want.dtype and got.shape == (n,)
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+
 def test_generate_bits_rejects_zero():
     with pytest.raises(ValueError):
         generate_bits(0, np.random.default_rng(0))
