@@ -2,7 +2,8 @@
 
 Wire format: each frame is a 4-byte big-endian length prefix followed
 by one UTF-8 JSON object with exactly the fields {session_id,
-sequence, kind, payload}. Frames never exceed 64 KiB, so long bit
+sequence, kind, payload}. That object is the message itself, and a
+read returns its payload. Frames never exceed 64 KiB, so long bit
 lists are split across consecutive frames of the same kind carrying
 {total, offset, bits} with the bits hex-encoded (packed big-endian).
 
@@ -17,7 +18,6 @@ import json
 import socket
 import struct
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,40 +28,13 @@ _HEADER = struct.Struct(">I")
 # payload bits per chunk; 100k bits -> 25 kB of hex, comfortably per-frame
 CHUNK_BITS = 100_000
 
-KINDS = frozenset({
-    "Hello",
-    "Results",
-    "ErrorCheckIndices",
-    "ErrorCheckValues",
-    "Parities",
-    "DiscardList",
-    "Done",
-    "Ciphertext",
-})
-
 # One encoder and decoder for every frame. The encoder has the settings
 # of json.dumps(obj, separators=(",", ":")), so it writes the same bytes
 # without building a new encoder per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 _DECODER = json.JSONDecoder()
-
-
-@dataclass(slots=True)
-class PublicMessage:
-    """One framed message on the public channel.
-
-    Not frozen: a frozen dataclass pays one ``object.__setattr__`` per
-    field on every frame. Nothing mutates a message once it is built.
-    """
-
-    kind: str
-    payload: dict
-    session_id: int
-    sequence: int
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ProtocolDesyncError(f"unknown message kind {self.kind!r}")
+# the fields of a frame object and the exact type of each
+_FRAME_FIELDS = {"session_id": int, "sequence": int, "kind": str, "payload": dict}
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
@@ -96,33 +69,25 @@ def checked_field(obj: dict, key: str, *types):
     return value
 
 
-def encode_frame(msg: PublicMessage) -> bytes:
-    body = _ENCODER.encode(
-        {
-            "session_id": msg.session_id,
-            "sequence": msg.sequence,
-            "kind": msg.kind,
-            "payload": msg.payload,
-        }
-    ).encode("utf-8")
+def encode_frame(msg: dict) -> bytes:
+    """The frame of an object with the fields session_id, sequence, kind, payload."""
+    body = _ENCODER.encode(msg).encode("utf-8")
     if _HEADER.size + len(body) > MAX_FRAME_BYTES:
         raise ChannelError(f"frame of {len(body)} bytes exceeds the 64 KiB limit")
     return _HEADER.pack(len(body)) + body
 
 
-def decode_frame(body: bytes) -> PublicMessage:
+def decode_frame(body: bytes) -> dict:
+    """The object of a frame's bytes after the prefix, each field of its exact type."""
     try:
-        obj = _DECODER.decode(body.decode("utf-8"))
-        if not isinstance(obj["payload"], dict):
-            raise TypeError(f"payload {obj['payload']!r} is not an object")
-        return PublicMessage(
-            kind=obj["kind"],
-            payload=obj["payload"],
-            session_id=checked_field(obj, "session_id", int),
-            sequence=checked_field(obj, "sequence", int),
-        )
-    except (ValueError, KeyError, TypeError) as exc:
+        msg = _DECODER.decode(body.decode("utf-8"))
+        if type(msg) is not dict:
+            raise ValueError(f"{type(msg).__name__} is not an object")
+        for key, t in _FRAME_FIELDS.items():
+            checked_field(msg, key, t)
+    except (ValueError, ProtocolDesyncError) as exc:
         raise ProtocolDesyncError(f"malformed frame: {exc}") from exc
+    return msg
 
 
 class LoopbackTransport:
@@ -212,7 +177,8 @@ class MessagePipe:
     """Typed message layer over a transport.
 
     Numbers outgoing frames 1, 2, 3, ... per session, and accepts only
-    the next number of the same session and the kind the caller expects.
+    the next number of the same session and the kind the caller expects,
+    whose payload a read returns.
     """
 
     def __init__(self, transport, session_id: int):
@@ -223,24 +189,22 @@ class MessagePipe:
 
     def send(self, kind: str, payload: dict) -> None:
         self._seq_out += 1
-        msg = PublicMessage(
-            kind=kind, payload=payload, session_id=self.session_id, sequence=self._seq_out
-        )
+        msg = {"session_id": self.session_id, "sequence": self._seq_out, "kind": kind,
+               "payload": payload}
         self._transport.send_frame(encode_frame(msg))
 
-    def recv(self, expect_kind: str) -> PublicMessage:
-        data = self._transport.recv_frame()
-        msg = decode_frame(data[_HEADER.size:])
-        if msg.session_id != self.session_id:
+    def recv(self, expect_kind: str) -> dict:
+        msg = decode_frame(self._transport.recv_frame()[_HEADER.size:])
+        if msg["session_id"] != self.session_id:
             raise ProtocolDesyncError(
-                f"session_id {msg.session_id} does not match {self.session_id}"
+                f"session_id {msg['session_id']} does not match {self.session_id}"
             )
-        if msg.sequence != self._seq_in + 1:
-            raise ProtocolDesyncError(f"sequence {msg.sequence}, expected {self._seq_in + 1}")
-        self._seq_in = msg.sequence
-        if msg.kind != expect_kind:
-            raise ProtocolDesyncError(f"expected {expect_kind}, got {msg.kind}")
-        return msg
+        if msg["sequence"] != self._seq_in + 1:
+            raise ProtocolDesyncError(f"sequence {msg['sequence']}, expected {self._seq_in + 1}")
+        self._seq_in += 1
+        if msg["kind"] != expect_kind:
+            raise ProtocolDesyncError(f"expected {expect_kind}, got {msg['kind']}")
+        return msg["payload"]
 
     def close(self) -> None:
         self._transport.close()
@@ -272,8 +236,7 @@ def recv_bit_frames(pipe: MessagePipe, kind: str, max_total: int) -> tuple[np.nd
     are not hex raise ProtocolDesyncError. Returns the bits and the
     first frame's payload (for extra fields).
     """
-    msg = pipe.recv(expect_kind=kind)
-    head = msg.payload
+    head = payload = pipe.recv(expect_kind=kind)
     total = checked_field(head, "total", int)
     if not 0 <= total <= max_total:
         raise ProtocolDesyncError(f"{kind} announces {total} bits, expected at most {max_total}")
@@ -281,22 +244,21 @@ def recv_bit_frames(pipe: MessagePipe, kind: str, max_total: int) -> tuple[np.nd
     out = np.empty(total, dtype=np.uint8) if total > CHUNK_BITS else None
     received = 0
     while True:
-        chunk = (checked_field(msg.payload, "offset", int),
-                 checked_field(msg.payload, "total", int))
+        chunk = (checked_field(payload, "offset", int), checked_field(payload, "total", int))
         if chunk != (received, total):
             raise ProtocolDesyncError(
                 f"{kind} chunk at offset {chunk[0]} of {chunk[1]}, "
                 f"expected offset {received} of {total}"
             )
         n = min(CHUNK_BITS, total - received)
-        bits = hex_to_bits(msg.payload.get("bits"), n)
+        bits = hex_to_bits(payload.get("bits"), n)
         if out is None:
             return bits, head
         out[received: received + n] = bits
         received += n
         if received >= total:
             return out, head
-        msg = pipe.recv(expect_kind=kind)
+        payload = pipe.recv(expect_kind=kind)
 
 
 def open_listener(host: str, port: int) -> socket.socket:

@@ -27,6 +27,7 @@ from .channel import (
     MessagePipe,
     SocketTransport,
     accept_one,
+    checked_field,
     connect_with_retry,
     open_listener,
     recv_bit_frames,
@@ -76,8 +77,8 @@ _HARDWARE_FLAGS = {
 
 # every flag of the CLI: destination -> argparse keywords
 _FLAGS = {
-    "mode": dict(choices=["ideal", "physical"], default="ideal"),
-    "eve": dict(choices=["none", "fixed"], default="none"),
+    "mode": dict(choices=[m.value for m in Mode], default="ideal"),
+    "eve": dict(choices=[e.value for e in EveStrategy], default="none"),
     "profile": dict(metavar="PATH", help="key=value hardware profile file"),
     **{flag: dict(type=float, help=f"sets {name}")
        for flag, (name, _) in _HARDWARE_FLAGS.items()},
@@ -291,7 +292,10 @@ def _cmd_chat(args) -> int:
         host, port = _parse_hostport(args.listen, 0)
         listener = open_listener(host, port)
         print(f"listening on {host}:{listener.getsockname()[1]}", flush=True)
-        text = args.message if args.message is not None else input("message> ")
+        try:
+            text = args.message if args.message is not None else input("message> ")
+        except EOFError:  # end of input, as from /dev/null, is an empty message
+            text = ""
         if not text:
             raise ConfigError("message is empty")
         needed = 8 * len(text)
@@ -322,7 +326,10 @@ def _cmd_chat(args) -> int:
         if bob.final and bob.final.get("alarm"):
             print(f"alarm ({bob.final.get('reason')}): key discarded")
             return 1
-        bits, _head = recv_bit_frames(pipe, "Ciphertext", len(bob.reconciled_key()))
+        bits, head = recv_bit_frames(pipe, "Ciphertext", len(bob.reconciled_key()))
+        chars = checked_field(head, "chars", int)
+        if len(bits) != 8 * chars:
+            raise ProtocolDesyncError(f"Ciphertext of {len(bits)} bits for {chars} characters")
         print(f"ciphertext: {_render_ciphertext(bits)}")
         pad = pad_from_key(bob.reconciled_key(), n_symbols=len(bits))
         plain, _ = decrypt(Message(bits.astype(np.int64), 2), pad)

@@ -16,6 +16,7 @@ one compare against the dark-count threshold.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -241,7 +242,7 @@ def gate_block(
     hits = hits.view(np.uint8)
     if d.afterpulse_prob0 == 0.0:
         return hits, st
-    trap_free_hits = np.flatnonzero(hits)
+    trap_free_hits = np.flatnonzero(hits).tolist()
     base = st.last_avalanche_time
     charge, last = st.trap_charge, base
     p0 = d.afterpulse_prob0
@@ -256,23 +257,20 @@ def gate_block(
         )
 
     i = 0
-    while True:
-        while i < n:
-            decay = _trap_decay(d, charge, last, base + (i + 1) * dt)
-            # this gate's hazard, and the charge a miss leaves, which
-            # bounds the hazard of every later gate up to the next hit
-            if 1.0 - p0 * charge * decay == 1.0 and 1.0 - p0 * (charge * decay) == 1.0:
+    while i < n:
+        decay = _trap_decay(d, charge, last, base + (i + 1) * dt)
+        # this gate's hazard, and the charge a miss leaves, which
+        # bounds the hazard of every later gate up to the next hit
+        if 1.0 - p0 * charge * decay == 1.0 and 1.0 - p0 * (charge * decay) == 1.0:
+            j = bisect.bisect_left(trap_free_hits, i)
+            if j < len(trap_free_hits):
+                i = trap_free_hits[j]
+                charge, last = 1.0, base + (i + 1) * dt
+                i += 1
+                continue
+            # no hit is left in the run: stepping its misses decays the trap
+            if charge == 0.0:
                 break
-            step(i)
-            i += 1
-        j = int(np.searchsorted(trap_free_hits, i))
-        if j == len(trap_free_hits):
-            break
-        i = int(trap_free_hits[j])
-        charge, last = 1.0, base + (i + 1) * dt
-        i += 1
-    # no hit is left in the run: stepping its misses decays the trap
-    while charge != 0.0 and i < n:
         step(i)
         i += 1
     return hits, DetectorState(trap_charge=charge, last_avalanche_time=last)

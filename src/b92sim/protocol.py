@@ -526,7 +526,7 @@ class AliceEngine(_Party):
 
     def handshake(self) -> None:
         self.peer_step()
-        hello = self.pipe.recv(expect_kind="Hello").payload
+        hello = self.pipe.recv(expect_kind="Hello")
         mine = _hello_payload(self.cfg)
         # each field must have the type this side writes it with, since
         # == alone lets 1024.0 pass for 1024; an extra field fails the comparison
@@ -654,12 +654,12 @@ class BobEngine(_Party):
         turn a Done that asks for more has the next block behind it."""
         self.pipe.send("Hello", _hello_payload(self.cfg))
         yield
-        if not checked_field(self.pipe.recv(expect_kind="Hello").payload, "ok", bool):
+        if not checked_field(self.pipe.recv(expect_kind="Hello"), "ok", bool):
             raise SessionAbort("peer rejected the session configuration")
         while True:
             yield from self.run_block()
             yield
-            done = self.pipe.recv(expect_kind="Done").payload
+            done = self.pipe.recv(expect_kind="Done")
             checked_field(done, "alarm", bool)
             checked_field(done, "reason", type(None), str)
             self.final = done

@@ -11,7 +11,6 @@ from b92sim.channel import (
     CHUNK_BITS,
     MAX_FRAME_BYTES,
     MessagePipe,
-    PublicMessage,
     SocketTransport,
     accept_one,
     bits_to_hex,
@@ -41,22 +40,29 @@ def test_hex_to_bits_rejects_set_pad_bits(s, n):
         hex_to_bits(s, n)
 
 
+def frame(kind, payload, session_id, sequence):
+    return {"session_id": session_id, "sequence": sequence, "kind": kind, "payload": payload}
+
+
 def test_frame_roundtrip():
-    msg = PublicMessage(kind="Hello", payload={"x": 1}, session_id=7, sequence=3)
+    msg = frame(kind="Hello", payload={"x": 1}, session_id=7, sequence=3)
     data = encode_frame(msg)
     assert decode_frame(data[4:]) == msg
 
 
 def test_frame_size_limit():
     big = "f" * (MAX_FRAME_BYTES * 2)
-    msg = PublicMessage(kind="Results", payload={"bits": big}, session_id=1, sequence=1)
+    msg = frame(kind="Results", payload={"bits": big}, session_id=1, sequence=1)
     with pytest.raises(ChannelError):
         encode_frame(msg)
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ProtocolDesyncError):
-        PublicMessage(kind="Gossip", payload={}, session_id=1, sequence=1)
+    # a read refuses any kind but the one its step expects, known or not
+    t_a, t_b = loopback_pair()
+    MessagePipe(t_a, session_id=1).send("Gossip", {})
+    with pytest.raises(ProtocolDesyncError, match="expected Hello, got Gossip"):
+        MessagePipe(t_b, session_id=1).recv("Hello")
 
 
 def test_malformed_frame():
@@ -64,13 +70,28 @@ def test_malformed_frame():
         decode_frame(b"not json at all")
 
 
+GOOD_FRAME = frame("Hello", {}, session_id=5, sequence=1)
+
+
+@pytest.mark.parametrize("obj", [
+    [GOOD_FRAME], "Hello", 5, None,
+    *({k: v for k, v in GOOD_FRAME.items() if k != field} for field in GOOD_FRAME),
+    {**GOOD_FRAME, "kind": 3}, {**GOOD_FRAME, "kind": ["Hello"]}, {**GOOD_FRAME, "kind": None},
+    {**GOOD_FRAME, "payload": []}, {**GOOD_FRAME, "payload": "x"}, {**GOOD_FRAME, "payload": None},
+], ids=["list", "string", "number", "null",
+        *(f"no_{field}" for field in GOOD_FRAME),
+        "kind_int", "kind_list", "kind_null", "payload_list", "payload_string", "payload_null"])
+def test_decode_frame_refuses_a_malformed_object(obj):
+    with pytest.raises(ProtocolDesyncError, match="malformed frame"):
+        decode_frame(json.dumps(obj).encode("utf-8"))
+
+
 def test_pipe_sequence_and_session_checks():
     t_a, t_b = loopback_pair()
     a = MessagePipe(t_a, session_id=5)
     b = MessagePipe(t_b, session_id=5)
     a.send("Hello", {"n": 1})
-    got = b.recv("Hello")
-    assert got.kind == "Hello" and got.sequence == 1
+    assert b.recv("Hello") == {"n": 1}
     a.send("Done", {})
     with pytest.raises(ProtocolDesyncError):
         b.recv(expect_kind="Hello")
@@ -83,9 +104,9 @@ def test_pipe_sequence_and_session_checks():
 
     # replayed (non-increasing) sequence
     t_a, t_b = loopback_pair()
-    frame = encode_frame(PublicMessage("Hello", {}, session_id=3, sequence=1))
-    t_a.send_frame(frame)
-    t_a.send_frame(frame)
+    data = encode_frame(frame("Hello", {}, session_id=3, sequence=1))
+    t_a.send_frame(data)
+    t_a.send_frame(data)
     b = MessagePipe(t_b, session_id=3)
     b.recv("Hello")
     with pytest.raises(ProtocolDesyncError, match="sequence 1, expected 2"):
@@ -94,7 +115,7 @@ def test_pipe_sequence_and_session_checks():
     # a skipped sequence number: a frame went missing in between
     for first in (2, 10**6):
         t_a, t_b = loopback_pair()
-        t_a.send_frame(encode_frame(PublicMessage("Hello", {}, session_id=3, sequence=first)))
+        t_a.send_frame(encode_frame(frame("Hello", {}, session_id=3, sequence=first)))
         with pytest.raises(ProtocolDesyncError, match=f"sequence {first}, expected 1"):
             MessagePipe(t_b, session_id=3).recv("Hello")
 
@@ -118,7 +139,7 @@ def test_loopback_close_wakes_peer():
     MessagePipe(t_a, session_id=1).send("Hello", {})
     t_a.close()
     b = MessagePipe(t_b, session_id=1)
-    assert b.recv("Hello").kind == "Hello"
+    assert b.recv("Hello") == {}
     for _ in range(2):
         with pytest.raises(ChannelError, match="closed"):
             b.recv("Hello")
@@ -217,7 +238,7 @@ def test_large_bit_lists_stay_under_frame_limit():
     assert len(frames) > 1
     assert all(len(f) <= MAX_FRAME_BYTES for f in frames)
     total = sum(
-        len(decode_frame(f[4:]).payload["bits"]) * 4 for f in frames
+        len(decode_frame(f[4:])["payload"]["bits"]) * 4 for f in frames
     )
     assert total >= 600_000
 
@@ -242,8 +263,8 @@ def test_socket_transport_roundtrip():
     reply = pipe.recv(expect_kind="Done")
     pipe.close()
     th.join(timeout=5.0)
-    assert server_msg["got"].payload == {"hello": 1}
-    assert reply.payload == {"ok": True}
+    assert server_msg["got"] == {"hello": 1}
+    assert reply == {"ok": True}
 
 
 def test_socket_peer_disappearing_raises():

@@ -10,10 +10,13 @@ import threading
 import time
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from b92sim import channel, cli
-from b92sim.channel import MessagePipe, SocketTransport, accept_one, open_listener
+from b92sim.channel import (
+    MessagePipe, SocketTransport, accept_one, open_listener, send_bit_frames,
+)
 from b92sim.cli import CHAT_EMPTY_BLOCKS, MAX_SWEEP_ROWS, _session_config, build_parser, main
 from b92sim.errors import SessionAbort
 from b92sim.photonics import MAX_EXPECTED_PHOTONS, MAX_HISTOGRAM_BINS
@@ -335,11 +338,11 @@ def test_session_without_a_sample_raises_the_alarm(capsys):
     assert "alarm:           sample" in out
 
 
-def test_chat_receiver_discards_a_key_without_a_sample(capsys):
-    # the sender runs one block over TCP and stops; the receiver must
-    # see the alarm in Done and discard the key instead of decrypting
-    cfg = _session_config(build_parser().parse_args(
-        ["chat", "--role", "alice", *EMPTY_SAMPLE_FLAGS]))
+def chat_receiver_against_one_block(flags, capsys, then=lambda pipe: None):
+    """``chat --role bob`` against a sender thread that runs one block
+    over TCP, calls ``then`` on its pipe and stops; returns the
+    receiver's (exit code, stdout, stderr)."""
+    cfg = _session_config(build_parser().parse_args(["chat", "--role", "alice", *flags]))
     listener = open_listener("127.0.0.1", 0)
     port = listener.getsockname()[1]
     failures = []
@@ -350,6 +353,7 @@ def test_chat_receiver_discards_a_key_without_a_sample(capsys):
                                cfg.session_id())
             try:
                 AliceEngine(cfg, pipe).run(lambda eng: False)
+                then(pipe)
             finally:
                 pipe.close()
         except Exception as exc:
@@ -357,16 +361,44 @@ def test_chat_receiver_discards_a_key_without_a_sample(capsys):
 
     th = threading.Thread(target=sender, daemon=True)
     th.start()
-    code, out, _ = run_cli(
-        ["chat", "--role", "bob", "--connect", f"127.0.0.1:{port}", *EMPTY_SAMPLE_FLAGS],
-        capsys,
-    )
+    result = run_cli(["chat", "--role", "bob", "--connect", f"127.0.0.1:{port}", *flags], capsys)
     th.join(timeout=10.0)
     assert not th.is_alive()
     assert not failures, failures
+    return result
+
+
+def test_chat_receiver_discards_a_key_without_a_sample(capsys):
+    # the receiver must see the alarm in Done and discard the key
+    # instead of decrypting
+    code, out, _ = chat_receiver_against_one_block(EMPTY_SAMPLE_FLAGS, capsys)
     assert code == 1
     assert "alarm (sample): key discarded" in out
     assert "decrypted" not in out
+
+
+def test_chat_receiver_refuses_a_ciphertext_of_partial_characters(capsys):
+    # 12 bits are not the 8 a character of the announced "chars": the
+    # peer broke the protocol, which is a transport error, not a
+    # configuration one
+    def send_12_bits(pipe):
+        send_bit_frames(pipe, "Ciphertext", np.zeros(12, np.uint8), extra={"chars": 1})
+
+    code, out, err = chat_receiver_against_one_block([], capsys, then=send_12_bits)
+    assert code == 3
+    assert err == "transport error: Ciphertext of 12 bits for 1 characters\n"
+    assert "decrypted" not in out
+
+
+def test_chat_sender_at_end_of_input_exits_2(capsys, monkeypatch):
+    # no --message and stdin at its end, as from /dev/null: an empty message
+    def end_of_input(prompt):
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", end_of_input)
+    code, _, err = run_cli(["chat", "--role", "alice", "--listen", "127.0.0.1:0"], capsys)
+    assert code == 2
+    assert err == "error: message is empty\n"
 
 
 def run_chat_processes(message, flags, timeout=20):

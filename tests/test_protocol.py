@@ -309,8 +309,8 @@ class RewritingTransport:
 
     def send_frame(self, data):
         msg = decode_frame(data[4:])
-        if msg.kind == self.kind:
-            data = encode_frame(replace(msg, payload=self.payload(msg.payload)))
+        if msg["kind"] == self.kind:
+            data = encode_frame({**msg, "payload": self.payload(msg["payload"])})
         self.inner.send_frame(data)
 
     def recv_frame(self):
@@ -1010,10 +1010,10 @@ def test_message_schema_and_results_content():
     results_bits = None
     for raw in to_bob + to_alice:
         msg = decode_frame(raw[4:])
-        assert set(msg.payload) <= ALLOWED_PAYLOAD_KEYS[msg.kind], msg.kind
+        assert set(msg["payload"]) <= ALLOWED_PAYLOAD_KEYS[msg["kind"]], msg["kind"]
         assert len(raw) <= 64 * 1024
-        if msg.kind == "Results":
-            results_bits = hex_to_bits(msg.payload["bits"], msg.payload["total"])
+        if msg["kind"] == "Results":
+            results_bits = hex_to_bits(msg["payload"]["bits"], msg["payload"]["total"])
     # the hit record crosses the wire; nobody's bit values do
     assert results_bits is not None
     assert np.array_equal(results_bits, kernel_logs.hits)
@@ -1044,8 +1044,8 @@ def test_a_round_log_touches_no_draw(cfg):
     assert np.array_equal(key_a, logged[0]) and np.array_equal(key_b, logged[1])
     assert frames == logged[2] and streams == logged[3]
     sent = [decode_frame(raw[4:]) for raw in frames]
-    hits = np.concatenate([hex_to_bits(msg.payload["bits"], msg.payload["total"])
-                           for msg in sent if msg.kind == "Results"])
+    hits = np.concatenate([hex_to_bits(msg["payload"]["bits"], msg["payload"]["total"])
+                           for msg in sent if msg["kind"] == "Results"])
     assert len(hits) == 3 * cfg.bits_per_block
     assert np.array_equal(hits, logs.hits)
 
@@ -1055,7 +1055,7 @@ def test_sequences_strictly_increase():
     to_bob, to_alice = [], []
     run_two_process(cfg, record_to_bob=to_bob, record_to_alice=to_alice)
     for stream in (to_bob, to_alice):
-        seqs = [decode_frame(raw[4:]).sequence for raw in stream]
+        seqs = [decode_frame(raw[4:])["sequence"] for raw in stream]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
 
