@@ -3,9 +3,12 @@
 Wire format: each frame is a 4-byte big-endian length prefix followed
 by one UTF-8 JSON object with exactly the fields {session_id,
 sequence, kind, payload}. That object is the message itself, and a
-read returns its payload. Frames never exceed 64 KiB, so long bit
-lists are split across consecutive frames of the same kind carrying
-{total, offset, bits} with the bits hex-encoded (packed big-endian).
+read returns its payload, which must hold exactly the fields that
+``PAYLOADS`` declares for its kind. A field missing, extra or of another
+type, in the frame or in the payload, is refused. Frames never exceed
+64 KiB, so long bit lists are split across consecutive frames of the
+same kind carrying {total, offset, bits} with the bits hex-encoded
+(packed big-endian).
 
 The same framing runs over an in-process loopback (two deques, read
 in turn by one thread) or a TCP socket, so everything the protocol
@@ -33,8 +36,21 @@ CHUNK_BITS = 100_000
 # without building a new encoder per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 _DECODER = json.JSONDecoder()
-# the fields of a frame object and the exact type of each
-_FRAME_FIELDS = {"session_id": int, "sequence": int, "kind": str, "payload": dict}
+# the fields of a frame object and of each kind's payload, with the exact
+# types a field's value may have; a bit list's later chunks carry BIT_LIST alone
+_FRAME_FIELDS = {"session_id": (int,), "sequence": (int,), "kind": (str,), "payload": (dict,)}
+BIT_LIST = {"total": (int,), "offset": (int,), "bits": (str,)}
+PAYLOADS = {
+    "Hello": {"bits_per_block": (int,), "mode": (str,), "eve": (str,),
+              "reconcile_block_size": (int,), "error_sample_fraction": (float,)},
+    **dict.fromkeys(["Results", "ErrorCheckIndices", "DiscardList"], BIT_LIST),
+    "ErrorCheckValues": {**BIT_LIST, "bias": (type(None), int, float)},
+    "Parities": {**BIT_LIST, "block_size": (int,)},
+    "Ciphertext": {**BIT_LIST, "chars": (int,)},
+    "Done": {"more": (bool,), "ber": (float,), "bias": (type(None), int, float),
+             "alarm": (bool,), "reason": (type(None), str)},
+}
+HELLO_REPLY = {"ok": (bool,)}  # the sender's answer to the receiver's Hello
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
@@ -58,15 +74,17 @@ def hex_to_bits(s: str, n: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n]
 
 
-def checked_field(obj: dict, key: str, *types):
-    """``obj[key]`` from a peer, whose type must be one of ``types``
-    exactly: ``int`` refuses ``True``, ``5.9`` and ``"5"``."""
-    value = obj.get(key)
-    if type(value) not in types:
-        raise ProtocolDesyncError(
-            f"{key} {value!r} is not {' or '.join(t.__name__ for t in types)}"
-        )
-    return value
+def _check_fields(obj: dict, fields: dict) -> dict:
+    """``obj`` from a peer, holding exactly ``fields``, each value of one of
+    its types exactly: ``int`` refuses ``True``, ``5.9`` and ``"5"``."""
+    for key, types in fields.items():
+        if key not in obj or type(obj[key]) not in types:
+            raise ProtocolDesyncError(
+                f"{key} {obj.get(key)!r} is not {' or '.join(t.__name__ for t in types)}"
+            )
+    if len(obj) != len(fields):
+        raise ProtocolDesyncError(f"unexpected field {next(k for k in obj if k not in fields)!r}")
+    return obj
 
 
 def encode_frame(msg: dict) -> bytes:
@@ -78,13 +96,12 @@ def encode_frame(msg: dict) -> bytes:
 
 
 def decode_frame(body: bytes) -> dict:
-    """The object of a frame's bytes after the prefix, each field of its exact type."""
+    """The object of a frame's bytes after the prefix: its four fields, each of its exact type."""
     try:
         msg = _DECODER.decode(body.decode("utf-8"))
         if type(msg) is not dict:
             raise ValueError(f"{type(msg).__name__} is not an object")
-        for key, t in _FRAME_FIELDS.items():
-            checked_field(msg, key, t)
+        _check_fields(msg, _FRAME_FIELDS)
     except (ValueError, ProtocolDesyncError) as exc:
         raise ProtocolDesyncError(f"malformed frame: {exc}") from exc
     return msg
@@ -176,9 +193,9 @@ class SocketTransport:
 class MessagePipe:
     """Typed message layer over a transport.
 
-    Numbers outgoing frames 1, 2, 3, ... per session, and accepts only
-    the next number of the same session and the kind the caller expects,
-    whose payload a read returns.
+    Numbers outgoing frames 1, 2, 3, ... per session. A read accepts only
+    the next number of the same session, of the kind the caller expects,
+    with a payload of ``fields`` (by default ``PAYLOADS[kind]``), and returns it.
     """
 
     def __init__(self, transport, session_id: int):
@@ -193,7 +210,7 @@ class MessagePipe:
                "payload": payload}
         self._transport.send_frame(encode_frame(msg))
 
-    def recv(self, expect_kind: str) -> dict:
+    def recv(self, expect_kind: str, fields: dict | None = None) -> dict:
         msg = decode_frame(self._transport.recv_frame()[_HEADER.size:])
         if msg["session_id"] != self.session_id:
             raise ProtocolDesyncError(
@@ -204,7 +221,7 @@ class MessagePipe:
         self._seq_in += 1
         if msg["kind"] != expect_kind:
             raise ProtocolDesyncError(f"expected {expect_kind}, got {msg['kind']}")
-        return msg["payload"]
+        return _check_fields(msg["payload"], PAYLOADS[expect_kind] if fields is None else fields)
 
     def close(self) -> None:
         self._transport.close()
@@ -231,34 +248,33 @@ def recv_bit_frames(pipe: MessagePipe, kind: str, max_total: int) -> tuple[np.nd
     """Reassemble a bit list sent by send_bit_frames.
 
     ``max_total`` is the longest list the caller can accept; it is
-    checked before anything is allocated. A larger or malformed total,
-    a chunk that does not start where the last one ended, or bits that
-    are not hex raise ProtocolDesyncError. Returns the bits and the
-    first frame's payload (for extra fields).
+    checked before anything is allocated. A larger total, a chunk that
+    does not start where the last one ended, or bits that are not hex
+    raise ProtocolDesyncError. Returns the bits and the first frame's
+    payload (for extra fields).
     """
     head = payload = pipe.recv(expect_kind=kind)
-    total = checked_field(head, "total", int)
+    total = head["total"]
     if not 0 <= total <= max_total:
         raise ProtocolDesyncError(f"{kind} announces {total} bits, expected at most {max_total}")
     # a single chunk is returned as decoded; longer lists fill one array
     out = np.empty(total, dtype=np.uint8) if total > CHUNK_BITS else None
     received = 0
     while True:
-        chunk = (checked_field(payload, "offset", int), checked_field(payload, "total", int))
-        if chunk != (received, total):
+        if (payload["offset"], payload["total"]) != (received, total):
             raise ProtocolDesyncError(
-                f"{kind} chunk at offset {chunk[0]} of {chunk[1]}, "
+                f"{kind} chunk at offset {payload['offset']} of {payload['total']}, "
                 f"expected offset {received} of {total}"
             )
         n = min(CHUNK_BITS, total - received)
-        bits = hex_to_bits(payload.get("bits"), n)
+        bits = hex_to_bits(payload["bits"], n)
         if out is None:
             return bits, head
         out[received: received + n] = bits
         received += n
         if received >= total:
             return out, head
-        payload = pipe.recv(expect_kind=kind)
+        payload = pipe.recv(kind, BIT_LIST)
 
 
 def open_listener(host: str, port: int) -> socket.socket:

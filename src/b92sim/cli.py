@@ -27,7 +27,6 @@ from .channel import (
     MessagePipe,
     SocketTransport,
     accept_one,
-    checked_field,
     connect_with_retry,
     open_listener,
     recv_bit_frames,
@@ -323,11 +322,11 @@ def _cmd_chat(args) -> int:
     try:
         bob = BobEngine(cfg, pipe)
         bob.run()
-        if bob.final and bob.final.get("alarm"):
-            print(f"alarm ({bob.final.get('reason')}): key discarded")
+        if bob.final["alarm"]:
+            print(f"alarm ({bob.final['reason']}): key discarded")
             return 1
         bits, head = recv_bit_frames(pipe, "Ciphertext", len(bob.reconciled_key()))
-        chars = checked_field(head, "chars", int)
+        chars = head["chars"]
         if len(bits) != 8 * chars:
             raise ProtocolDesyncError(f"Ciphertext of {len(bits)} bits for {chars} characters")
         print(f"ciphertext: {_render_ciphertext(bits)}")

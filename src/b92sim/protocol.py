@@ -27,6 +27,7 @@ messages, and sessions are bit-for-bit reproducible from the
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import qstate
 from .channel import (
+    HELLO_REPLY,
     MessagePipe,
-    checked_field,
     loopback_pair,
     recv_bit_frames,
     send_bit_frames,
@@ -111,6 +112,14 @@ class SessionConfig:
     error_sample_fraction: float = 0.25
 
     def __post_init__(self):
+        # ints and a float, as the Hello carries them: a numpy number is converted, a bool refused
+        for name in ("seed_alice", "seed_bob", "seed_physics", "bits_per_block",
+                     "error_sample_fraction"):
+            kind = numbers.Real if name == "error_sample_fraction" else numbers.Integral
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+            object.__setattr__(self, name, float(value) if kind is numbers.Real else int(value))
         if not 0 < self.bits_per_block <= MAX_BITS_PER_BLOCK:
             raise ConfigError(
                 f"bits_per_block must lie in [1, {MAX_BITS_PER_BLOCK}], got {self.bits_per_block}"
@@ -528,10 +537,6 @@ class AliceEngine(_Party):
         self.peer_step()
         hello = self.pipe.recv(expect_kind="Hello")
         mine = _hello_payload(self.cfg)
-        # each field must have the type this side writes it with, since
-        # == alone lets 1024.0 pass for 1024; an extra field fails the comparison
-        for key, value in mine.items():
-            checked_field(hello, key, type(value))
         if hello != mine:
             raise SessionAbort(f"peer configuration mismatch: {hello} != {mine}")
         self.pipe.send("Hello", {"ok": True})
@@ -552,7 +557,7 @@ class AliceEngine(_Party):
         send_bit_frames(self.pipe, "ErrorCheckIndices", mask)
         self.peer_step()
         values, head = recv_bit_frames(self.pipe, "ErrorCheckValues", k)
-        self.bob_bias = checked_field(head, "bias", type(None), int, float)
+        self.bob_bias = head["bias"]
         if self.bob_bias is not None and not 0.0 <= self.bob_bias <= 1.0:
             raise ProtocolDesyncError(f"bias {self.bob_bias!r} is not a fraction in [0, 1]")
         mine, trimmed = _split(key, mask)
@@ -638,7 +643,7 @@ class BobEngine(_Party):
 
         mine = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
         parities_a, head = recv_bit_frames(self.pipe, "Parities", len(mine))
-        if checked_field(head, "block_size", int) != RECONCILE_BLOCK_SIZE:
+        if head["block_size"] != RECONCILE_BLOCK_SIZE:
             raise ProtocolDesyncError("peer used a different reconciliation block size")
         if len(parities_a) != len(mine):
             raise ProtocolDesyncError("parity lists differ in length")
@@ -654,16 +659,13 @@ class BobEngine(_Party):
         turn a Done that asks for more has the next block behind it."""
         self.pipe.send("Hello", _hello_payload(self.cfg))
         yield
-        if not checked_field(self.pipe.recv(expect_kind="Hello"), "ok", bool):
+        if not self.pipe.recv("Hello", HELLO_REPLY)["ok"]:
             raise SessionAbort("peer rejected the session configuration")
         while True:
             yield from self.run_block()
             yield
-            done = self.pipe.recv(expect_kind="Done")
-            checked_field(done, "alarm", bool)
-            checked_field(done, "reason", type(None), str)
-            self.final = done
-            if not checked_field(done, "more", bool):
+            self.final = self.pipe.recv(expect_kind="Done")
+            if not self.final["more"]:
                 return
 
     def run(self) -> "BobEngine":

@@ -9,6 +9,7 @@ import pytest
 
 from b92sim.channel import (
     CHUNK_BITS,
+    HELLO_REPLY,
     MAX_FRAME_BYTES,
     MessagePipe,
     SocketTransport,
@@ -42,6 +43,11 @@ def test_hex_to_bits_rejects_set_pad_bits(s, n):
 
 def frame(kind, payload, session_id, sequence):
     return {"session_id": session_id, "sequence": sequence, "kind": kind, "payload": payload}
+
+
+# a receiver's Hello as the schema declares it
+HELLO = {"bits_per_block": 1024, "mode": "ideal", "eve": "none", "reconcile_block_size": 8,
+         "error_sample_fraction": 0.25}
 
 
 def test_frame_roundtrip():
@@ -90,8 +96,8 @@ def test_pipe_sequence_and_session_checks():
     t_a, t_b = loopback_pair()
     a = MessagePipe(t_a, session_id=5)
     b = MessagePipe(t_b, session_id=5)
-    a.send("Hello", {"n": 1})
-    assert b.recv("Hello") == {"n": 1}
+    a.send("Hello", HELLO)
+    assert b.recv("Hello") == HELLO
     a.send("Done", {})
     with pytest.raises(ProtocolDesyncError):
         b.recv(expect_kind="Hello")
@@ -104,7 +110,7 @@ def test_pipe_sequence_and_session_checks():
 
     # replayed (non-increasing) sequence
     t_a, t_b = loopback_pair()
-    data = encode_frame(frame("Hello", {}, session_id=3, sequence=1))
+    data = encode_frame(frame("Hello", HELLO, session_id=3, sequence=1))
     t_a.send_frame(data)
     t_a.send_frame(data)
     b = MessagePipe(t_b, session_id=3)
@@ -136,10 +142,10 @@ def test_loopback_close_wakes_peer():
         MessagePipe(t_b, session_id=1).recv("Hello")
     # frames queued before the close arrive first, and it stays closed
     t_a, t_b = loopback_pair()
-    MessagePipe(t_a, session_id=1).send("Hello", {})
+    MessagePipe(t_a, session_id=1).send("Hello", HELLO)
     t_a.close()
     b = MessagePipe(t_b, session_id=1)
-    assert b.recv("Hello") == {}
+    assert b.recv("Hello") == HELLO
     for _ in range(2):
         with pytest.raises(ChannelError, match="closed"):
             b.recv("Hello")
@@ -167,10 +173,10 @@ def test_bit_frames_roundtrip(n):
     t_a, t_b = loopback_pair()
     a = MessagePipe(t_a, session_id=9)
     b = MessagePipe(t_b, session_id=9)
-    send_bit_frames(a, "Results", bits, extra={"tag": "x"})
-    got, head = recv_bit_frames(b, "Results", n)
+    send_bit_frames(a, "Parities", bits, extra={"block_size": 8})
+    got, head = recv_bit_frames(b, "Parities", n)
     assert np.array_equal(got, bits)
-    assert head["tag"] == "x"
+    assert head["block_size"] == 8
     assert head["total"] == n
 
 
@@ -252,18 +258,18 @@ def test_socket_transport_roundtrip():
         conn = accept_one(listener, timeout=5.0)
         pipe = MessagePipe(SocketTransport(conn, timeout=5.0), session_id=4)
         server_msg["got"] = pipe.recv(expect_kind="Hello")
-        pipe.send("Done", {"ok": True})
+        pipe.send("Hello", {"ok": True})
         pipe.close()
 
     th = threading.Thread(target=serve)
     th.start()
     sock = connect_with_retry("127.0.0.1", port, deadline=5.0)
     pipe = MessagePipe(SocketTransport(sock, timeout=5.0), session_id=4)
-    pipe.send("Hello", {"hello": 1})
-    reply = pipe.recv(expect_kind="Done")
+    pipe.send("Hello", HELLO)
+    reply = pipe.recv("Hello", HELLO_REPLY)
     pipe.close()
     th.join(timeout=5.0)
-    assert server_msg["got"] == {"hello": 1}
+    assert server_msg["got"] == HELLO
     assert reply == {"ok": True}
 
 

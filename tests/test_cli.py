@@ -390,6 +390,21 @@ def test_chat_receiver_refuses_a_ciphertext_of_partial_characters(capsys):
     assert "decrypted" not in out
 
 
+@pytest.mark.parametrize("extra, message", [
+    (None, "chars None is not int"),
+    ({"chars": 1, "note": "x"}, "unexpected field 'note'"),
+    ({"chars": "1"}, "chars '1' is not int"),
+], ids=["no_chars", "extra_field", "chars_string"])
+def test_chat_receiver_refuses_a_ciphertext_off_its_schema(extra, message, capsys):
+    def send_8_bits(pipe):
+        send_bit_frames(pipe, "Ciphertext", np.zeros(8, np.uint8), extra=extra)
+
+    code, out, err = chat_receiver_against_one_block([], capsys, then=send_8_bits)
+    assert code == 3
+    assert err == f"transport error: {message}\n"
+    assert "decrypted" not in out
+
+
 def test_chat_sender_at_end_of_input_exits_2(capsys, monkeypatch):
     # no --message and stdin at its end, as from /dev/null: an empty message
     def end_of_input(prompt):

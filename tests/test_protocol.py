@@ -11,6 +11,8 @@ import pytest
 
 from b92sim.channel import (
     CHUNK_BITS,
+    HELLO_REPLY,
+    PAYLOADS,
     MessagePipe,
     SocketTransport,
     bits_to_hex,
@@ -66,6 +68,8 @@ from b92sim.protocol import (
 )
 from b92sim.photonics import central_window, effective_hit_prob
 from b92sim.qstate import DOWN, P_LEFT, RIGHT, UP, inner, pass_probability, states_equal
+
+from payloads import broken
 
 
 def make_cfg(**kw):
@@ -414,7 +418,7 @@ def hello_cases():
         ]:
             message = re.escape(f"{key} {shown!r} is not {type(value).__name__}")
             yield ("bob", "Hello", rewrite, message), f"hello_{key}_{case}"
-    yield ("bob", "Hello", lambda p: {**p, "extra": 1}, "peer configuration mismatch"), "hello_extra"
+    yield ("bob", "Hello", lambda p: {**p, "extra": 1}, "unexpected field 'extra'"), "hello_extra"
 
 
 HELLO_ROWS, HELLO_IDS = zip(*hello_cases())
@@ -451,6 +455,33 @@ def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
     # a configuration verdict is the engine's own; every other check is a desync
     cause = SessionAbort if "configuration" in message else ProtocolDesyncError
     assert isinstance(info.value.__cause__, cause)
+
+
+# (sender, kind, fields) for every message a session sends, both Hello shapes included
+SESSION_SHAPES = [
+    ("bob", "Hello", PAYLOADS["Hello"]), ("alice", "Hello", HELLO_REPLY),
+    *(("alice", kind, PAYLOADS[kind])
+      for kind in ("Results", "ErrorCheckIndices", "Parities", "Done")),
+    *(("bob", kind, PAYLOADS[kind]) for kind in ("ErrorCheckValues", "DiscardList")),
+]
+
+
+@pytest.mark.parametrize("sender, kind, fields", SESSION_SHAPES,
+                         ids=[f"{s}_{k}" for s, k, _ in SESSION_SHAPES])
+def test_a_message_off_its_schema_aborts_the_session(sender, kind, fields):
+    causes = {}
+    for case, rewrite in broken(fields):
+        t_a, t_b = loopback_pair()
+        if sender == "alice":
+            t_a = RewritingTransport(t_a, kind, rewrite)
+        else:
+            t_b = RewritingTransport(t_b, kind, rewrite)
+        try:
+            run_session(make_cfg(bits_per_block=1024), channel=(t_a, t_b))
+            causes[case] = None
+        except SessionAbort as exc:
+            causes[case] = type(exc.__cause__)
+    assert causes and set(causes.values()) == {ProtocolDesyncError}, causes
 
 
 def with_pad_bits_set(p):
@@ -1373,6 +1404,26 @@ def test_session_config_validation():
     hw = HardwareProfile(source=SourceParams(pulse_rate=1e6))
     with pytest.raises(ConfigError):
         make_cfg(mode=Mode.PHYSICAL, hardware=hw)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bits_per_block", 1024.0), ("bits_per_block", True), ("bits_per_block", "1024"),
+    ("seed_alice", 1.5), ("seed_physics", np.bool_(True)), ("error_sample_fraction", "0.25"),
+    ("error_sample_fraction", False),
+])
+def test_session_config_refuses_a_number_of_the_wrong_kind(field, value):
+    # each would fail later as a bare TypeError, or run 1-pulse blocks for True
+    with pytest.raises(ConfigError, match=f"{field} must be"):
+        make_cfg(**{field: value})
+
+
+def test_session_config_stores_the_types_the_hello_carries():
+    cfg = make_cfg(seed_alice=np.int64(11), bits_per_block=np.int64(1024), error_sample_fraction=0)
+    assert type(cfg.seed_alice) is int and type(cfg.bits_per_block) is int
+    assert type(cfg.error_sample_fraction) is float
+    # an int 0 fraction reaches the peer as 0.0 and gives the key of 0.0
+    key = run_session(cfg, n_blocks=2).reconciled_key
+    assert np.array_equal(key, run_session(make_cfg(error_sample_fraction=0.0), n_blocks=2).reconciled_key)
 
 
 def test_session_config_checks_the_dark_count_model():
