@@ -50,7 +50,6 @@ from .protocol import (
     BobEngine,
     EveStrategy,
     Mode,
-    RoundLogs,
     SessionConfig,
     analytic_ber,
     predict_key_rate,
@@ -161,13 +160,27 @@ def _open_out(args):
         raise
 
 
+class _RoundCsv:
+    """``session --out`` rows as csv.writer writes them, one write a block; the index runs on."""
+
+    def __init__(self, out):
+        self._out = out
+        out.write("index,alice_bit,bob_bit,photon_count,eve_guess,hit\r\n")
+        self._rows = 0
+
+    def extend(self, alice_bits, bob_bits, photon_counts, eve_guesses, hits) -> None:
+        start, self._rows = self._rows, self._rows + len(hits)
+        self._out.write("".join([
+            f"{i},{a},{b},{n},{'' if g < 0 else g},{h}\r\n" for i, a, b, n, g, h in zip(
+                range(start, self._rows), alice_bits.tolist(), bob_bits.tolist(),
+                photon_counts.tolist(), eve_guesses.tolist(), hits.tolist())]))
+
+
 def _cmd_session(args) -> int:
     cfg = _session_config(args)
-    logs = RoundLogs() if args.out else None
     with _open_out(args) as out:
+        logs = _RoundCsv(out) if args.out else None
         report = run_session(cfg, n_blocks=args.blocks, logs=logs)
-        if logs is not None:
-            logs.write_csv(out)
     rate_s = report.sifted_fraction * cfg.hardware.source.pulse_rate
     print(f"mode={cfg.mode.value} eve={cfg.eve.value} "
           f"blocks={args.blocks} bits_per_block={cfg.bits_per_block}")

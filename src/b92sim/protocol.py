@@ -126,6 +126,9 @@ class SessionConfig:
             )
         if not 0.0 <= self.error_sample_fraction < 1.0:
             raise ConfigError("error_sample_fraction must lie in [0, 1)")
+        for name, kind in (("mode", Mode), ("eve", EveStrategy)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.mode is Mode.PHYSICAL:
             src = self.hardware.source
             det = self.hardware.detector
@@ -160,11 +163,10 @@ _LOG_DTYPES = {
 class RoundLogs:
     """Columnar per-round record; eve_guess is -1 where Eve saw nothing.
 
-    A session keeps one only if its caller passes it in. ``extend``
-    only appends each block's arrays (callers must not mutate them
-    afterwards), so it copies nothing; they take 12 bytes a pulse until
-    the log is dropped. The first read of a column joins its blocks,
-    one copy of the column, and keeps the result.
+    The in-memory ``logs`` of ``run_session``: ``extend`` keeps each
+    block's arrays without a copy, 12 bytes a pulse until the log is
+    dropped. The first read of a column joins its blocks, one copy of
+    the column, and keeps the result.
     """
 
     def __init__(self):
@@ -190,23 +192,6 @@ class RoundLogs:
             self._blocks.values(), (alice_bits, bob_bits, photon_counts, eve_guesses, hits)
         ):
             blocks.append(arr)
-
-    def write_csv(self, out) -> None:
-        """Write the record as CSV to ``out``, an open text stream."""
-        import csv
-
-        guesses = self.eve_guesses.astype(object)
-        guesses[self.eve_guesses < 0] = ""
-        w = csv.writer(out)
-        w.writerow(["index", "alice_bit", "bob_bit", "photon_count", "eve_guess", "hit"])
-        w.writerows(zip(
-            range(len(self)),
-            self.alice_bits.tolist(),
-            self.bob_bits.tolist(),
-            self.photon_counts.tolist(),
-            guesses.tolist(),
-            self.hits.tolist(),
-        ))
 
 
 @dataclass
@@ -332,8 +317,8 @@ class PhysicsKernel:
     the lit indices and their hazards, and gives the same draws, hits
     and final detector state as one ``gate_detector`` call a pulse.
 
-    A block's round record goes to ``logs`` if one is given, and the
-    detector state it leaves to ``detector_state``.
+    A block's round record goes to ``logs`` (see ``run_session``) if
+    one is given, and the detector state it leaves to ``detector_state``.
     """
 
     def __init__(self, cfg: SessionConfig, rng: np.random.Generator, logs=None):
@@ -678,7 +663,7 @@ def run_session(
     cfg: SessionConfig,
     channel: tuple | None = None,
     n_blocks: int = 1,
-    logs: RoundLogs | None = None,
+    logs=None,
 ) -> SessionReport:
     """Run a complete session in one thread and assemble its report.
 
@@ -688,7 +673,9 @@ def run_session(
     reading the last Done. ``channel`` may supply a
     (alice_transport, bob_transport) pair so tests can watch the
     frames; by default a loopback pair is built. The round record goes
-    to ``logs`` if given, and nowhere otherwise. A failure of the
+    to ``logs`` if given, and nowhere otherwise: any object whose
+    ``extend(alice_bits, bob_bits, photon_counts, eve_guesses, hits)``
+    is called once per block, with arrays it may keep. A failure of the
     channel or the protocol raises SessionAbort, chained to its cause;
     other errors, such as a ConfigError or a ModelValidityError from
     the physics, propagate unchanged.

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -99,6 +100,21 @@ def test_session_round_log_csv_bytes(tmp_path, capsys, flags, eve_cells):
     assert {line.split(",")[4] for line in new.decode().splitlines()[1:]} == eve_cells
 
 
+def test_session_out_memory_does_not_grow_with_the_session(tmp_path, capsys):
+    # the rows leave a block at a time: ten times the blocks, about the same peak
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            assert main(["session", "--blocks", str(blocks), "--out", str(tmp_path / "r.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # warm-up: first-call caches and imports
+    small, large = peak(8), peak(80)
+    assert large - small < 1_000_000, (small, large)
+
+
 def test_session_profile_file(tmp_path, capsys):
     prof = tmp_path / "hw.profile"
     prof.write_text("mean_photons = 0.05\nefficiency = 0.5\n")
@@ -156,9 +172,23 @@ def test_a_failed_command_leaves_no_out_file(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def _failing_write_csv(logs, out):
-    out.write("index,alice_bit\n")
-    raise OSError("disk full")
+def _fail_on_the_second_block(tmp_path):
+    """The round-log sink's ``extend``, raising OSError on the second
+    block once the first block's rows are in the temporary file."""
+    extend = cli._RoundCsv.extend
+    blocks = 0
+
+    def failing(sink, *columns):
+        nonlocal blocks
+        blocks += 1
+        if blocks == 2:
+            [tmp] = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+            assert tmp.read_bytes().startswith(
+                b"index,alice_bit,bob_bit,photon_count,eve_guess,hit\r\n0,")
+            raise OSError("disk full")
+        extend(sink, *columns)
+
+    return failing
 
 
 @pytest.mark.parametrize("fault", ["config", "write", "abort"])
@@ -169,7 +199,9 @@ def test_a_failed_session_keeps_the_old_out_file(tmp_path, capsys, monkeypatch, 
     if fault == "config":
         argv += ["--blocks", "0"]
     elif fault == "write":
-        monkeypatch.setattr(RoundLogs, "write_csv", _failing_write_csv)
+        # blocks large enough that the first one's rows leave the write buffer
+        argv += ["--blocks", "2", "--bits-per-block", "4096"]
+        monkeypatch.setattr(cli._RoundCsv, "extend", _fail_on_the_second_block(tmp_path))
     else:
         def abort(*a, **k):
             raise SessionAbort("peer went away")

@@ -1409,10 +1409,11 @@ def test_session_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("bits_per_block", 1024.0), ("bits_per_block", True), ("bits_per_block", "1024"),
     ("seed_alice", 1.5), ("seed_physics", np.bool_(True)), ("error_sample_fraction", "0.25"),
-    ("error_sample_fraction", False),
+    ("error_sample_fraction", False), ("mode", "physical"), ("eve", "fixed"),
 ])
 def test_session_config_refuses_a_number_of_the_wrong_kind(field, value):
-    # each would fail later as a bare TypeError, or run 1-pulse blocks for True
+    # each would fail later as a bare TypeError or AttributeError, run 1-pulse
+    # blocks for True, or skip the Physical-only checks for "physical"
     with pytest.raises(ConfigError, match=f"{field} must be"):
         make_cfg(**{field: value})
 
