@@ -5,10 +5,10 @@ by one UTF-8 JSON object with exactly the fields {session_id,
 sequence, kind, payload}. That object is the message itself, and a
 read returns its payload, which must hold exactly the fields that
 ``PAYLOADS`` declares for its kind. A field missing, extra or of another
-type, in the frame or in the payload, is refused. Frames never exceed
-64 KiB, so long bit lists are split across consecutive frames of the
-same kind carrying {total, offset, bits} with the bits hex-encoded
-(packed big-endian).
+type (NaN and Infinity, which JSON lacks, are of none), in the frame or
+in the payload, is refused. Frames never exceed 64 KiB, so long bit
+lists are split across consecutive frames of the same kind carrying
+{total, offset, bits} with the bits hex-encoded (packed big-endian).
 
 The same framing runs over an in-process loopback (two deques, read
 in turn by one thread) or a TCP socket, so everything the protocol
@@ -31,11 +31,19 @@ _HEADER = struct.Struct(">I")
 # payload bits per chunk; 100k bits -> 25 kB of hex, comfortably per-frame
 CHUNK_BITS = 100_000
 
+
+class _Constant(str):
+    """NaN, Infinity or -Infinity, which json reads but JSON lacks: no field
+    takes this type, so the field check refuses one by name (``ber NaN is not float``)."""
+
+    __repr__ = str.__str__
+
+
 # One encoder and decoder for every frame. The encoder has the settings
 # of json.dumps(obj, separators=(",", ":")), so it writes the same bytes
 # without building a new encoder per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
-_DECODER = json.JSONDecoder()
+_DECODER = json.JSONDecoder(parse_constant=_Constant)
 # the fields of a frame object and of each kind's payload, with the exact
 # types a field's value may have; a bit list's later chunks carry BIT_LIST alone
 _FRAME_FIELDS = {"session_id": (int,), "sequence": (int,), "kind": (str,), "payload": (dict,)}
@@ -60,8 +68,8 @@ def bits_to_hex(bits: np.ndarray) -> str:
 
 
 def hex_to_bits(s: str, n: int) -> np.ndarray:
-    """Inverse of bits_to_hex for a known bit count; the hex must hold
-    exactly the ceil(n / 8) bytes that bits_to_hex writes, pad bits zero."""
+    """Inverse of bits_to_hex for a known bit count; the hex must be exactly
+    the 2 * ceil(n / 8) digits that bits_to_hex writes, pad bits zero."""
     try:
         raw = bytes.fromhex(s)
     except (TypeError, ValueError) as exc:
@@ -69,6 +77,8 @@ def hex_to_bits(s: str, n: int) -> np.ndarray:
     want = (n + 7) // 8
     if len(raw) != want:
         raise ProtocolDesyncError(f"hex carries {len(raw)} bytes, expected {want} for {n} bits")
+    if len(s) != 2 * want:
+        raise ProtocolDesyncError(f"hex has {len(s)} characters, expected {2 * want} for {n} bits")
     if n % 8 and raw[-1] & (0xFF >> n % 8):
         raise ProtocolDesyncError(f"last byte {raw[-1]:#04x} sets pad bits beyond bit {n}")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n]

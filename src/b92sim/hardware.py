@@ -106,27 +106,9 @@ class HardwareProfile:
     interferometer: InterferometerConfig = field(default_factory=InterferometerConfig)
 
 
-def sample_photon_count(src: SourceParams, rng: np.random.Generator) -> int:
-    """Photons in one pulse: Poisson(mean) or exactly 1 for an ideal
-    source. A scalar reference that the tests hold ``PhysicsKernel`` to."""
-    if src.ideal_single_photon:
-        return 1
-    return int(rng.poisson(src.mean_photons))
-
-
 def fiber_transmission(f: FiberParams) -> float:
     """Power transmission 10^(-attenuation * length / 10)."""
     return 10.0 ** (-f.attenuation_db_per_km * f.length_km / 10.0)
-
-
-def thin_photons(n: int, transmission: float, rng: np.random.Generator) -> int:
-    """Binomial survival of n photons through a lossy element. A scalar
-    reference that the tests hold ``PhysicsKernel`` to."""
-    if not 0.0 <= transmission <= 1.0:
-        raise ConfigError(f"transmission must lie in [0, 1], got {transmission}")
-    if n == 0:
-        return 0
-    return int(rng.binomial(n, transmission))
 
 
 def dark_probability(d: DetectorParams) -> float:
@@ -150,13 +132,6 @@ def _trap_decay(d: DetectorParams, charge: float, last: float, now: float) -> fl
     if charge == 0.0 or d.afterpulse_tau <= 0.0:
         return 0.0
     return math.exp(-(now - last) / d.afterpulse_tau)
-
-
-def afterpulse_probability(d: DetectorParams, st: DetectorState, now: float) -> float:
-    """Afterpulse hazard at gate time ``now``. A scalar reference for the
-    term ``_gate_step`` forms inline, held by the tests to the closed form."""
-    charge = st.trap_charge
-    return d.afterpulse_prob0 * charge * _trap_decay(d, charge, st.last_avalanche_time, now)
 
 
 def _gate_step(
@@ -191,7 +166,8 @@ def gate_detector(
 ) -> tuple[bool, DetectorState]:
     """One gated exposure of the detector; the signal hazard is
     optical_prob * efficiency when a photon arrives (see ``_gate_step``).
-    A scalar reference: the tests hold ``PhysicsKernel`` to one call a pulse."""
+    A scalar reference that no session runs: the tests hold ``PhysicsKernel`` to
+    one call a pulse. It stays out of tests/oracles.py while bench/tracer.py wraps it."""
     if now < st.last_avalanche_time:
         raise ValueError("gate time precedes the detector state's clock")
     p_signal = optical_prob * d.efficiency if photon_arrives else 0.0

@@ -175,18 +175,6 @@ def tm_window_distribution(phases: PhasePair, cfg: InterferometerConfig) -> Wind
     )
 
 
-def effective_hit_prob(alice_bit: int, bob_bit: int, visibility: float) -> float:
-    """Detector central-window probability for a bit pair.
-
-    Evaluates the window distribution at the parties' phase settings:
-    1/8 when the bits agree, (1/8)(1 - visibility) when they differ.
-    A scalar reference that the tests hold ``PhysicsKernel``'s hit rates to.
-    """
-    phases = PhasePair(b92_phase("alice", alice_bit), b92_phase("bob", bob_bit))
-    cfg = InterferometerConfig(visibility=visibility)
-    return tm_window_distribution(phases, cfg).detector_central
-
-
 # Size bounds of ``arrival_histogram``, checked before it allocates:
 # about 33 bytes a bin (edges, centers, counts), so 10**6 bins take about
 # 33 MB; about 7 bytes an expected photon (the arrival times of the photons

@@ -51,7 +51,7 @@ from .hardware import (
     with_fields,
 )
 from .photonics import central_window
-from .qstate import DOWN, P_DOWN, P_LEFT, P_UP, RIGHT, UP, StateVector, measure, pass_probability
+from .qstate import DOWN, P_DOWN, P_LEFT, P_UP, RIGHT, UP, StateVector, pass_probability
 
 
 class Mode(Enum):
@@ -126,7 +126,7 @@ class SessionConfig:
             )
         if not 0.0 <= self.error_sample_fraction < 1.0:
             raise ConfigError("error_sample_fraction must lie in [0, 1)")
-        for name, kind in (("mode", Mode), ("eve", EveStrategy)):
+        for name, kind in (("mode", Mode), ("eve", EveStrategy), ("hardware", HardwareProfile)):
             if not isinstance(value := getattr(self, name), kind):
                 raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.mode is Mode.PHYSICAL:
@@ -241,26 +241,6 @@ def bob_projector(bit: int) -> qstate.Projector:
     if bit == 1:
         return P_DOWN
     raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-
-
-def eve_intercept(
-    state: StateVector, strategy: EveStrategy, rng: np.random.Generator
-) -> tuple[int | None, StateVector]:
-    """Apply the eavesdropper to one logical signal.
-
-    FIXED_PROJECTION measures P(up): a pass is recorded as a guess of
-    0 and forwards the up state, a fail as 1 and forwards down. The
-    sender's 0-state always passes and the 1-state passes half the
-    time, so a 1-guess (1/4 of fair bits) is always right, a 0-guess
-    is right with probability (1/2)/(3/4) = 2/3, and the guess matches
-    the sent bit 3/4 of the time. Downstream the receiver sifts 3/8
-    of the pulses with error rate 1/3 and 2/3 zeros (see EveStrategy).
-    A scalar reference that the tests hold ``PhysicsKernel`` to.
-    """
-    if strategy is EveStrategy.NONE:
-        return None, state
-    passed, collapsed = measure(state, P_UP, rng)
-    return (0 if passed else 1), collapsed
 
 
 # Born-rule tables, derived from the state algebra rather than typed in.
@@ -680,8 +660,8 @@ def run_session(
     other errors, such as a ConfigError or a ModelValidityError from
     the physics, propagate unchanged.
     """
-    if n_blocks < 1:
-        raise ConfigError("n_blocks must be >= 1")
+    if isinstance(n_blocks, bool) or not isinstance(n_blocks, numbers.Integral) or n_blocks < 1:
+        raise ConfigError(f"n_blocks must be an integer >= 1, got {n_blocks!r}")
     t_a, t_b = channel if channel is not None else loopback_pair()
     sid = cfg.session_id()
     bob = BobEngine(cfg, MessagePipe(t_b, sid))

@@ -38,11 +38,6 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.vec(), b.vec()))
 
 
-def states_equal(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    """Equality up to an unobservable global phase: |<a|b>| = 1."""
-    return abs(abs(inner(a, b)) - 1.0) <= atol
-
-
 class Projector:
     """Rank-1 Hermitian idempotent on the two-dimensional space."""
 

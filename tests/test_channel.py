@@ -41,6 +41,14 @@ def test_hex_to_bits_rejects_set_pad_bits(s, n):
         hex_to_bits(s, n)
 
 
+@pytest.mark.parametrize("s", ["f0 0f", " f00f", "f00f ", "f0\n0f"])
+def test_hex_to_bits_refuses_whitespace(s):
+    # bytes.fromhex skips whitespace, which bits_to_hex never writes
+    assert hex_to_bits(s.replace(" ", "").replace("\n", ""), 16).sum() == 8
+    with pytest.raises(ProtocolDesyncError, match="hex has 5 characters, expected 4 for 16 bits"):
+        hex_to_bits(s, 16)
+
+
 def frame(kind, payload, session_id, sequence):
     return {"session_id": session_id, "sequence": sequence, "kind": kind, "payload": payload}
 

@@ -12,16 +12,15 @@ from b92sim.hardware import (
     FiberParams,
     HardwareProfile,
     SourceParams,
-    afterpulse_probability,
     dark_probability,
     fiber_transmission,
     gate_block,
     gate_detector,
     load_profile,
-    sample_photon_count,
-    thin_photons,
     with_fields,
 )
+
+from oracles import afterpulse_probability, sample_photon_count, thin_photons
 
 
 def test_empty_source():

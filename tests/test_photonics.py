@@ -10,10 +10,11 @@ from b92sim.photonics import (
     arrival_histogram,
     b92_phase,
     beamsplitter,
-    effective_hit_prob,
     mz_detect_prob,
     tm_window_distribution,
 )
+
+from oracles import effective_hit_prob
 
 BIT_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -144,6 +145,11 @@ def test_effective_hit_prob():
     assert effective_hit_prob(0, 1, 1.0) == pytest.approx(0.0, abs=1e-12)
     assert effective_hit_prob(0, 1, 0.995) == pytest.approx(6.25e-4, abs=1e-12)
     assert effective_hit_prob(1, 0, 0.995) == pytest.approx(6.25e-4, abs=1e-12)
+    # the window law the kernel runs gives the same five values
+    for a, b, v, p in [(0, 0, 1.0, 0.125), (1, 1, 1.0, 0.125), (0, 1, 1.0, 0.0),
+                       (0, 1, 0.995, 6.25e-4), (1, 0, 0.995, 6.25e-4)]:
+        window = tm_window_distribution(b92_pair(a, b), InterferometerConfig(visibility=v))
+        assert window.port3_central == pytest.approx(p, abs=1e-12)
 
 
 def test_interferometer_config_validation():

@@ -39,8 +39,6 @@ from b92sim.hardware import (
     fiber_transmission,
     gate_block,
     gate_detector,
-    sample_photon_count,
-    thin_photons,
     with_fields,
 )
 from b92sim.protocol import (
@@ -60,15 +58,21 @@ from b92sim.protocol import (
     ber_crossing_distance,
     block_parities,
     bob_projector,
-    eve_intercept,
     generate_bits,
     predict_key_rate,
     reconcile_block_parity,
     run_session,
 )
-from b92sim.photonics import central_window, effective_hit_prob
-from b92sim.qstate import DOWN, P_LEFT, RIGHT, UP, inner, pass_probability, states_equal
+from b92sim.photonics import central_window
+from b92sim.qstate import DOWN, P_LEFT, RIGHT, UP, inner, pass_probability
 
+from oracles import (
+    effective_hit_prob,
+    eve_intercept,
+    sample_photon_count,
+    states_equal,
+    thin_photons,
+)
 from payloads import broken
 
 
@@ -1380,6 +1384,13 @@ def test_unknown_names_and_no_blocks_are_config_errors():
     assert EveStrategy.from_str("Fixed") is EveStrategy.FIXED_PROJECTION
 
 
+@pytest.mark.parametrize("n_blocks", [2.5, "3", True, None])
+def test_run_session_refuses_a_block_count_that_is_not_an_integer(n_blocks):
+    # 2.5 would run 3 blocks, "3" fail as a bare TypeError, True run 1 block
+    with pytest.raises(ConfigError, match="n_blocks must be an integer"):
+        run_session(make_cfg(), n_blocks=n_blocks)
+
+
 def test_session_that_sifts_nothing_has_no_bias_and_fails_closed():
     # a blind detector: no hits, so no sifted bits, no disclosed sample
     # and no zero fraction to report
@@ -1410,6 +1421,7 @@ def test_session_config_validation():
     ("bits_per_block", 1024.0), ("bits_per_block", True), ("bits_per_block", "1024"),
     ("seed_alice", 1.5), ("seed_physics", np.bool_(True)), ("error_sample_fraction", "0.25"),
     ("error_sample_fraction", False), ("mode", "physical"), ("eve", "fixed"),
+    ("hardware", None),
 ])
 def test_session_config_refuses_a_number_of_the_wrong_kind(field, value):
     # each would fail later as a bare TypeError or AttributeError, run 1-pulse

@@ -23,8 +23,9 @@ from b92sim.qstate import (
     inner,
     measure,
     pass_probability,
-    states_equal,
 )
+
+from oracles import states_equal
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -69,6 +69,20 @@ def test_decode_frame_refuses_a_fifth_field():
         decode_frame(json.dumps(obj).encode("utf-8"))
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_number_that_json_lacks_is_refused_by_name(constant):
+    # json reads these three by default; RFC 8259 has no such numbers
+    payload = json.dumps({**well_formed(PAYLOADS["Done"]), "ber": 0.5}).replace("0.5", constant)
+    body = f'{{"session_id":2,"sequence":1,"kind":"Done","payload":{payload}}}'.encode("utf-8")
+    t_a, t_b = loopback_pair()
+    t_a.send_frame(b"\0\0\0\0" + body)
+    with pytest.raises(ProtocolDesyncError, match=f"^ber {constant} is not float$"):
+        MessagePipe(t_b, 2).recv("Done")
+    in_header = body.replace(b'"sequence":1', b'"sequence":' + constant.encode("utf-8"))
+    with pytest.raises(ProtocolDesyncError, match=f"^malformed frame: sequence {constant} is not int$"):
+        decode_frame(in_header)
+
+
 def test_a_later_chunk_carries_the_bit_list_alone():
     # block_size rides on a list's first frame only
     bits = np.zeros(CHUNK_BITS + 8, np.uint8)
@@ -116,7 +130,7 @@ def test_every_kind_in_the_code_has_a_schema_and_every_schema_is_sent():
 
 VALUES = {
     int: st.integers(),
-    float: st.floats(allow_nan=False),
+    float: st.floats(allow_nan=False, allow_infinity=False),  # the read refuses both
     str: st.text(max_size=20),
     bool: st.booleans(),
     type(None): st.none(),
