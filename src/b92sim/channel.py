@@ -5,21 +5,28 @@ by one UTF-8 JSON object with exactly the fields {session_id,
 sequence, kind, payload}. That object is the message itself, and a
 read returns its payload, which must hold exactly the fields that
 ``PAYLOADS`` declares for its kind. A field missing, extra or of another
-type (NaN and Infinity, which JSON lacks, are of none), in the frame or
-in the payload, is refused. Frames never exceed 64 KiB, so long bit
+type (NaN and Infinity, which JSON lacks, are of none, and so is a number
+literal too large for a double, such as 1e999), in the frame or in the
+payload, is refused. Frames never exceed 64 KiB, so long bit
 lists are split across consecutive frames of the same kind carrying
 {total, offset, bits} with the bits hex-encoded (packed big-endian).
 
 The same framing runs over an in-process loopback (two deques, read
 in turn by one thread) or a TCP socket, so everything the protocol
 says on the wire is identical in both modes and can be inspected by
-tests.
+tests. Over TCP each frame leaves in one write with Nagle's algorithm
+off (TCP_NODELAY), so a turn's last frame is not held back until the
+peer's delayed ACK, and frames are not batched (``SocketTransport``
+says why); an AF_UNIX socket pair, which has no such timer, is taken
+as it is.
 """
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
+import time
 from collections import deque
 
 import numpy as np
@@ -33,17 +40,23 @@ CHUNK_BITS = 100_000
 
 
 class _Constant(str):
-    """NaN, Infinity or -Infinity, which json reads but JSON lacks: no field
-    takes this type, so the field check refuses one by name (``ber NaN is not float``)."""
+    """NaN, Infinity or -Infinity, which json reads but JSON lacks, or a number
+    literal that overflows a double: no field takes this type, so the field
+    check refuses one by name (``ber NaN is not float``, ``ber 1e999 is not float``)."""
 
     __repr__ = str.__str__
+
+
+def _finite_float(literal: str) -> float | _Constant:
+    value = float(literal)
+    return value if math.isfinite(value) else _Constant(literal)
 
 
 # One encoder and decoder for every frame. The encoder has the settings
 # of json.dumps(obj, separators=(",", ":")), so it writes the same bytes
 # without building a new encoder per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
-_DECODER = json.JSONDecoder(parse_constant=_Constant)
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_Constant)
 # the fields of a frame object and of each kind's payload, with the exact
 # types a field's value may have; a bit list's later chunks carry BIT_LIST alone
 _FRAME_FIELDS = {"session_id": (int,), "sequence": (int,), "kind": (str,), "payload": (dict,)}
@@ -158,9 +171,21 @@ def loopback_pair() -> tuple[LoopbackTransport, LoopbackTransport]:
 
 
 class SocketTransport:
-    """Blocking TCP transport for one peer connection."""
+    """Blocking transport for one peer connection over a stream socket.
+
+    Each frame leaves in one ``sendall``. On a TCP socket Nagle's
+    algorithm is off (TCP_NODELAY): with it on, a turn's last small frame
+    waits for the peer's delayed ACK, about 40 ms a block. Sends are not
+    batched until the next read either: batching was measured slower,
+    because the receiver then no longer handles one block's ``Done`` while
+    the sender computes the next, and it strands a last frame that no read
+    or close follows. An AF_UNIX socket pair has no such timer and no TCP
+    option, and is taken as it is.
+    """
 
     def __init__(self, sock: socket.socket, timeout: float = 30.0):
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(timeout)
         self._sock = sock
 
@@ -313,8 +338,6 @@ def accept_one(listener: socket.socket, timeout: float = 30.0) -> socket.socket:
 
 def connect_with_retry(host: str, port: int, deadline: float = 10.0) -> socket.socket:
     """Connect to a listener, retrying briefly while it comes up."""
-    import time
-
     end = time.monotonic() + deadline
     last: Exception | None = None
     while time.monotonic() < end:

@@ -281,6 +281,29 @@ def test_socket_transport_roundtrip():
     assert reply == {"ok": True}
 
 
+def test_socket_transport_turns_nagle_off_on_tcp_only():
+    # without TCP_NODELAY each turn's last frame waits for the peer's delayed ACK
+    listener = open_listener("127.0.0.1", 0)
+    client = connect_with_retry("127.0.0.1", listener.getsockname()[1], deadline=5.0)
+    server = accept_one(listener, timeout=5.0)
+    try:
+        for sock in (client, server):
+            SocketTransport(sock, timeout=5.0)
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    finally:
+        client.close()
+        server.close()
+    # an AF_UNIX pair has no TCP options and is taken as it is
+    a, b = (SocketTransport(s, timeout=5.0) for s in socket.socketpair())
+    try:
+        data = encode_frame(frame("Hello", HELLO, session_id=4, sequence=1))
+        a.send_frame(data)
+        assert b.recv_frame() == data
+    finally:
+        a.close()
+        b.close()
+
+
 def test_socket_peer_disappearing_raises():
     listener = open_listener("127.0.0.1", 0)
     port = listener.getsockname()[1]

@@ -69,15 +69,17 @@ def test_decode_frame_refuses_a_fifth_field():
         decode_frame(json.dumps(obj).encode("utf-8"))
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
 def test_a_number_that_json_lacks_is_refused_by_name(constant):
-    # json reads these three by default; RFC 8259 has no such numbers
-    payload = json.dumps({**well_formed(PAYLOADS["Done"]), "ber": 0.5}).replace("0.5", constant)
-    body = f'{{"session_id":2,"sequence":1,"kind":"Done","payload":{payload}}}'.encode("utf-8")
+    # json reads the first three by default, and a literal beyond a double's
+    # range as inf; RFC 8259 has no such numbers
     t_a, t_b = loopback_pair()
-    t_a.send_frame(b"\0\0\0\0" + body)
-    with pytest.raises(ProtocolDesyncError, match=f"^ber {constant} is not float$"):
-        MessagePipe(t_b, 2).recv("Done")
+    for field, types in [("bias", "NoneType or int or float"), ("ber", "float")]:
+        payload = json.dumps({**well_formed(PAYLOADS["Done"]), field: 0.25}).replace("0.25", constant)
+        body = f'{{"session_id":2,"sequence":1,"kind":"Done","payload":{payload}}}'.encode("utf-8")
+        t_a.send_frame(b"\0\0\0\0" + body)
+        with pytest.raises(ProtocolDesyncError, match=f"^{field} {constant} is not {types}$"):
+            MessagePipe(t_b, 2).recv("Done")
     in_header = body.replace(b'"sequence":1', b'"sequence":' + constant.encode("utf-8"))
     with pytest.raises(ProtocolDesyncError, match=f"^malformed frame: sequence {constant} is not int$"):
         decode_frame(in_header)
