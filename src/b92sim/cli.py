@@ -52,6 +52,7 @@ from .protocol import (
     Mode,
     SessionConfig,
     analytic_ber,
+    checked_seed,
     predict_key_rate,
     run_session,
 )
@@ -245,7 +246,7 @@ def _cmd_histogram(args) -> int:
     hw = _hardware_from_args(args)
     itf = hw.interferometer
     phases = PhasePair(args.phi_a, args.phi_b)
-    rng = np.random.default_rng(args.seed_physics)
+    rng = np.random.default_rng(checked_seed("seed_physics", args.seed_physics))
     with _open_out(args) as out:
         hist = arrival_histogram(phases, itf, args.pulses, hw.source.mean_photons, rng,
                                  bin_width=None if args.bin_ps is None else args.bin_ps * 1e-12)

@@ -26,6 +26,11 @@ from .errors import ConfigError, ModelValidityError
 from .photonics import InterferometerConfig
 
 
+# numpy's Poisson sampler refuses a mean above int64's maximum less ten
+# times its square root (about 9.2e18); a round bound below that
+MAX_MEAN_PHOTONS = 1e18
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Pulsed light source. mean_photons is the Poisson mean per pulse;
@@ -37,8 +42,9 @@ class SourceParams:
 
     def __post_init__(self):
         # chained comparisons are False for NaN, so these reject it too
-        if not 0 <= self.mean_photons < math.inf:
-            raise ConfigError(f"mean_photons must be finite and >= 0, got {self.mean_photons}")
+        if not 0 <= self.mean_photons <= MAX_MEAN_PHOTONS:
+            raise ConfigError(f"mean_photons must be finite and >= 0, at most "
+                              f"{MAX_MEAN_PHOTONS:g}, got {self.mean_photons}")
         if not 0 < self.pulse_rate < math.inf:
             raise ConfigError(f"pulse_rate must be finite and positive, got {self.pulse_rate}")
 

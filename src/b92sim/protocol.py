@@ -12,13 +12,15 @@ A wire cannot carry a qubit, so a session has one shape: the sender's
 side owns the physics. It rebuilds the receiver's bit stream from the
 shared seed, simulates the whole quantum layer, and sends the hit
 flags as Results frames; the receiver learns nothing beyond what the
-message schema carries. Each party waits on the other at three
-reads: the sender calls an injected ``peer_step`` before it reads the
-Hello, ErrorCheckValues and DiscardList, and the receiver's session is
-a generator that yields before it reads the Hello reply, Parities and
-Done. ``run_session`` drives both in one thread over a loopback
-channel; ``b92sim chat`` runs each in its own process over TCP, where
-every receive blocks on the socket instead.
+message schema carries. A block is one exchange: the sender sends
+Results, ErrorCheckIndices and Parities, and the receiver reads all
+three, then answers with ErrorCheckValues and DiscardList. Each party
+waits at two reads: the sender calls an injected ``peer_step`` before
+the Hello and each block's answer, the receiver's session is a
+generator that yields before the Hello reply and each Done.
+``run_session`` drives both in one thread over a loopback channel;
+``b92sim chat`` runs each in its own process over TCP, where every
+receive blocks on the socket instead.
 
 Each party's decisions depend only on its own bits plus schema-level
 messages, and sessions are bit-for-bit reproducible from the
@@ -100,6 +102,13 @@ ALARM_BIAS_THRESHOLD = 0.05
 MAX_BITS_PER_BLOCK = 4_000_000
 
 
+def checked_seed(name: str, seed: int) -> int:
+    """``seed``, if numpy's generators take it: they refuse a negative one."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     seed_alice: int
@@ -120,6 +129,8 @@ class SessionConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
             object.__setattr__(self, name, float(value) if kind is numbers.Real else int(value))
+        for name in ("seed_alice", "seed_bob", "seed_physics"):
+            checked_seed(name, getattr(self, name))
         if not 0 < self.bits_per_block <= MAX_BITS_PER_BLOCK:
             raise ConfigError(
                 f"bits_per_block must lie in [1, {MAX_BITS_PER_BLOCK}], got {self.bits_per_block}"
@@ -475,9 +486,10 @@ class AliceEngine(_Party):
 
     Each block it draws its bits, rebuilds the receiver's from the
     shared seed, runs both through the PhysicsKernel, and sends the
-    hit flags as Results frames. ``peer_step`` is called at the three
-    points where the sender waits for the receiver: before receiving
-    its Hello, its ErrorCheckValues and its DiscardList. ``run_session``
+    hit flags as Results frames, then its sample and its Parities in
+    the same turn. ``peer_step`` is called at the two points where the
+    sender waits for the receiver: before receiving its Hello and before
+    each block's ErrorCheckValues and DiscardList. ``run_session``
     passes one that advances the receiver's ``steps()`` in the same
     thread; over TCP the receiver runs in its own process and the
     default does nothing. ``logs`` goes to the kernel.
@@ -498,14 +510,6 @@ class AliceEngine(_Party):
     blocks_done = property(lambda self: len(self.reconciled_blocks))
     rounds_sent = property(lambda self: self.blocks_done * self.cfg.bits_per_block)
 
-    def handshake(self) -> None:
-        self.peer_step()
-        hello = self.pipe.recv(expect_kind="Hello")
-        mine = _hello_payload(self.cfg)
-        if hello != mine:
-            raise SessionAbort(f"peer configuration mismatch: {hello} != {mine}")
-        self.pipe.send("Hello", {"ok": True})
-
     def run_block(self) -> None:
         cfg = self.cfg
         bits = generate_bits(cfg.bits_per_block, self.rng)
@@ -520,52 +524,40 @@ class AliceEngine(_Party):
         if k > 0:
             mask[self.rng.choice(len(key), size=k, replace=False)] = True
         send_bit_frames(self.pipe, "ErrorCheckIndices", mask)
+        mine, trimmed = _split(key, mask)
+        parities = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
+        send_bit_frames(self.pipe, "Parities", parities,
+                        extra={"block_size": RECONCILE_BLOCK_SIZE})
         self.peer_step()
         values, head = recv_bit_frames(self.pipe, "ErrorCheckValues", k)
         self.bob_bias = head["bias"]
         if self.bob_bias is not None and not 0.0 <= self.bob_bias <= 1.0:
             raise ProtocolDesyncError(f"bias {self.bob_bias!r} is not a fraction in [0, 1]")
-        mine, trimmed = _split(key, mask)
         if len(values) != len(mine):
             raise ProtocolDesyncError("disclosed values do not match the sample size")
         self.disclosed_total += len(mine)
         self.mismatch_total += np.count_nonzero(mine != values)
-
-        parities = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
-        send_bit_frames(
-            self.pipe, "Parities", parities, extra={"block_size": RECONCILE_BLOCK_SIZE}
-        )
-        self.peer_step()
-        drop_mask, _ = recv_bit_frames(self.pipe, "DiscardList", len(parities))
-        self.reconciled_blocks.append(
-            apply_block_verdicts(trimmed, drop_mask, RECONCILE_BLOCK_SIZE)
-        )
+        drop, _ = recv_bit_frames(self.pipe, "DiscardList", len(parities))
+        self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
         # the session's verdict so far, which ``run``'s continue_fn sees
-        self.ber = (
-            self.mismatch_total / self.disclosed_total if self.disclosed_total else 0.0
-        )
+        self.ber = self.mismatch_total / self.disclosed_total if self.disclosed_total else 0.0
         self.alarm, self.alarm_reason = _evaluate_alarm(
             self.disclosed_total, self.ber, self.bob_bias
         )
 
-    def send_done(self, more: bool) -> None:
-        self.pipe.send(
-            "Done",
-            {
-                "more": more,
-                "ber": self.ber,
-                "bias": self.bob_bias,
-                "alarm": self.alarm,
-                "reason": self.alarm_reason,
-            },
-        )
-
     def run(self, continue_fn) -> "AliceEngine":
-        self.handshake()
+        """The whole session: the Hello reply, then blocks, each followed
+        by a Done, until ``continue_fn(self)`` is false."""
+        self.peer_step()
+        hello = self.pipe.recv(expect_kind="Hello")
+        if hello != (mine := _hello_payload(self.cfg)):
+            raise SessionAbort(f"peer configuration mismatch: {hello} != {mine}")
+        self.pipe.send("Hello", {"ok": True})
         while True:
             self.run_block()
             more = bool(continue_fn(self))
-            self.send_done(more)
+            self.pipe.send("Done", {"more": more, "ber": self.ber, "bias": self.bob_bias,
+                                    "alarm": self.alarm, "reason": self.alarm_reason})
             if not more:
                 return self
 
@@ -575,8 +567,8 @@ class BobEngine(_Party):
 
     It receives the hit record as Results frames; its decisions read
     only this party's bits and the messages. ``steps()`` is the whole
-    session as a generator that yields before each read that waits on
-    the sender. ``run_session`` advances it from the sender's
+    session as a generator that yields before the two reads that wait
+    on the sender. ``run_session`` advances it from the sender's
     ``peer_step`` in one thread; ``run`` (TCP) exhausts it, and each
     receive blocks on the socket.
     """
@@ -590,9 +582,9 @@ class BobEngine(_Party):
     def _bias(self) -> float | None:
         return self.zeros_total / self.sifted_total if self.sifted_total else None
 
-    def run_block(self):
-        """One block, as a generator that yields while the sender
-        answers the disclosed values with its Parities."""
+    def run_block(self) -> None:
+        """One block: it reads the sender's three lists before it writes
+        either reply, so neither party writes while the other does."""
         cfg = self.cfg
         bits = generate_bits(cfg.bits_per_block, self.rng)
         hits, _ = recv_bit_frames(self.pipe, "Results", cfg.bits_per_block)
@@ -603,9 +595,6 @@ class BobEngine(_Party):
 
         mask, _ = recv_bit_frames(self.pipe, "ErrorCheckIndices", len(key))
         sample, trimmed = _split(key, mask == 1)
-        send_bit_frames(self.pipe, "ErrorCheckValues", sample, extra={"bias": self._bias()})
-        yield
-
         mine = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
         parities_a, head = recv_bit_frames(self.pipe, "Parities", len(mine))
         if head["block_size"] != RECONCILE_BLOCK_SIZE:
@@ -613,21 +602,20 @@ class BobEngine(_Party):
         if len(parities_a) != len(mine):
             raise ProtocolDesyncError("parity lists differ in length")
         drop = (mine != parities_a).astype(np.uint8)
+        send_bit_frames(self.pipe, "ErrorCheckValues", sample, extra={"bias": self._bias()})
         send_bit_frames(self.pipe, "DiscardList", drop)
-        self.reconciled_blocks.append(
-            apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE)
-        )
+        self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
 
     def steps(self):
-        """The whole session; yields before each read that waits on the
-        sender: the Hello reply, the Parities and the Done. By its next
-        turn a Done that asks for more has the next block behind it."""
+        """The whole session; yields before the two reads that wait on
+        the sender: the Hello reply and each Done. By its next turn a
+        Done that asks for more has the next block behind it."""
         self.pipe.send("Hello", _hello_payload(self.cfg))
         yield
         if not self.pipe.recv("Hello", HELLO_REPLY)["ok"]:
             raise SessionAbort("peer rejected the session configuration")
         while True:
-            yield from self.run_block()
+            self.run_block()
             yield
             self.final = self.pipe.recv(expect_kind="Done")
             if not self.final["more"]:
@@ -649,7 +637,8 @@ def run_session(
 
     Both parties speak the wire protocol of ``b92sim chat``: the
     sender's ``peer_step`` advances the receiver's ``steps()`` before
-    each of its three waits, and the receiver then runs to its end,
+    each of its two waits, for the Hello and for each block's answer,
+    1 + n_blocks steps in all, and the receiver then runs to its end,
     reading the last Done. ``channel`` may supply a
     (alice_transport, bob_transport) pair so tests can watch the
     frames; by default a loopback pair is built. The round record goes

@@ -318,6 +318,33 @@ def test_unbounded_block_size_exits_2(capsys, argv):
     assert out == ""
 
 
+BOB_AT_PORT_9 = ["chat", "--role", "bob", "--connect", "127.0.0.1:9"]
+UNDRAWABLE_FLAGS = [
+    (["session", "--seed-alice", "-1"], "seed_alice must be >= 0, got -1"),
+    (["session", "--seed-bob", "-2"], "seed_bob must be >= 0, got -2"),
+    (["histogram", "--seed-physics", "-3"], "seed_physics must be >= 0, got -3"),
+    (["sweep", "--out", os.devnull, "--km-stop", "0", "--seed-physics", "-1"],
+     "seed_physics must be >= 0, got -1"),
+    (["chat", "--role", "alice", "--listen", "127.0.0.1:0", "--message", "hi",
+      "--seed-alice", "-1"], "seed_alice must be >= 0, got -1"),
+    ([*BOB_AT_PORT_9, "--seed-bob", "-1"], "seed_bob must be >= 0, got -1"),
+    *(([*argv, "--mu", "1e19"], "mean_photons must be finite and >= 0, at most 1e+18")
+      for argv in (["session", "--mode", "physical"], ["sweep"], ["histogram"], BOB_AT_PORT_9)),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNDRAWABLE_FLAGS,
+                         ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in UNDRAWABLE_FLAGS])
+def test_a_seed_or_mean_numpy_cannot_draw_from_exits_2(capsys, argv, message):
+    # refused with the configuration, before any socket, file or pulse:
+    # numpy's generators take no negative seed, its Poisson sampler no
+    # mean above about 9.2e18
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert out == ""
+
+
 # flag, value, profile-file value of the same field, field, group, field value
 HARDWARE_FLAGS = [
     ("--mu", "0.3", "0.05", "mean_photons", "source", 0.3),

@@ -7,6 +7,7 @@ from scipy import stats
 
 from b92sim.errors import ConfigError, ModelValidityError
 from b92sim.hardware import (
+    MAX_MEAN_PHOTONS,
     DetectorParams,
     DetectorState,
     FiberParams,
@@ -304,6 +305,19 @@ def test_param_validation():
         FiberParams(length_km=-1)
     with pytest.raises(ConfigError):
         DetectorParams(efficiency=1.5)
+
+
+def test_mean_photons_stays_where_numpy_can_draw_it(tmp_path):
+    # numpy's Poisson sampler refuses a mean above about 9.2e18, which
+    # a session would meet only at its first Physical block
+    src = SourceParams(mean_photons=MAX_MEAN_PHOTONS)
+    assert np.random.default_rng(1).poisson(src.mean_photons) > 0
+    with pytest.raises(ConfigError, match="mean_photons must be finite and >= 0, at most 1e"):
+        SourceParams(mean_photons=1e19)
+    path = tmp_path / "bright.profile"
+    path.write_text("mean_photons = 9.3e18\n")
+    with pytest.raises(ConfigError, match="mean_photons"):
+        load_profile(path)
 
 
 def test_load_profile(tmp_path):

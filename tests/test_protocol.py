@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import re
 import socket
@@ -964,17 +965,25 @@ class ReplayTransport:
         pass
 
 
-def socket_pair():
-    """Two connected SocketTransports, for parties in separate threads."""
+def socket_pair(buffer=None, timeout=30.0):
+    """Two connected SocketTransports, for parties in separate threads;
+    ``buffer``, if given, sets each socket's send and receive buffer in
+    bytes, and ``timeout`` bounds each send and receive in seconds."""
     s_a, s_b = socket.socketpair()
-    return SocketTransport(s_a, timeout=30.0), SocketTransport(s_b, timeout=30.0)
+    if buffer is not None:
+        for s in (s_a, s_b):
+            s.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, buffer)
+            s.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, buffer)
+    return SocketTransport(s_a, timeout=timeout), SocketTransport(s_b, timeout=timeout)
 
 
-def run_two_process(cfg, n_blocks=1, record_to_bob=None, record_to_alice=None, logs=None):
+def run_two_process(cfg, n_blocks=1, record_to_bob=None, record_to_alice=None, logs=None,
+                    buffer=None, timeout=30.0):
     """Both engines in wire mode (sender owns the physics), each in its
     own thread over a socket pair, where every receive blocks; the
-    sender's round log goes to ``logs``, if given."""
-    t_a, t_b = socket_pair()
+    sender's round log goes to ``logs``, if given. ``buffer`` and
+    ``timeout`` go to ``socket_pair``."""
+    t_a, t_b = socket_pair(buffer, timeout)
     if record_to_bob is not None:
         t_a = RecordingTransport(t_a, record_to_bob)
     if record_to_alice is not None:
@@ -1035,6 +1044,66 @@ def test_two_process_mode_equals_in_process():
         assert np.array_equal(alice.reconciled_key(), rep.reconciled_key)
         assert np.array_equal(wire_logs.hits, logs.hits)
         assert alice.ber == rep.ber_estimate
+
+
+def test_a_large_block_over_small_socket_buffers_does_not_stall():
+    # each list of a 2M-pulse block is many times a 4 kB socket buffer:
+    # the receiver reads all three of the sender's lists before it
+    # answers, so the two never write at once, each waiting on the
+    # other until the transport times out
+    cfg = make_cfg(bits_per_block=2_000_000)
+    rep = run_session(cfg)
+    alice, bob = run_two_process(cfg, buffer=4096, timeout=5.0)
+    assert np.array_equal(alice.sifted_key(), rep.sifted_key_alice)
+    assert np.array_equal(bob.sifted_key(), rep.sifted_key_bob)
+    assert np.array_equal(alice.reconciled_key(), rep.reconciled_key)
+    assert np.array_equal(bob.reconciled_key(), rep.reconciled_key)
+
+
+class TranscriptTransport:
+    """Appends (party, "send" or "recv", kind) for each frame to a shared list."""
+
+    def __init__(self, inner, party, log):
+        self.inner, self.party, self.log = inner, party, log
+
+    def send_frame(self, data):
+        self.log.append((self.party, "send", decode_frame(data[4:])["kind"]))
+        self.inner.send_frame(data)
+
+    def recv_frame(self):
+        data = self.inner.recv_frame()
+        self.log.append((self.party, "recv", decode_frame(data[4:])["kind"]))
+        return data
+
+    def close(self):
+        self.inner.close()
+
+
+def test_each_block_is_one_exchange(monkeypatch):
+    # the sender sends its three lists in one turn; the receiver reads
+    # all three before it answers with both of its own
+    log, steps = [], []
+
+    class CountingSender(AliceEngine):
+        def __init__(self, cfg, pipe, peer_step, logs):
+            super().__init__(cfg, pipe, lambda: (steps.append(None), peer_step()), logs)
+
+    monkeypatch.setattr(protocol, "AliceEngine", CountingSender)
+    t_a, t_b = loopback_pair()
+    run_session(make_cfg(bits_per_block=1024), n_blocks=3, channel=(
+        TranscriptTransport(t_a, "alice", log), TranscriptTransport(t_b, "bob", log)))
+    lists = ("Results", "ErrorCheckIndices", "Parities")
+    answers = ("ErrorCheckValues", "DiscardList")
+    expected = [("bob", "send", "Hello"), ("alice", "recv", "Hello"), ("alice", "send", "Hello")]
+    for block in range(3):
+        expected += [("alice", "send", kind) for kind in lists]
+        expected += [("bob", "recv", "Done" if block else "Hello")]
+        expected += [("bob", "recv", kind) for kind in lists]
+        expected += [("bob", "send", kind) for kind in answers]
+        expected += [("alice", "recv", kind) for kind in answers] + [("alice", "send", "Done")]
+    assert log == expected + [("bob", "recv", "Done")]
+    assert len(steps) == 1 + 3
+    assert not inspect.isgeneratorfunction(BobEngine.run_block)
 
 
 def test_message_schema_and_results_content():
@@ -1421,7 +1490,7 @@ def test_session_config_validation():
     ("bits_per_block", 1024.0), ("bits_per_block", True), ("bits_per_block", "1024"),
     ("seed_alice", 1.5), ("seed_physics", np.bool_(True)), ("error_sample_fraction", "0.25"),
     ("error_sample_fraction", False), ("mode", "physical"), ("eve", "fixed"),
-    ("hardware", None),
+    ("hardware", None), ("seed_alice", -1),
 ])
 def test_session_config_refuses_a_number_of_the_wrong_kind(field, value):
     # each would fail later as a bare TypeError or AttributeError, run 1-pulse
