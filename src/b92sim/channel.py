@@ -1,4 +1,4 @@
-"""Classical public channel: framing, transports, and bit-list transfer.
+"""Classical public channel: framing, transports, and the hex codec for bit lists.
 
 Wire format: each frame is a 4-byte big-endian length prefix followed
 by one UTF-8 JSON object with exactly the fields {session_id,
@@ -7,9 +7,12 @@ read returns its payload, which must hold exactly the fields that
 ``PAYLOADS`` declares for its kind. A field missing, extra or of another
 type (NaN and Infinity, which JSON lacks, are of none, and so is a number
 literal too large for a double, such as 1e999), in the frame or in the
-payload, is refused. Frames never exceed 64 KiB, so long bit
-lists are split across consecutive frames of the same kind carrying
-{total, offset, bits} with the bits hex-encoded (packed big-endian).
+payload, is refused. Each turn of a session is one message: a bit list
+is one hex field (packed big-endian, ``bits_to_hex``), which the reader
+decodes at the count it already knows (``hex_to_bits``). So no list is
+split across frames, and ``MAX_FRAME_BYTES`` is the largest frame a
+valid session sends: a Block of ``MAX_BITS_PER_BLOCK`` pulses that all
+hit. The Hello carries ``WIRE_VERSION``.
 
 The same framing runs over an in-process loopback (two deques, read
 in turn by one thread) or a TCP socket, so everything the protocol
@@ -33,10 +36,17 @@ import numpy as np
 
 from .errors import ChannelError, ProtocolDesyncError
 
-MAX_FRAME_BYTES = 64 * 1024
+# pulses per block, checked before any is drawn: one Physical block with
+# Eve at this size peaked at 266 MB resident (235 MB above the import)
+MAX_BITS_PER_BLOCK = 4_000_000
+# The largest frame a valid session sends: a Block of MAX_BITS_PER_BLOCK
+# pulses that all hit, whose hit record and sample mask take n / 4 hex
+# digits each and its parities, one per 8 sifted bits, n / 32; 1 KiB
+# covers the frame's other fields. About 2.1 MB.
+MAX_FRAME_BYTES = 2 * (MAX_BITS_PER_BLOCK // 4) + MAX_BITS_PER_BLOCK // 32 + 1024
 _HEADER = struct.Struct(">I")
-# payload bits per chunk; 100k bits -> 25 kB of hex, comfortably per-frame
-CHUNK_BITS = 100_000
+# the format of the frames and payloads below, which the Hello carries
+WIRE_VERSION = 2
 
 
 class _Constant(str):
@@ -58,20 +68,18 @@ def _finite_float(literal: str) -> float | _Constant:
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 _DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_Constant)
 # the fields of a frame object and of each kind's payload, with the exact
-# types a field's value may have; a bit list's later chunks carry BIT_LIST alone
+# types a field's value may have; a str field named for a bit list is its hex
 _FRAME_FIELDS = {"session_id": (int,), "sequence": (int,), "kind": (str,), "payload": (dict,)}
-BIT_LIST = {"total": (int,), "offset": (int,), "bits": (str,)}
 PAYLOADS = {
-    "Hello": {"bits_per_block": (int,), "mode": (str,), "eve": (str,),
+    "Hello": {"wire_version": (int,), "bits_per_block": (int,), "mode": (str,), "eve": (str,),
               "reconcile_block_size": (int,), "error_sample_fraction": (float,)},
-    **dict.fromkeys(["Results", "ErrorCheckIndices", "DiscardList"], BIT_LIST),
-    "ErrorCheckValues": {**BIT_LIST, "bias": (type(None), int, float)},
-    "Parities": {**BIT_LIST, "block_size": (int,)},
-    "Ciphertext": {**BIT_LIST, "chars": (int,)},
+    "HelloReply": {"ok": (bool,)},
+    "Block": {"results": (str,), "sample": (str,), "parities": (str,), "block_size": (int,)},
+    "Answer": {"values": (str,), "bias": (type(None), int, float), "discard": (str,)},
     "Done": {"more": (bool,), "ber": (float,), "bias": (type(None), int, float),
              "alarm": (bool,), "reason": (type(None), str)},
+    "Ciphertext": {"bits": (str,), "chars": (int,)},
 }
-HELLO_REPLY = {"ok": (bool,)}  # the sender's answer to the receiver's Hello
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
@@ -114,7 +122,7 @@ def encode_frame(msg: dict) -> bytes:
     """The frame of an object with the fields session_id, sequence, kind, payload."""
     body = _ENCODER.encode(msg).encode("utf-8")
     if _HEADER.size + len(body) > MAX_FRAME_BYTES:
-        raise ChannelError(f"frame of {len(body)} bytes exceeds the 64 KiB limit")
+        raise ChannelError(f"frame of {len(body)} bytes exceeds the limit of {MAX_FRAME_BYTES}")
     return _HEADER.pack(len(body)) + body
 
 
@@ -230,7 +238,7 @@ class MessagePipe:
 
     Numbers outgoing frames 1, 2, 3, ... per session. A read accepts only
     the next number of the same session, of the kind the caller expects,
-    with a payload of ``fields`` (by default ``PAYLOADS[kind]``), and returns it.
+    with a payload of that kind's ``PAYLOADS`` entry, and returns it.
     """
 
     def __init__(self, transport, session_id: int):
@@ -245,7 +253,7 @@ class MessagePipe:
                "payload": payload}
         self._transport.send_frame(encode_frame(msg))
 
-    def recv(self, expect_kind: str, fields: dict | None = None) -> dict:
+    def recv(self, expect_kind: str) -> dict:
         msg = decode_frame(self._transport.recv_frame()[_HEADER.size:])
         if msg["session_id"] != self.session_id:
             raise ProtocolDesyncError(
@@ -256,60 +264,10 @@ class MessagePipe:
         self._seq_in += 1
         if msg["kind"] != expect_kind:
             raise ProtocolDesyncError(f"expected {expect_kind}, got {msg['kind']}")
-        return _check_fields(msg["payload"], PAYLOADS[expect_kind] if fields is None else fields)
+        return _check_fields(msg["payload"], PAYLOADS[expect_kind])
 
     def close(self) -> None:
         self._transport.close()
-
-
-def send_bit_frames(
-    pipe: MessagePipe, kind: str, bits: np.ndarray, extra: dict | None = None
-) -> None:
-    """Ship a bit list as one or more frames of the same kind.
-
-    Each frame carries {total, offset, bits}; any ``extra`` fields ride
-    on the first frame only.
-    """
-    arr = np.asarray(bits, dtype=np.uint8)
-    for offset in range(0, max(len(arr), 1), CHUNK_BITS):  # an empty list takes one frame
-        payload = {"total": len(arr), "offset": offset,
-                   "bits": bits_to_hex(arr[offset: offset + CHUNK_BITS])}
-        if offset == 0 and extra:
-            payload.update(extra)
-        pipe.send(kind, payload)
-
-
-def recv_bit_frames(pipe: MessagePipe, kind: str, max_total: int) -> tuple[np.ndarray, dict]:
-    """Reassemble a bit list sent by send_bit_frames.
-
-    ``max_total`` is the longest list the caller can accept; it is
-    checked before anything is allocated. A larger total, a chunk that
-    does not start where the last one ended, or bits that are not hex
-    raise ProtocolDesyncError. Returns the bits and the first frame's
-    payload (for extra fields).
-    """
-    head = payload = pipe.recv(expect_kind=kind)
-    total = head["total"]
-    if not 0 <= total <= max_total:
-        raise ProtocolDesyncError(f"{kind} announces {total} bits, expected at most {max_total}")
-    # a single chunk is returned as decoded; longer lists fill one array
-    out = np.empty(total, dtype=np.uint8) if total > CHUNK_BITS else None
-    received = 0
-    while True:
-        if (payload["offset"], payload["total"]) != (received, total):
-            raise ProtocolDesyncError(
-                f"{kind} chunk at offset {payload['offset']} of {payload['total']}, "
-                f"expected offset {received} of {total}"
-            )
-        n = min(CHUNK_BITS, total - received)
-        bits = hex_to_bits(payload["bits"], n)
-        if out is None:
-            return bits, head
-        out[received: received + n] = bits
-        received += n
-        if received >= total:
-            return out, head
-        payload = pipe.recv(kind, BIT_LIST)
 
 
 def open_listener(host: str, port: int) -> socket.socket:

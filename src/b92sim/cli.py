@@ -6,7 +6,8 @@ distance, ``histogram`` emits the time-of-arrival spectrum as CSV,
 and ``chat`` runs two OS processes that distill a key over TCP and
 exchange one one-time-pad encrypted ASCII message.
 
-Exit codes: 0 success, 1 chat alarm, 2 configuration or file error, 3 transport error.
+Exit codes: 0 success, 1 chat alarm, 2 configuration or file error, 3 transport
+error or a peer's message that breaks the protocol.
 All outputs are deterministic given explicit seeds.
 """
 from __future__ import annotations
@@ -24,13 +25,14 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import (
+    MAX_BITS_PER_BLOCK,
     MessagePipe,
     SocketTransport,
     accept_one,
+    bits_to_hex,
     connect_with_retry,
+    hex_to_bits,
     open_listener,
-    recv_bit_frames,
-    send_bit_frames,
 )
 from .errors import (
     ChannelError,
@@ -270,9 +272,9 @@ def _parse_hostport(spec: str, lowest: int) -> tuple[str, int]:
 
 
 def _render_ciphertext(bits: np.ndarray) -> str:
-    raw = np.packbits(bits.astype(np.uint8)).tobytes()
-    chars = "".join(chr(b) if 32 <= b < 127 else "." for b in raw)
-    return f"{raw.hex()} ({chars})"
+    hex_bits = bits_to_hex(bits)
+    chars = "".join(chr(b) if 32 <= b < 127 else "." for b in bytes.fromhex(hex_bits))
+    return f"{hex_bits} ({chars})"
 
 
 # blocks in a row that sift no bit while the alarm is up, after which
@@ -281,6 +283,10 @@ def _render_ciphertext(bits: np.ndarray) -> str:
 # defaults and 0.8 at 25 km; in-process chats out to 30 km never
 # reached 64 such blocks in a row.
 CHAT_EMPTY_BLOCKS = 64
+
+# characters of a chat message: its Ciphertext, 8 bits a character, is
+# one frame, which holds at most the bits of the largest block
+MAX_CHAT_CHARS = MAX_BITS_PER_BLOCK // 8
 
 
 def _chat_continue(needed: int):
@@ -303,15 +309,19 @@ def _cmd_chat(args) -> int:
         if not args.listen:
             raise ConfigError("--role alice requires --listen HOST:PORT")
         host, port = _parse_hostport(args.listen, 0)
-        listener = open_listener(host, port)
-        print(f"listening on {host}:{listener.getsockname()[1]}", flush=True)
         try:
             text = args.message if args.message is not None else input("message> ")
         except EOFError:  # end of input, as from /dev/null, is an empty message
             text = ""
         if not text:
             raise ConfigError("message is empty")
-        needed = 8 * len(text)
+        if len(text) > MAX_CHAT_CHARS:
+            raise ConfigError(f"message of {len(text)} characters exceeds the limit of "
+                              f"{MAX_CHAT_CHARS}")
+        plain = ascii_encode(text)
+        needed = len(plain)
+        listener = open_listener(host, port)
+        print(f"listening on {host}:{listener.getsockname()[1]}", flush=True)
         pipe = MessagePipe(SocketTransport(accept_one(listener)), cfg.session_id())
         try:
             alice = AliceEngine(cfg, pipe)
@@ -320,12 +330,11 @@ def _cmd_chat(args) -> int:
                 print(f"alarm ({alice.alarm_reason}): key discarded, nothing sent")
                 return 1
             pad = pad_from_key(alice.reconciled_key(), n_symbols=needed)
-            cipher, _ = encrypt(ascii_encode(text), pad)
-            bits = cipher.symbols.astype(np.uint8)
-            send_bit_frames(pipe, "Ciphertext", bits, extra={"chars": len(text)})
+            cipher, _ = encrypt(plain, pad)
+            pipe.send("Ciphertext", {"bits": bits_to_hex(cipher.symbols), "chars": len(text)})
             print(f"blocks: {alice.blocks_done}  key bits: {len(alice.reconciled_key())} "
                   f"ber: {alice.ber:.4f}")
-            print(f"ciphertext: {_render_ciphertext(bits)}")
+            print(f"ciphertext: {_render_ciphertext(cipher.symbols)}")
         finally:
             pipe.close()
         return 0
@@ -339,14 +348,19 @@ def _cmd_chat(args) -> int:
         if bob.final["alarm"]:
             print(f"alarm ({bob.final['reason']}): key discarded")
             return 1
-        bits, head = recv_bit_frames(pipe, "Ciphertext", len(bob.reconciled_key()))
-        chars = head["chars"]
-        if len(bits) != 8 * chars:
-            raise ProtocolDesyncError(f"Ciphertext of {len(bits)} bits for {chars} characters")
+        cipher = pipe.recv("Ciphertext")
+        key = bob.reconciled_key()
+        if not 0 <= 8 * cipher["chars"] <= len(key):
+            raise ProtocolDesyncError(
+                f"Ciphertext of {cipher['chars']} characters for a key of {len(key)} bits")
+        bits = hex_to_bits(cipher["bits"], 8 * cipher["chars"])
         print(f"ciphertext: {_render_ciphertext(bits)}")
-        pad = pad_from_key(bob.reconciled_key(), n_symbols=len(bits))
-        plain, _ = decrypt(Message(bits.astype(np.int64), 2), pad)
-        print(f"decrypted: {ascii_decode(plain)}")
+        plain, _ = decrypt(Message(bits, 2), pad_from_key(key, n_symbols=len(bits)))
+        try:
+            text = ascii_decode(plain)
+        except EncodingError as exc:  # the peer's bits, not this party's input
+            raise ProtocolDesyncError(f"decrypted Ciphertext: {exc}") from exc
+        print(f"decrypted: {text}")
     finally:
         pipe.close()
     return 0

@@ -11,13 +11,15 @@ block parities reconcile the remainder.
 A wire cannot carry a qubit, so a session has one shape: the sender's
 side owns the physics. It rebuilds the receiver's bit stream from the
 shared seed, simulates the whole quantum layer, and sends the hit
-flags as Results frames; the receiver learns nothing beyond what the
-message schema carries. A block is one exchange: the sender sends
-Results, ErrorCheckIndices and Parities, and the receiver reads all
-three, then answers with ErrorCheckValues and DiscardList. Each party
-waits at two reads: the sender calls an injected ``peer_step`` before
-the Hello and each block's answer, the receiver's session is a
-generator that yields before the Hello reply and each Done.
+flags in each block's Block message; the receiver learns nothing
+beyond what the message schema carries. A block is one exchange and
+three frames: the sender's Block carries the hit record, the error
+sample's mask and the parities, the receiver's Answer carries the
+sample's values, its bias and the discard list, and the sender's Done
+closes the block. Each party waits at two reads: the sender calls an
+injected ``peer_step`` before the Hello and each block's Answer, the
+receiver's session is a generator that yields before the HelloReply
+and each Done.
 ``run_session`` drives both in one thread over a loopback channel;
 ``b92sim chat`` runs each in its own process over TCP, where every
 receive blocks on the socket instead.
@@ -37,11 +39,12 @@ import numpy as np
 
 from . import qstate
 from .channel import (
-    HELLO_REPLY,
+    MAX_BITS_PER_BLOCK,
+    WIRE_VERSION,
     MessagePipe,
+    bits_to_hex,
+    hex_to_bits,
     loopback_pair,
-    recv_bit_frames,
-    send_bit_frames,
 )
 from .errors import ChannelError, ConfigError, ProtocolDesyncError, SessionAbort
 from .hardware import (
@@ -92,14 +95,10 @@ class EveStrategy(Enum):
 
 
 # Protocol constants. The reconciliation block size also goes on the
-# wire (Hello, Parities), where each party checks the other's value.
+# wire (Hello, Block), where each party checks the other's value.
 RECONCILE_BLOCK_SIZE = 8
 ALARM_BER_THRESHOLD = 0.05
 ALARM_BIAS_THRESHOLD = 0.05
-
-# pulses per block, checked before any is drawn: one Physical block with
-# Eve at this size peaked at 266 MB resident (235 MB above the import)
-MAX_BITS_PER_BLOCK = 4_000_000
 
 
 def checked_seed(name: str, seed: int) -> int:
@@ -455,6 +454,7 @@ def _evaluate_alarm(disclosed: int, ber: float, bias: float | None) -> tuple[boo
 
 def _hello_payload(cfg: SessionConfig) -> dict:
     return {
+        "wire_version": WIRE_VERSION,
         "bits_per_block": cfg.bits_per_block,
         "mode": cfg.mode.value,
         "eve": cfg.eve.value,
@@ -486,13 +486,13 @@ class AliceEngine(_Party):
 
     Each block it draws its bits, rebuilds the receiver's from the
     shared seed, runs both through the PhysicsKernel, and sends the
-    hit flags as Results frames, then its sample and its Parities in
-    the same turn. ``peer_step`` is called at the two points where the
-    sender waits for the receiver: before receiving its Hello and before
-    each block's ErrorCheckValues and DiscardList. ``run_session``
-    passes one that advances the receiver's ``steps()`` in the same
-    thread; over TCP the receiver runs in its own process and the
-    default does nothing. ``logs`` goes to the kernel.
+    hit flags, its sample's mask and its parities as one Block.
+    ``peer_step`` is called at the two points where the sender waits
+    for the receiver: before receiving its Hello and before each
+    block's Answer. ``run_session`` passes one that advances the
+    receiver's ``steps()`` in the same thread; over TCP the receiver
+    runs in its own process and the default does nothing. ``logs``
+    goes to the kernel.
     """
 
     def __init__(self, cfg: SessionConfig, pipe: MessagePipe, peer_step=lambda: None, logs=None):
@@ -515,7 +515,6 @@ class AliceEngine(_Party):
         bits = generate_bits(cfg.bits_per_block, self.rng)
         bob_bits = generate_bits(cfg.bits_per_block, self._bob_replica_rng)
         hits = self.kernel.transmit_block(bits, bob_bits)
-        send_bit_frames(self.pipe, "Results", hits)
         key = _sift(bits, hits)
         self.sifted_blocks.append(key)
 
@@ -523,21 +522,20 @@ class AliceEngine(_Party):
         mask = np.zeros(len(key), dtype=bool)
         if k > 0:
             mask[self.rng.choice(len(key), size=k, replace=False)] = True
-        send_bit_frames(self.pipe, "ErrorCheckIndices", mask)
         mine, trimmed = _split(key, mask)
         parities = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
-        send_bit_frames(self.pipe, "Parities", parities,
-                        extra={"block_size": RECONCILE_BLOCK_SIZE})
+        self.pipe.send("Block", {"results": bits_to_hex(hits), "sample": bits_to_hex(mask),
+                                 "parities": bits_to_hex(parities),
+                                 "block_size": RECONCILE_BLOCK_SIZE})
         self.peer_step()
-        values, head = recv_bit_frames(self.pipe, "ErrorCheckValues", k)
-        self.bob_bias = head["bias"]
+        answer = self.pipe.recv("Answer")
+        self.bob_bias = answer["bias"]
         if self.bob_bias is not None and not 0.0 <= self.bob_bias <= 1.0:
             raise ProtocolDesyncError(f"bias {self.bob_bias!r} is not a fraction in [0, 1]")
-        if len(values) != len(mine):
-            raise ProtocolDesyncError("disclosed values do not match the sample size")
-        self.disclosed_total += len(mine)
+        values = hex_to_bits(answer["values"], k)
+        drop = hex_to_bits(answer["discard"], len(parities))
+        self.disclosed_total += k
         self.mismatch_total += np.count_nonzero(mine != values)
-        drop, _ = recv_bit_frames(self.pipe, "DiscardList", len(parities))
         self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
         # the session's verdict so far, which ``run``'s continue_fn sees
         self.ber = self.mismatch_total / self.disclosed_total if self.disclosed_total else 0.0
@@ -552,7 +550,7 @@ class AliceEngine(_Party):
         hello = self.pipe.recv(expect_kind="Hello")
         if hello != (mine := _hello_payload(self.cfg)):
             raise SessionAbort(f"peer configuration mismatch: {hello} != {mine}")
-        self.pipe.send("Hello", {"ok": True})
+        self.pipe.send("HelloReply", {"ok": True})
         while True:
             self.run_block()
             more = bool(continue_fn(self))
@@ -565,8 +563,8 @@ class AliceEngine(_Party):
 class BobEngine(_Party):
     """Receiver-side state machine.
 
-    It receives the hit record as Results frames; its decisions read
-    only this party's bits and the messages. ``steps()`` is the whole
+    It receives the hit record in each Block; its decisions read only
+    this party's bits and the messages. ``steps()`` is the whole
     session as a generator that yields before the two reads that wait
     on the sender. ``run_session`` advances it from the sender's
     ``peer_step`` in one thread; ``run`` (TCP) exhausts it, and each
@@ -583,36 +581,32 @@ class BobEngine(_Party):
         return self.zeros_total / self.sifted_total if self.sifted_total else None
 
     def run_block(self) -> None:
-        """One block: it reads the sender's three lists before it writes
-        either reply, so neither party writes while the other does."""
+        """One block: it reads the sender's Block and writes its Answer,
+        so neither party writes while the other does."""
         cfg = self.cfg
         bits = generate_bits(cfg.bits_per_block, self.rng)
-        hits, _ = recv_bit_frames(self.pipe, "Results", cfg.bits_per_block)
-        key = _sift(bits, hits)
+        block = self.pipe.recv("Block")
+        if block["block_size"] != RECONCILE_BLOCK_SIZE:
+            raise ProtocolDesyncError("peer used a different reconciliation block size")
+        key = _sift(bits, hex_to_bits(block["results"], cfg.bits_per_block))
         self.sifted_blocks.append(key)
         self.zeros_total += len(key) - np.count_nonzero(key)
         self.sifted_total += len(key)
 
-        mask, _ = recv_bit_frames(self.pipe, "ErrorCheckIndices", len(key))
-        sample, trimmed = _split(key, mask == 1)
+        sample, trimmed = _split(key, hex_to_bits(block["sample"], len(key)) == 1)
         mine = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
-        parities_a, head = recv_bit_frames(self.pipe, "Parities", len(mine))
-        if head["block_size"] != RECONCILE_BLOCK_SIZE:
-            raise ProtocolDesyncError("peer used a different reconciliation block size")
-        if len(parities_a) != len(mine):
-            raise ProtocolDesyncError("parity lists differ in length")
-        drop = (mine != parities_a).astype(np.uint8)
-        send_bit_frames(self.pipe, "ErrorCheckValues", sample, extra={"bias": self._bias()})
-        send_bit_frames(self.pipe, "DiscardList", drop)
+        drop = (mine != hex_to_bits(block["parities"], len(mine))).astype(np.uint8)
+        self.pipe.send("Answer", {"values": bits_to_hex(sample), "bias": self._bias(),
+                                  "discard": bits_to_hex(drop)})
         self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
 
     def steps(self):
         """The whole session; yields before the two reads that wait on
-        the sender: the Hello reply and each Done. By its next turn a
+        the sender: the HelloReply and each Done. By its next turn a
         Done that asks for more has the next block behind it."""
         self.pipe.send("Hello", _hello_payload(self.cfg))
         yield
-        if not self.pipe.recv("Hello", HELLO_REPLY)["ok"]:
+        if not self.pipe.recv("HelloReply")["ok"]:
             raise SessionAbort("peer rejected the session configuration")
         while True:
             self.run_block()
@@ -637,7 +631,7 @@ def run_session(
 
     Both parties speak the wire protocol of ``b92sim chat``: the
     sender's ``peer_step`` advances the receiver's ``steps()`` before
-    each of its two waits, for the Hello and for each block's answer,
+    each of its two waits, for the Hello and for each block's Answer,
     1 + n_blocks steps in all, and the receiver then runs to its end,
     reading the last Done. ``channel`` may supply a
     (alice_transport, bob_transport) pair so tests can watch the

@@ -1,14 +1,13 @@
 """Payloads built from the schema table of ``b92sim.channel``, for the
 tests that hand a read well-formed and broken messages."""
-from b92sim.channel import BIT_LIST, HELLO_REPLY, PAYLOADS
+from b92sim.channel import PAYLOADS
 
 # one value of each JSON type, to put where a field takes another
 JSON_VALUES = (None, True, 7, 0.5, "x", [1], {"a": 1})
 
-# (kind, fields) for every shape a read checks: each kind's entry, the
-# sender's Hello reply, and a later chunk of a bit list
-SHAPES = [*PAYLOADS.items(), ("Hello", HELLO_REPLY), ("Parities", BIT_LIST)]
-SHAPE_IDS = [*PAYLOADS, "Hello_reply", "later_chunk"]
+# (kind, fields) for every shape a read checks: one per kind
+SHAPES = list(PAYLOADS.items())
+SHAPE_IDS = list(PAYLOADS)
 
 
 def well_formed(fields: dict) -> dict:

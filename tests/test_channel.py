@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from b92sim.channel import (
-    CHUNK_BITS,
-    HELLO_REPLY,
+    MAX_BITS_PER_BLOCK,
     MAX_FRAME_BYTES,
     MessagePipe,
     SocketTransport,
@@ -21,8 +20,6 @@ from b92sim.channel import (
     hex_to_bits,
     loopback_pair,
     open_listener,
-    recv_bit_frames,
-    send_bit_frames,
 )
 from b92sim.errors import ChannelError, ProtocolDesyncError
 
@@ -54,7 +51,7 @@ def frame(kind, payload, session_id, sequence):
 
 
 # a receiver's Hello as the schema declares it
-HELLO = {"bits_per_block": 1024, "mode": "ideal", "eve": "none", "reconcile_block_size": 8,
+HELLO = {"wire_version": 2, "bits_per_block": 1024, "mode": "ideal", "eve": "none", "reconcile_block_size": 8,
          "error_sample_fraction": 0.25}
 
 
@@ -66,7 +63,7 @@ def test_frame_roundtrip():
 
 def test_frame_size_limit():
     big = "f" * (MAX_FRAME_BYTES * 2)
-    msg = frame(kind="Results", payload={"bits": big}, session_id=1, sequence=1)
+    msg = frame(kind="Block", payload={"results": big}, session_id=1, sequence=1)
     with pytest.raises(ChannelError):
         encode_frame(msg)
 
@@ -176,85 +173,71 @@ def test_empty_loopback_read_raises_at_once():
 
 @pytest.mark.parametrize("n", [0, 5, 1024, 250_000])
 def test_bit_frames_roundtrip(n):
+    # a bit list is one hex field of one frame, read at the count the reader knows
     rng = np.random.default_rng(n + 1)
     bits = rng.integers(0, 2, size=n, dtype=np.uint8)
     t_a, t_b = loopback_pair()
-    a = MessagePipe(t_a, session_id=9)
-    b = MessagePipe(t_b, session_id=9)
-    send_bit_frames(a, "Parities", bits, extra={"block_size": 8})
-    got, head = recv_bit_frames(b, "Parities", n)
-    assert np.array_equal(got, bits)
-    assert head["block_size"] == 8
-    assert head["total"] == n
+    MessagePipe(t_a, session_id=9).send("Ciphertext", {"bits": bits_to_hex(bits), "chars": 0})
+    got = MessagePipe(t_b, session_id=9).recv("Ciphertext")
+    assert np.array_equal(hex_to_bits(got["bits"], n), bits)
 
 
-def recv_from_peer(payloads, max_total=16):
-    """recv_bit_frames on Results frames carrying the given payloads."""
-    t_a, t_b = loopback_pair()
-    a = MessagePipe(t_a, session_id=4)
-    for payload in payloads:
-        a.send("Results", payload)
-    return recv_bit_frames(MessagePipe(t_b, session_id=4), "Results", max_total)
+def test_hex_to_bits_rejects_non_hex_bits():
+    with pytest.raises(ProtocolDesyncError, match="not a hex string"):
+        hex_to_bits("zz", 8)
 
 
-def test_recv_bit_frames_rejects_non_hex_bits():
-    with pytest.raises(ProtocolDesyncError, match="hex"):
-        recv_from_peer([{"total": 8, "offset": 0, "bits": "zz"}])
-
-
-def test_recv_bit_frames_requires_exactly_the_announced_bytes():
+def test_hex_to_bits_requires_exactly_the_bytes_of_its_count():
     # too few: 8 bits for a list of 16
     with pytest.raises(ProtocolDesyncError, match="hex carries 1 bytes, expected 2 for 16 bits"):
-        recv_from_peer([{"total": 16, "offset": 0, "bits": "ff"}])
+        hex_to_bits("ff", 16)
     # too many: trailing bytes that no bit of the list needs
     with pytest.raises(ProtocolDesyncError, match="hex carries 2 bytes, expected 1 for 8 bits"):
-        recv_from_peer([{"total": 8, "offset": 0, "bits": "ff00"}])
+        hex_to_bits("ff00", 8)
     with pytest.raises(ProtocolDesyncError, match="hex carries 1 bytes, expected 0 for 0 bits"):
-        recv_from_peer([{"total": 0, "offset": 0, "bits": "00"}])
-
-
-def test_recv_bit_frames_rejects_a_non_integer_total():
-    with pytest.raises(ProtocolDesyncError, match="total"):
-        recv_from_peer([{"total": "x", "offset": 0, "bits": "00"}])
-
-
-def test_recv_bit_frames_requires_contiguous_offsets():
-    # bits 0-7 never arrive; they must not read as zeros
-    with pytest.raises(ProtocolDesyncError, match="offset 8"):
-        recv_from_peer([{"total": 16, "offset": 8, "bits": "ff"}])
-    # a repeated first chunk instead of the second
-    total = CHUNK_BITS + 8
-    first = {"total": total, "offset": 0, "bits": "00" * (CHUNK_BITS // 8)}
-    with pytest.raises(ProtocolDesyncError, match=f"offset 0 of {total}, expected offset {CHUNK_BITS}"):
-        recv_from_peer([first, first], max_total=total)
-
-
-def test_recv_bit_frames_bounds_the_total_before_allocating():
-    # a total of 10**13 bits would ask for 10 TB; the caller's bound
-    # rejects it before anything is allocated
-    with pytest.raises(ProtocolDesyncError, match="at most 16"):
-        recv_from_peer([{"total": 10**13, "offset": 0, "bits": ""}])
-    with pytest.raises(ProtocolDesyncError, match="at most 16"):
-        recv_from_peer([{"total": 17, "offset": 0, "bits": "ffff80"}])
+        hex_to_bits("00", 0)
 
 
 def test_large_bit_lists_stay_under_frame_limit():
-    rng = np.random.default_rng(77)
-    bits = rng.integers(0, 2, size=600_000, dtype=np.uint8)
+    # the largest frames a session sends: a Block of MAX_BITS_PER_BLOCK
+    # pulses that all hit, with no sample, so a parity per 8 sifted bits,
+    # and the Ciphertext of the longest chat message
+    n = MAX_BITS_PER_BLOCK
+    block = {"results": "ff" * (n // 8), "sample": "00" * (n // 8),
+             "parities": "ff" * (n // 64), "block_size": 8}
+    cipher = {"bits": "ff" * (n // 8), "chars": n // 8}
+    sizes = []
+    for kind, payload in (("Block", block), ("Ciphertext", cipher)):
+        msg = frame(kind, payload, session_id=0x7FFFFFFF, sequence=10**12)
+        data = encode_frame(msg)
+        assert decode_frame(data[4:]) == msg
+        sizes.append(len(data))
+    assert sizes[1] < sizes[0] <= MAX_FRAME_BYTES
+    # the bound leaves no more room than the frame's other fields need
+    assert MAX_FRAME_BYTES - sizes[0] < 1024
 
-    frames = []
 
-    class Recorder:
-        def send_frame(self, data):
-            frames.append(data)
-
-    send_bit_frames(MessagePipe(Recorder(), session_id=1), "Results", bits)
-    assert len(frames) > 1
-    assert all(len(f) <= MAX_FRAME_BYTES for f in frames)
-    total = sum(
-        len(decode_frame(f[4:])["payload"]["bits"]) * 4 for f in frames
-    )
-    assert total >= 600_000
+def test_a_frame_at_the_bound_is_taken_and_one_byte_over_is_refused():
+    # a Done whose reason fills the frame exactly; the socket read refuses
+    # a length one byte over (test_socket_peer_announcing_an_oversized_frame_is_refused)
+    msg = frame("Done", {"more": False, "ber": 0.0, "bias": None, "alarm": True, "reason": ""},
+                session_id=1, sequence=1)
+    msg["payload"]["reason"] = "x" * (MAX_FRAME_BYTES - len(encode_frame(msg)))
+    fits = encode_frame(msg)
+    assert len(fits) == MAX_FRAME_BYTES
+    msg["payload"]["reason"] += "x"
+    with pytest.raises(ChannelError, match=f"frame of {MAX_FRAME_BYTES - 3} bytes exceeds"):
+        encode_frame(msg)
+    a, b = socket.socketpair()
+    writer = threading.Thread(target=a.sendall, args=(fits,))
+    try:
+        writer.start()
+        assert SocketTransport(b, timeout=5.0).recv_frame() == fits
+    finally:
+        writer.join(timeout=5.0)
+        a.close()
+        b.close()
+    assert not writer.is_alive()
 
 
 def test_socket_transport_roundtrip():
@@ -266,7 +249,7 @@ def test_socket_transport_roundtrip():
         conn = accept_one(listener, timeout=5.0)
         pipe = MessagePipe(SocketTransport(conn, timeout=5.0), session_id=4)
         server_msg["got"] = pipe.recv(expect_kind="Hello")
-        pipe.send("Hello", {"ok": True})
+        pipe.send("HelloReply", {"ok": True})
         pipe.close()
 
     th = threading.Thread(target=serve)
@@ -274,7 +257,7 @@ def test_socket_transport_roundtrip():
     sock = connect_with_retry("127.0.0.1", port, deadline=5.0)
     pipe = MessagePipe(SocketTransport(sock, timeout=5.0), session_id=4)
     pipe.send("Hello", HELLO)
-    reply = pipe.recv("Hello", HELLO_REPLY)
+    reply = pipe.recv("HelloReply")
     pipe.close()
     th.join(timeout=5.0)
     assert server_msg["got"] == HELLO
@@ -323,11 +306,12 @@ def test_socket_peer_disappearing_raises():
 
 
 def test_socket_peer_announcing_an_oversized_frame_is_refused():
-    # the length prefix alone is refused, before any body is read
+    # the length prefix alone is refused, before any body is read: here
+    # the length of a frame one byte over the bound
     a, b = socket.socketpair()
     try:
-        a.sendall(struct.pack(">I", MAX_FRAME_BYTES))
-        with pytest.raises(ChannelError, match=f"oversized frame of {MAX_FRAME_BYTES} bytes"):
+        a.sendall(struct.pack(">I", MAX_FRAME_BYTES - 3))
+        with pytest.raises(ChannelError, match=f"oversized frame of {MAX_FRAME_BYTES - 3} bytes"):
             SocketTransport(b, timeout=1.0).recv_frame()
     finally:
         a.close()

@@ -16,9 +16,11 @@ import pytest
 
 from b92sim import channel, cli
 from b92sim.channel import (
-    MessagePipe, SocketTransport, accept_one, open_listener, send_bit_frames,
+    MessagePipe, SocketTransport, accept_one, bits_to_hex, open_listener,
 )
-from b92sim.cli import CHAT_EMPTY_BLOCKS, MAX_SWEEP_ROWS, _session_config, build_parser, main
+from b92sim.cli import (
+    CHAT_EMPTY_BLOCKS, MAX_CHAT_CHARS, MAX_SWEEP_ROWS, _session_config, build_parser, main,
+)
 from b92sim.errors import SessionAbort
 from b92sim.photonics import MAX_EXPECTED_PHOTONS, MAX_HISTOGRAM_BINS
 from b92sim.protocol import MAX_BITS_PER_BLOCK, AliceEngine, RoundLogs, run_session
@@ -397,10 +399,10 @@ def test_session_without_a_sample_raises_the_alarm(capsys):
     assert "alarm:           sample" in out
 
 
-def chat_receiver_against_one_block(flags, capsys, then=lambda pipe: None):
+def chat_receiver_against_one_block(flags, capsys, then=lambda pipe, alice: None):
     """``chat --role bob`` against a sender thread that runs one block
-    over TCP, calls ``then`` on its pipe and stops; returns the
-    receiver's (exit code, stdout, stderr)."""
+    over TCP, calls ``then`` with its pipe and its engine and stops;
+    returns the receiver's (exit code, stdout, stderr)."""
     cfg = _session_config(build_parser().parse_args(["chat", "--role", "alice", *flags]))
     listener = open_listener("127.0.0.1", 0)
     port = listener.getsockname()[1]
@@ -411,8 +413,7 @@ def chat_receiver_against_one_block(flags, capsys, then=lambda pipe: None):
             pipe = MessagePipe(SocketTransport(accept_one(listener, timeout=10.0)),
                                cfg.session_id())
             try:
-                AliceEngine(cfg, pipe).run(lambda eng: False)
-                then(pipe)
+                then(pipe, AliceEngine(cfg, pipe).run(lambda eng: False))
             finally:
                 pipe.close()
         except Exception as exc:
@@ -440,13 +441,38 @@ def test_chat_receiver_refuses_a_ciphertext_of_partial_characters(capsys):
     # 12 bits are not the 8 a character of the announced "chars": the
     # peer broke the protocol, which is a transport error, not a
     # configuration one
-    def send_12_bits(pipe):
-        send_bit_frames(pipe, "Ciphertext", np.zeros(12, np.uint8), extra={"chars": 1})
+    def send_12_bits(pipe, alice):
+        pipe.send("Ciphertext", {"bits": bits_to_hex(np.zeros(12, np.uint8)), "chars": 1})
 
     code, out, err = chat_receiver_against_one_block([], capsys, then=send_12_bits)
     assert code == 3
-    assert err == "transport error: Ciphertext of 12 bits for 1 characters\n"
+    assert err == "transport error: hex carries 2 bytes, expected 1 for 8 bits\n"
     assert "decrypted" not in out
+
+
+def test_chat_receiver_refuses_a_ciphertext_longer_than_its_key(capsys):
+    def send_past_the_key(pipe, alice):
+        chars = len(alice.reconciled_key()) // 8 + 1
+        pipe.send("Ciphertext", {"bits": "00" * chars, "chars": chars})
+
+    code, out, err = chat_receiver_against_one_block([], capsys, then=send_past_the_key)
+    assert code == 3
+    assert err.startswith("transport error: Ciphertext of ") and "characters for a key of" in err
+    assert "decrypted" not in out
+
+
+def test_chat_receiver_refuses_a_decryption_that_is_not_ascii(capsys):
+    # the peer's bits decrypt to the byte 0x80: the fault is the peer's,
+    # so the receiver exits 3 as for any bad message, and prints no text
+    def send_0x80(pipe, alice):
+        cipher = alice.reconciled_key()[:8] ^ np.array([1, 0, 0, 0, 0, 0, 0, 0], np.uint8)
+        pipe.send("Ciphertext", {"bits": bits_to_hex(cipher), "chars": 1})
+
+    code, out, err = chat_receiver_against_one_block([], capsys, then=send_0x80)
+    assert code == 3
+    assert err.startswith("transport error: decrypted Ciphertext: bits do not decode as ASCII")
+    assert err.count("\n") == 1
+    assert "ciphertext: " in out and "decrypted" not in out
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -455,8 +481,8 @@ def test_chat_receiver_refuses_a_ciphertext_of_partial_characters(capsys):
     ({"chars": "1"}, "chars '1' is not int"),
 ], ids=["no_chars", "extra_field", "chars_string"])
 def test_chat_receiver_refuses_a_ciphertext_off_its_schema(extra, message, capsys):
-    def send_8_bits(pipe):
-        send_bit_frames(pipe, "Ciphertext", np.zeros(8, np.uint8), extra=extra)
+    def send_8_bits(pipe, alice):
+        pipe.send("Ciphertext", {"bits": "00", **(extra or {})})
 
     code, out, err = chat_receiver_against_one_block([], capsys, then=send_8_bits)
     assert code == 3
@@ -473,6 +499,21 @@ def test_chat_sender_at_end_of_input_exits_2(capsys, monkeypatch):
     code, _, err = run_cli(["chat", "--role", "alice", "--listen", "127.0.0.1:0"], capsys)
     assert code == 2
     assert err == "error: message is empty\n"
+
+
+@pytest.mark.parametrize("message, error", [
+    # its Ciphertext would not fit in a frame: without the check the
+    # sender would run every block and then fail at the send
+    ("x" * (MAX_CHAT_CHARS + 1),
+     f"message of {MAX_CHAT_CHARS + 1} characters exceeds the limit of {MAX_CHAT_CHARS}"),
+    ("caf\u00e9", "character '\u00e9' is not 7-bit printable"),
+], ids=["too_long", "not_ascii"])
+def test_chat_sender_refuses_a_message_before_it_listens(capsys, message, error):
+    code, out, err = run_cli(["chat", "--role", "alice", "--listen", "127.0.0.1:0",
+                              "--message", message], capsys)
+    assert code == 2
+    assert err == f"error: {error}\n"
+    assert out == ""
 
 
 def run_chat_processes(message, flags, timeout=20):

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from b92sim.channel import (
-    CHUNK_BITS,
-    HELLO_REPLY,
+    MAX_FRAME_BYTES,
     PAYLOADS,
     MessagePipe,
     SocketTransport,
@@ -263,7 +262,7 @@ def test_sift_no_hits():
 
 
 def test_sift_length_mismatch():
-    # a Results message of the wrong kind is refused by the pipe
+    # a Block message of the wrong kind is refused by the pipe
     # (test_channel.py::test_pipe_sequence_and_session_checks)
     with pytest.raises(ProtocolDesyncError):
         _sift(np.array([1, 0, 1], dtype=np.uint8), np.array([0, 0], dtype=np.uint8))
@@ -329,15 +328,9 @@ class RewritingTransport:
         self.inner.close()
 
 
-def flipped_values(p):
-    """A chunk of bits with every bit inverted."""
-    n = min(CHUNK_BITS, p["total"] - p["offset"])
-    return {**p, "bits": bits_to_hex(1 - hex_to_bits(p["bits"], n))}
-
-
 def bias_transport(inner, bias):
     """The receiver's transport, with the bias it sends replaced."""
-    return RewritingTransport(inner, "ErrorCheckValues", lambda p: {**p, "bias": bias})
+    return RewritingTransport(inner, "Answer", lambda p: {**p, "bias": bias})
 
 
 @pytest.mark.parametrize("bias", ["x", -0.1, 1.5, True, float("nan"), [0.5]])
@@ -350,8 +343,8 @@ def test_invalid_bias_on_error_check_values_aborts(bias):
 @pytest.mark.parametrize("kind, payload, message", [
     ("Done", lambda p: [], "malformed frame"),
     ("Done", lambda p: "x", "malformed frame"),
-    ("Hello", lambda p: [1], "malformed frame"),
-    ("Hello", lambda p: {"ok": "yes"}, "ok 'yes' is not bool"),
+    ("HelloReply", lambda p: [1], "malformed frame"),
+    ("HelloReply", lambda p: {"ok": "yes"}, "ok 'yes' is not bool"),
     ("Done", lambda p: {**p, "more": "no"}, "more 'no' is not bool"),
     ("Done", lambda p: {**p, "alarm": 0}, "alarm 0 is not bool"),
     ("Done", lambda p: {**p, "reason": 5}, "reason 5 is not NoneType or str"),
@@ -398,17 +391,18 @@ def test_mistyped_done_in_the_middle_of_a_session_aborts(payload, message):
     assert isinstance(info.value.__cause__, ProtocolDesyncError)
 
 
-def shortened(p):
-    """A one-chunk bit list with its last bit dropped."""
-    n = p["total"] - 1
-    return {**p, "total": n, "bits": bits_to_hex(hex_to_bits(p["bits"], n + 1)[:n])}
+def shortened(field):
+    """A rewrite that drops the last byte of the bit list ``field``."""
+    return lambda p: {**p, field: p[field][:-2]}
 
 
-def lengthened(p):
-    """A one-chunk bit list with a zero bit appended."""
-    n = p["total"]
-    bits = np.append(hex_to_bits(p["bits"], n), np.uint8(0))
-    return {**p, "total": n + 1, "bits": bits_to_hex(bits)}
+def lengthened(field):
+    """A rewrite that appends a zero byte to the bit list ``field``."""
+    return lambda p: {**p, field: p[field] + "00"}
+
+
+# a bit list of a count the reader does not know from the test
+WRONG_BYTES = r"hex carries \d+ bytes, expected \d+ for \d+ bits"
 
 
 def hello_cases():
@@ -430,21 +424,30 @@ HELLO_ROWS, HELLO_IDS = zip(*hello_cases())
 
 
 @pytest.mark.parametrize("sender, kind, payload, message", [
-    ("alice", "Results", shortened, "hit record of 1023 entries against 1024 bits"),
-    ("alice", "ErrorCheckIndices", shortened, "error-check mask does not match the key"),
-    ("alice", "ErrorCheckIndices", lengthened, "ErrorCheckIndices announces"),
-    ("bob", "ErrorCheckValues", shortened, "disclosed values do not match the sample"),
-    ("alice", "Parities", lambda p: {**p, "block_size": 4}, "different reconciliation block"),
-    ("alice", "Parities", lambda p: {**p, "block_size": 8.0}, "block_size 8.0 is not int"),
-    ("alice", "Parities", shortened, "parity lists differ in length"),
-    ("alice", "Hello", lambda p: {"ok": False}, "peer rejected the session configuration"),
+    ("alice", "Block", shortened("results"), "hex carries 127 bytes, expected 128 for 1024 bits"),
+    ("alice", "Block", lengthened("results"), "hex carries 129 bytes, expected 128 for 1024 bits"),
+    ("alice", "Block", shortened("sample"), WRONG_BYTES),
+    ("alice", "Block", lengthened("sample"), WRONG_BYTES),
+    ("bob", "Answer", shortened("values"), WRONG_BYTES),
+    ("bob", "Answer", lengthened("values"), WRONG_BYTES),
+    ("alice", "Block", lambda p: {**p, "block_size": 4}, "different reconciliation block"),
+    ("alice", "Block", lambda p: {**p, "block_size": 8.0}, "block_size 8.0 is not int"),
+    ("alice", "Block", shortened("parities"), WRONG_BYTES),
+    ("alice", "Block", lengthened("parities"), WRONG_BYTES),
+    ("alice", "Block", lambda p: {**p, "parities": "zz" + p["parities"][2:]}, "not a hex string"),
+    ("bob", "Answer", shortened("discard"), WRONG_BYTES),
+    ("bob", "Answer", lengthened("discard"), WRONG_BYTES),
+    ("alice", "HelloReply", lambda p: {"ok": False}, "peer rejected the session configuration"),
+    ("bob", "Hello", lambda p: {**p, "wire_version": 1}, "peer configuration mismatch"),
     # 1024.0 == 1024 and 8.0 == 8, so only a typed check refuses these
     ("bob", "Hello", lambda p: {**p, "bits_per_block": 1024.0}, "bits_per_block 1024.0 is not int"),
     ("bob", "Hello", lambda p: {**p, "reconcile_block_size": 8.0},
      "reconcile_block_size 8.0 is not int"),
     *HELLO_ROWS,
-], ids=["results", "indices", "indices_long", "values", "block_size", "block_size_float",
-        "parities", "hello", "hello_bits_per_block_float", "hello_reconcile_block_size_float",
+], ids=["results", "results_long", "indices", "indices_long", "values", "values_long",
+        "block_size", "block_size_float", "parities", "parities_long", "parities_not_hex",
+        "discard", "discard_long", "hello", "hello_wire_version",
+        "hello_bits_per_block_float", "hello_reconcile_block_size_float",
         *HELLO_IDS])
 def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
     # each list is well formed on its own but does not fit the block it
@@ -462,12 +465,10 @@ def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
     assert isinstance(info.value.__cause__, cause)
 
 
-# (sender, kind, fields) for every message a session sends, both Hello shapes included
+# (sender, kind, fields) for every message a session sends
 SESSION_SHAPES = [
-    ("bob", "Hello", PAYLOADS["Hello"]), ("alice", "Hello", HELLO_REPLY),
-    *(("alice", kind, PAYLOADS[kind])
-      for kind in ("Results", "ErrorCheckIndices", "Parities", "Done")),
-    *(("bob", kind, PAYLOADS[kind]) for kind in ("ErrorCheckValues", "DiscardList")),
+    *(("alice", kind, PAYLOADS[kind]) for kind in ("HelloReply", "Block", "Done")),
+    *(("bob", kind, PAYLOADS[kind]) for kind in ("Hello", "Answer")),
 ]
 
 
@@ -490,17 +491,17 @@ def test_a_message_off_its_schema_aborts_the_session(sender, kind, fields):
 
 
 def with_pad_bits_set(p):
-    """A one-chunk bit list whose last byte has its pad bits set."""
-    raw = bytearray.fromhex(p["bits"])
-    raw[-1] |= 0xFF >> p["total"] % 8
-    return {**p, "bits": raw.hex()}
+    """A Block of 1020 pulses whose hit record sets its 4 pad bits."""
+    raw = bytearray.fromhex(p["results"])
+    raw[-1] |= 0x0F
+    return {**p, "results": raw.hex()}
 
 
 def test_results_with_set_pad_bits_abort():
     t_a, t_b = loopback_pair()
     with pytest.raises(SessionAbort, match="pad bits") as info:
         run_session(make_cfg(bits_per_block=1020),
-                    channel=(RewritingTransport(t_a, "Results", with_pad_bits_set), t_b))
+                    channel=(RewritingTransport(t_a, "Block", with_pad_bits_set), t_b))
     assert isinstance(info.value.__cause__, ProtocolDesyncError)
 
 
@@ -520,9 +521,17 @@ def test_estimate_ber_identical_and_opposite():
     t = s - int(0.5 * s)
     assert rep.ber_estimate == 0.0
     assert len(rep.reconciled_key) == t - math.ceil(t / 8)
+    # the sample's values, every one inverted; this block's hit record
+    # gives their count, as it gives the receiver its sifted length
+    logs = RoundLogs()
+
+    def flipped_values(p):
+        k = int(cfg.error_sample_fraction * np.count_nonzero(logs.hits))
+        return {**p, "values": bits_to_hex(1 - hex_to_bits(p["values"], k))}
+
     t_a, t_b = loopback_pair()
-    inverting = RewritingTransport(t_b, "ErrorCheckValues", flipped_values)
-    flipped = run_session(cfg, channel=(t_a, inverting))
+    inverting = RewritingTransport(t_b, "Answer", flipped_values)
+    flipped = run_session(cfg, channel=(t_a, inverting), logs=logs)
     assert flipped.ber_estimate == 1.0
     assert flipped.alarm
 
@@ -797,24 +806,24 @@ def test_golden_digests_of_key_and_hits(name):
 # format must not move by one byte.
 GOLDEN_FRAMES = {
     "ideal": (
-        (13, "4d31455db60c7a6433fdd1ff88fe21c4fc0cf9c4f330dc4bfb796c9f903b9d9b"),
-        (7, "c6145988facaed3a9ae52455bd38204368d2d4306fb8506142c968eaf35dd236"),
+        (7, "05511a5d9eaac5b25b665ee7847101e381b50ace4876cf735eb69e396b9d4dde"),
+        (4, "77098fa8acb1c62ccfc213bad10b1ac1878b33b414a2fae3b8eb2fd8472b2a92"),
     ),
     "ideal_fixed_projection": (
-        (9, "c65b0d7b1dc1a00b7d04befffaf2858d389ecebf6f3dda4b0bf43a833dcb9a34"),
-        (5, "22b193bf892224236c8b2d9b375dfa237db36d12ec780ebd03840173daa09775"),
+        (5, "0dc262eb778b4599f5d9ecdba7a069ba79ceca046a688e1a5d153afe928ff059"),
+        (3, "ca8e10768a5ad7c34a86e3a44d886eb5f0225c3f123d4dfa02f09d99c021a4b8"),
     ),
     "physical_afterpulse": (
-        (13, "86e7810aefc02c0616936bf7cc1acd425031553f9204c8560c065dc933dd9c87"),
-        (7, "9a8f294d35d70dd8620162c7eb039a8fba5f0d634f09c7a674e8e15ba7104cfc"),
+        (7, "dd80b6379a10849d5768148ed6bf4c0c652662de024d104538dd3c9657e9dadc"),
+        (4, "9fe0d0e731d8308b7457173355eecd0c511c5384673318733c518e00500a77e7"),
     ),
     "physical_fixed_projection": (
-        (9, "d6dc47e2c1efa73f93079ccc4a53306dcaaddb372837a4fd3ccbf8fd9317230b"),
-        (5, "8f968f6d25dbd28e1f87dc014f583c96280ab8c2d29692302712dfb3048813a4"),
+        (5, "5d77dffa9a29dac61037984eaf8fedcab22b2ef8503fb0c33d231326adabc201"),
+        (3, "2a169397eb7e4fa72343471fc81a4b3190ade538a1632936a95224c953aed5ba"),
     ),
     "physical_multiphoton": (
-        (9, "c494b5b703edb4a6af68796731db201228e1cf8258d5a7e67951a1639e6144c2"),
-        (5, "67f102cd1c06216744493500ddbdfdbc6cb3ff1c18044010858c39b9e1c91c8e"),
+        (5, "48ba5d53db7c3f1ed26fba64823c616ab395acaa9126a0fa331c9009c3390c87"),
+        (3, "20a23b1e0df642e7de226bd3d3b8c8b2d7abb93b1b83c43a03c1576e6eec8c53"),
     ),
 }
 
@@ -921,15 +930,13 @@ def test_session_monte_carlo_rate_matches_prediction():
 
 
 ALLOWED_PAYLOAD_KEYS = {
-    "Hello": {"bits_per_block", "mode", "eve", "reconcile_block_size",
-              "error_sample_fraction", "ok"},
-    "Results": {"total", "offset", "bits"},
-    "ErrorCheckIndices": {"total", "offset", "bits"},
-    "ErrorCheckValues": {"total", "offset", "bits", "bias"},
-    "Parities": {"total", "offset", "bits", "block_size"},
-    "DiscardList": {"total", "offset", "bits"},
+    "Hello": {"wire_version", "bits_per_block", "mode", "eve", "reconcile_block_size",
+              "error_sample_fraction"},
+    "HelloReply": {"ok"},
+    "Block": {"results", "sample", "parities", "block_size"},
+    "Answer": {"values", "bias", "discard"},
     "Done": {"more", "ber", "bias", "alarm", "reason"},
-    "Ciphertext": {"total", "offset", "bits", "chars"},
+    "Ciphertext": {"bits", "chars"},
 }
 
 
@@ -978,16 +985,20 @@ def socket_pair(buffer=None, timeout=30.0):
 
 
 def run_two_process(cfg, n_blocks=1, record_to_bob=None, record_to_alice=None, logs=None,
-                    buffer=None, timeout=30.0):
+                    buffer=None, timeout=30.0, transcript=None):
     """Both engines in wire mode (sender owns the physics), each in its
     own thread over a socket pair, where every receive blocks; the
     sender's round log goes to ``logs``, if given. ``buffer`` and
-    ``timeout`` go to ``socket_pair``."""
+    ``timeout`` go to ``socket_pair``; ``transcript``, if given, is a
+    list that takes each party's frames as ``TranscriptTransport`` logs them."""
     t_a, t_b = socket_pair(buffer, timeout)
     if record_to_bob is not None:
         t_a = RecordingTransport(t_a, record_to_bob)
     if record_to_alice is not None:
         t_b = RecordingTransport(t_b, record_to_alice)
+    if transcript is not None:
+        t_a = TranscriptTransport(t_a, "alice", transcript)
+        t_b = TranscriptTransport(t_b, "bob", transcript)
     sid = cfg.session_id()
     alice = AliceEngine(cfg, MessagePipe(t_a, sid), logs=logs)
     bob = BobEngine(cfg, MessagePipe(t_b, sid))
@@ -1047,10 +1058,9 @@ def test_two_process_mode_equals_in_process():
 
 
 def test_a_large_block_over_small_socket_buffers_does_not_stall():
-    # each list of a 2M-pulse block is many times a 4 kB socket buffer:
-    # the receiver reads all three of the sender's lists before it
-    # answers, so the two never write at once, each waiting on the
-    # other until the transport times out
+    # a 2M-pulse Block is many times a 4 kB socket buffer: the receiver
+    # reads the whole Block before it answers, so the two never write
+    # at once, each waiting on the other until the transport times out
     cfg = make_cfg(bits_per_block=2_000_000)
     rep = run_session(cfg)
     alice, bob = run_two_process(cfg, buffer=4096, timeout=5.0)
@@ -1080,8 +1090,8 @@ class TranscriptTransport:
 
 
 def test_each_block_is_one_exchange(monkeypatch):
-    # the sender sends its three lists in one turn; the receiver reads
-    # all three before it answers with both of its own
+    # three frames a block: the sender's Block, the receiver's Answer
+    # and the sender's Done, which the receiver reads at its next turn
     log, steps = [], []
 
     class CountingSender(AliceEngine):
@@ -1090,20 +1100,26 @@ def test_each_block_is_one_exchange(monkeypatch):
 
     monkeypatch.setattr(protocol, "AliceEngine", CountingSender)
     t_a, t_b = loopback_pair()
-    run_session(make_cfg(bits_per_block=1024), n_blocks=3, channel=(
+    cfg = make_cfg(bits_per_block=1024)
+    run_session(cfg, n_blocks=3, channel=(
         TranscriptTransport(t_a, "alice", log), TranscriptTransport(t_b, "bob", log)))
-    lists = ("Results", "ErrorCheckIndices", "Parities")
-    answers = ("ErrorCheckValues", "DiscardList")
-    expected = [("bob", "send", "Hello"), ("alice", "recv", "Hello"), ("alice", "send", "Hello")]
+    expected = [("bob", "send", "Hello"), ("alice", "recv", "Hello"),
+                ("alice", "send", "HelloReply")]
     for block in range(3):
-        expected += [("alice", "send", kind) for kind in lists]
-        expected += [("bob", "recv", "Done" if block else "Hello")]
-        expected += [("bob", "recv", kind) for kind in lists]
-        expected += [("bob", "send", kind) for kind in answers]
-        expected += [("alice", "recv", kind) for kind in answers] + [("alice", "send", "Done")]
-    assert log == expected + [("bob", "recv", "Done")]
+        expected += [("alice", "send", "Block"),
+                     ("bob", "recv", "Done" if block else "HelloReply"), ("bob", "recv", "Block"),
+                     ("bob", "send", "Answer"), ("alice", "recv", "Answer"),
+                     ("alice", "send", "Done")]
+    expected += [("bob", "recv", "Done")]
+    assert log == expected
     assert len(steps) == 1 + 3
     assert not inspect.isgeneratorfunction(BobEngine.run_block)
+    # over sockets each party runs in its own thread: the order of each
+    # party's own sends and reads is the same
+    over_sockets = []
+    run_two_process(cfg, n_blocks=3, transcript=over_sockets)
+    for party in ("alice", "bob"):
+        assert [e for e in over_sockets if e[0] == party] == [e for e in expected if e[0] == party]
 
 
 def test_message_schema_and_results_content():
@@ -1115,9 +1131,9 @@ def test_message_schema_and_results_content():
     for raw in to_bob + to_alice:
         msg = decode_frame(raw[4:])
         assert set(msg["payload"]) <= ALLOWED_PAYLOAD_KEYS[msg["kind"]], msg["kind"]
-        assert len(raw) <= 64 * 1024
-        if msg["kind"] == "Results":
-            results_bits = hex_to_bits(msg["payload"]["bits"], msg["payload"]["total"])
+        assert len(raw) <= MAX_FRAME_BYTES
+        if msg["kind"] == "Block":
+            results_bits = hex_to_bits(msg["payload"]["results"], cfg.bits_per_block)
     # the hit record crosses the wire; nobody's bit values do
     assert results_bits is not None
     assert np.array_equal(results_bits, kernel_logs.hits)
@@ -1148,8 +1164,8 @@ def test_a_round_log_touches_no_draw(cfg):
     assert np.array_equal(key_a, logged[0]) and np.array_equal(key_b, logged[1])
     assert frames == logged[2] and streams == logged[3]
     sent = [decode_frame(raw[4:]) for raw in frames]
-    hits = np.concatenate([hex_to_bits(msg["payload"]["bits"], msg["payload"]["total"])
-                           for msg in sent if msg["kind"] == "Results"])
+    hits = np.concatenate([hex_to_bits(msg["payload"]["results"], cfg.bits_per_block)
+                           for msg in sent if msg["kind"] == "Block"])
     assert len(hits) == 3 * cfg.bits_per_block
     assert np.array_equal(hits, logs.hits)
 
@@ -1207,10 +1223,11 @@ def test_session_abort_on_channel_failure():
         def close(self):
             self.inner.close()
 
+    # the sender reads the Hello, and the link goes down before the Answer
     t_a, t_b = loopback_pair()
     cfg = make_cfg(bits_per_block=512)
-    with pytest.raises(SessionAbort):
-        run_session(cfg, channel=(DyingTransport(t_a, 2), t_b))
+    with pytest.raises(SessionAbort, match="link went down"):
+        run_session(cfg, channel=(DyingTransport(t_a, 1), t_b))
 
 
 def test_hello_mismatch_aborts():

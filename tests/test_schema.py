@@ -6,22 +6,12 @@ import ast
 import json
 import pathlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b92sim import errors
-from b92sim.channel import (
-    CHUNK_BITS,
-    PAYLOADS,
-    MessagePipe,
-    bits_to_hex,
-    decode_frame,
-    encode_frame,
-    loopback_pair,
-    recv_bit_frames,
-)
+from b92sim.channel import PAYLOADS, MessagePipe, decode_frame, encode_frame, loopback_pair
 from b92sim.errors import ProtocolDesyncError
 
 from payloads import JSON_VALUES, SHAPE_IDS, SHAPES, broken, well_formed
@@ -29,21 +19,21 @@ from payloads import JSON_VALUES, SHAPE_IDS, SHAPES, broken, well_formed
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "b92sim"
 
 
-def read(kind, payload, fields=None):
-    """``payload`` sent as ``kind`` and read back with ``fields``."""
+def read(kind, payload):
+    """``payload`` sent as ``kind`` and read back."""
     t_a, t_b = loopback_pair()
     MessagePipe(t_a, session_id=2).send(kind, payload)
-    return MessagePipe(t_b, session_id=2).recv(kind, fields)
+    return MessagePipe(t_b, session_id=2).recv(kind)
 
 
 @pytest.mark.parametrize("kind, fields", SHAPES, ids=SHAPE_IDS)
 def test_a_read_refuses_a_missing_extra_or_mistyped_field(kind, fields):
     good = well_formed(fields)
-    assert read(kind, good, fields) == good
+    assert read(kind, good) == good
     unrefused = []
     for case, rewrite in broken(fields):
         try:
-            read(kind, rewrite(good), fields)
+            read(kind, rewrite(good))
             unrefused.append(case)
         except ProtocolDesyncError:
             pass
@@ -85,25 +75,13 @@ def test_a_number_that_json_lacks_is_refused_by_name(constant):
         decode_frame(in_header)
 
 
-def test_a_later_chunk_carries_the_bit_list_alone():
-    # block_size rides on a list's first frame only
-    bits = np.zeros(CHUNK_BITS + 8, np.uint8)
-    t_a, t_b = loopback_pair()
-    a = MessagePipe(t_a, session_id=2)
-    for offset in (0, CHUNK_BITS):
-        a.send("Parities", {"total": len(bits), "offset": offset, "block_size": 8,
-                            "bits": bits_to_hex(bits[offset: offset + CHUNK_BITS])})
-    with pytest.raises(ProtocolDesyncError, match="unexpected field 'block_size'"):
-        recv_bit_frames(MessagePipe(t_b, session_id=2), "Parities", len(bits))
-
-
 # ---------------------------------------------------------------------------
 # the table and the code agree
 
 
 def literal_kinds():
     """(sent, read): the literal kinds src/ passes to MessagePipe.send and
-    send_bit_frames, and to MessagePipe.recv and recv_bit_frames."""
+    to MessagePipe.recv."""
     sent, read_kinds = set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -111,13 +89,12 @@ def literal_kinds():
                 continue
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            at = {"send": 0, "recv": 0, "send_bit_frames": 1, "recv_bit_frames": 1}.get(name)
-            if at is None:
+            if name not in ("send", "recv"):
                 continue
-            args = [*node.args[at: at + 1], *(k.value for k in node.keywords
-                                               if k.arg in ("kind", "expect_kind"))]
+            args = [*node.args[:1], *(k.value for k in node.keywords
+                                      if k.arg in ("kind", "expect_kind"))]
             kinds = {a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)}
-            (sent if name.startswith("send") else read_kinds).update(kinds)
+            (sent if name == "send" else read_kinds).update(kinds)
     return sent, read_kinds
 
 
@@ -170,8 +147,8 @@ def through_a_pipe(kind, payload):
 @PROPERTY
 @given(shapes_with_payloads())
 def test_a_well_formed_payload_round_trips(shape_and_payload):
-    (kind, fields), payload = shape_and_payload
-    assert through_a_pipe(kind, payload).recv(kind, fields) == payload
+    (kind, _), payload = shape_and_payload
+    assert through_a_pipe(kind, payload).recv(kind) == payload
 
 
 @st.composite
@@ -185,15 +162,15 @@ def broken_payloads(draw):
         payload[draw(st.text(max_size=8).filter(lambda k: k not in fields))] = draw(JSON)
     else:
         payload[key] = draw(JSON.filter(lambda v: type(v) not in fields[key]))
-    return kind, fields, payload
+    return kind, payload
 
 
 @PROPERTY
 @given(broken_payloads())
 def test_a_payload_with_one_field_dropped_added_or_retyped_is_refused(case):
-    kind, fields, payload = case
+    kind, payload = case
     with pytest.raises(ProtocolDesyncError):
-        through_a_pipe(kind, payload).recv(kind, fields)
+        through_a_pipe(kind, payload).recv(kind)
 
 
 FRAME_OBJECTS = st.fixed_dictionaries({
