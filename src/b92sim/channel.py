@@ -1,31 +1,28 @@
-"""Classical public channel: framing, transports, and the hex codec for bit lists.
+"""Classical public channel: binary frames and the transports that carry them.
 
-Wire format: each frame is a 4-byte big-endian length prefix followed
-by one UTF-8 JSON object with exactly the fields {session_id,
-sequence, kind, payload}. That object is the message itself, and a
-read returns its payload, which must hold exactly the fields that
-``PAYLOADS`` declares for its kind. A field missing, extra or of another
-type (NaN and Infinity, which JSON lacks, are of none, and so is a number
-literal too large for a double, such as 1e999), in the frame or in the
-payload, is refused. Each turn of a session is one message: a bit list
-is one hex field (packed big-endian, ``bits_to_hex``), which the reader
-decodes at the count it already knows (``hex_to_bits``). So no list is
-split across frames, and ``MAX_FRAME_BYTES`` is the largest frame a
-valid session sends: a Block of ``MAX_BITS_PER_BLOCK`` pulses that all
-hit. The Hello carries ``WIRE_VERSION``.
+Wire format (``WIRE_VERSION`` 3, which the Hello carries). A frame is a
+``>I`` length of the bytes after it; the ``>IIB`` session id, sequence
+and kind code (the kind's place in ``PAYLOADS``, from 1); and the
+payload: one ``struct`` of its fields in ``PAYLOADS`` order, followed
+by the ``np.packbits`` bytes (big-endian, zero pad bits) of each bit
+list. ``UINT`` is a ``>I``, ``DOUBLE`` a finite ``>d``, ``OPTIONAL``
+None or a finite double as a flag byte and a double (0.0 for None), a
+tuple (``BOOL`` among them) one of its values as the byte of its index,
+and ``BITS`` a list of 0/1 bits as its four-byte count. So each message
+has one frame, and a read refuses every other with ProtocolDesyncError:
+a length prefix that is not the frame's, an unknown kind code, a session
+or sequence that is not the next, a flag or code byte out of range, a
+double that is not finite, None with a double other than 0.0, a set pad
+bit, a bit count beyond the bytes left, or a trailing byte. Each turn is
+one message, and ``MAX_FRAME_BYTES`` is the largest frame a valid
+session sends.
 
-The same framing runs over an in-process loopback (two deques, read
-in turn by one thread) or a TCP socket, so everything the protocol
-says on the wire is identical in both modes and can be inspected by
-tests. Over TCP each frame leaves in one write with Nagle's algorithm
-off (TCP_NODELAY), so a turn's last frame is not held back until the
-peer's delayed ACK, and frames are not batched (``SocketTransport``
-says why); an AF_UNIX socket pair, which has no such timer, is taken
-as it is.
+The same framing runs over an in-process loopback (two deques, read in
+turn by one thread) or a TCP socket (``SocketTransport``), so the wire
+is identical in both modes and tests can inspect it.
 """
 from __future__ import annotations
 
-import json
 import math
 import socket
 import struct
@@ -39,103 +36,109 @@ from .errors import ChannelError, ProtocolDesyncError
 # pulses per block, checked before any is drawn: one Physical block with
 # Eve at this size peaked at 266 MB resident (235 MB above the import)
 MAX_BITS_PER_BLOCK = 4_000_000
-# The largest frame a valid session sends: a Block of MAX_BITS_PER_BLOCK
-# pulses that all hit, whose hit record and sample mask take n / 4 hex
-# digits each and its parities, one per 8 sifted bits, n / 32; 1 KiB
-# covers the frame's other fields. About 2.1 MB.
-MAX_FRAME_BYTES = 2 * (MAX_BITS_PER_BLOCK // 4) + MAX_BITS_PER_BLOCK // 32 + 1024
-_HEADER = struct.Struct(">I")
 # the format of the frames and payloads below, which the Hello carries
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
-
-class _Constant(str):
-    """NaN, Infinity or -Infinity, which json reads but JSON lacks, or a number
-    literal that overflows a double: no field takes this type, so the field
-    check refuses one by name (``ber NaN is not float``, ``ber 1e999 is not float``)."""
-
-    __repr__ = str.__str__
-
-
-def _finite_float(literal: str) -> float | _Constant:
-    value = float(literal)
-    return value if math.isfinite(value) else _Constant(literal)
-
-
-# One encoder and decoder for every frame. The encoder has the settings
-# of json.dumps(obj, separators=(",", ":")), so it writes the same bytes
-# without building a new encoder per call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
-_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_Constant)
-# the fields of a frame object and of each kind's payload, with the exact
-# types a field's value may have; a str field named for a bit list is its hex
-_FRAME_FIELDS = {"session_id": (int,), "sequence": (int,), "kind": (str,), "payload": (dict,)}
+# a codec that is not a tuple is its struct format; BITS, four bytes as >I, is a list's count
+UINT, DOUBLE, OPTIONAL, BITS, BOOL = "I", "d", "Bd", "L", (False, True)
 PAYLOADS = {
-    "Hello": {"wire_version": (int,), "bits_per_block": (int,), "mode": (str,), "eve": (str,),
-              "reconcile_block_size": (int,), "error_sample_fraction": (float,)},
-    "HelloReply": {"ok": (bool,)},
-    "Block": {"results": (str,), "sample": (str,), "parities": (str,), "block_size": (int,)},
-    "Answer": {"values": (str,), "bias": (type(None), int, float), "discard": (str,)},
-    "Done": {"more": (bool,), "ber": (float,), "bias": (type(None), int, float),
-             "alarm": (bool,), "reason": (type(None), str)},
-    "Ciphertext": {"bits": (str,), "chars": (int,)},
+    "Hello": {"wire_version": UINT, "bits_per_block": UINT, "mode": ("ideal", "physical"),
+              "eve": ("none", "fixed"), "reconcile_block_size": UINT,
+              "error_sample_fraction": DOUBLE},
+    "HelloReply": {"ok": BOOL},
+    "Block": {"results": BITS, "sample": BITS, "parities": BITS, "block_size": UINT},
+    "Answer": {"values": BITS, "bias": OPTIONAL, "discard": BITS},
+    "Done": {"more": BOOL, "ber": DOUBLE, "bias": OPTIONAL, "alarm": BOOL, "reason": (
+        None, "sample", "ber", "bias", "sample+ber", "sample+bias", "ber+bias", "sample+ber+bias")},
+    "Ciphertext": {"bits": BITS},
 }
-
-
-def bits_to_hex(bits: np.ndarray) -> str:
-    """Pack a 0/1 array big-endian and render as hex."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    return np.packbits(arr).tobytes().hex()
-
-
-def hex_to_bits(s: str, n: int) -> np.ndarray:
-    """Inverse of bits_to_hex for a known bit count; the hex must be exactly
-    the 2 * ceil(n / 8) digits that bits_to_hex writes, pad bits zero."""
-    try:
-        raw = bytes.fromhex(s)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolDesyncError(f"bits are not a hex string: {exc}") from exc
-    want = (n + 7) // 8
-    if len(raw) != want:
-        raise ProtocolDesyncError(f"hex carries {len(raw)} bytes, expected {want} for {n} bits")
-    if len(s) != 2 * want:
-        raise ProtocolDesyncError(f"hex has {len(s)} characters, expected {2 * want} for {n} bits")
-    if n % 8 and raw[-1] & (0xFF >> n % 8):
-        raise ProtocolDesyncError(f"last byte {raw[-1]:#04x} sets pad bits beyond bit {n}")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n]
-
-
-def _check_fields(obj: dict, fields: dict) -> dict:
-    """``obj`` from a peer, holding exactly ``fields``, each value of one of
-    its types exactly: ``int`` refuses ``True``, ``5.9`` and ``"5"``."""
-    for key, types in fields.items():
-        if key not in obj or type(obj[key]) not in types:
-            raise ProtocolDesyncError(
-                f"{key} {obj.get(key)!r} is not {' or '.join(t.__name__ for t in types)}"
-            )
-    if len(obj) != len(fields):
-        raise ProtocolDesyncError(f"unexpected field {next(k for k in obj if k not in fields)!r}")
-    return obj
+_LENGTH, _HEAD, _FRAME_HEAD = struct.Struct(">I"), struct.Struct(">IIB"), struct.Struct(">IIIB")
+# kind -> (kind code, struct of the fields, (name, codec) of each field)
+_PLANS = {k: (i, struct.Struct(">" + "".join("B" if type(c) is tuple else c for c in f.values())),
+              tuple(f.items())) for i, (k, f) in enumerate(PAYLOADS.items(), start=1)}
+_KINDS = (None, *PAYLOADS)
+# a Block of n = MAX_BITS_PER_BLOCK pulses that all hit, no sample: hit record
+# and sample mask n / 8 bytes each, parities (one per 8 bits) n / 64; 1.07 MB
+MAX_FRAME_BYTES = (_LENGTH.size + _HEAD.size + _PLANS["Block"][1].size
+                   + 2 * (MAX_BITS_PER_BLOCK // 8) + MAX_BITS_PER_BLOCK // 64)
 
 
 def encode_frame(msg: dict) -> bytes:
-    """The frame of an object with the fields session_id, sequence, kind, payload."""
-    body = _ENCODER.encode(msg).encode("utf-8")
-    if _HEADER.size + len(body) > MAX_FRAME_BYTES:
-        raise ChannelError(f"frame of {len(body)} bytes exceeds the limit of {MAX_FRAME_BYTES}")
-    return _HEADER.pack(len(body)) + body
-
-
-def decode_frame(body: bytes) -> dict:
-    """The object of a frame's bytes after the prefix: its four fields, each of its exact type."""
+    """The frame of a message {session_id, sequence, kind, payload}; ChannelError
+    if a field is not of its codec (bool only for BOOL) or the frame is over the bound."""
+    kind, payload, sid, seq = msg["kind"], msg["payload"], msg["session_id"], msg["sequence"]
+    if kind not in _PLANS or payload.keys() != PAYLOADS[kind].keys():
+        raise ChannelError(f"{kind} payload {sorted(payload)} is not of the fields of its kind")
+    if type(sid) is not int or type(seq) is not int:
+        raise ChannelError(f"session_id {sid!r} or sequence {seq!r} is not an int")
+    code, layout, fields = _PLANS[kind]
+    scalars, lists = [], []
     try:
-        msg = _DECODER.decode(body.decode("utf-8"))
-        if type(msg) is not dict:
-            raise ValueError(f"{type(msg).__name__} is not an object")
-        _check_fields(msg, _FRAME_FIELDS)
-    except (ValueError, ProtocolDesyncError) as exc:
-        raise ProtocolDesyncError(f"malformed frame: {exc}") from exc
-    return msg
+        for name, codec in fields:
+            value = payload[name]
+            if (type(value) is bool) != (codec is BOOL) or (type(codec) is tuple
+                                                            and value not in codec):
+                raise ChannelError(f"{kind} {name} {value!r} is not of codec {codec!r}")
+            if codec is BITS:
+                lists.append(np.packbits(value).tobytes())
+                value = len(value)
+            elif codec is OPTIONAL:
+                scalars.append(value is not None)
+                value = 0.0 if value is None else value
+            elif type(codec) is tuple:
+                value = codec.index(value)
+            scalars.append(value)
+        length = _HEAD.size + layout.size + sum(map(len, lists))
+        head, body = _FRAME_HEAD.pack(length, sid, seq, code), layout.pack(*scalars)
+    except (struct.error, TypeError, ValueError) as exc:
+        raise ChannelError(f"{kind} payload does not fit its layout ({exc}): {payload!r}") from exc
+    if _LENGTH.size + length > MAX_FRAME_BYTES:
+        raise ChannelError(f"frame of {length} bytes exceeds the limit of {MAX_FRAME_BYTES}")
+    return b"".join([head, body, *lists])
+
+
+def _refuse(reason: str):
+    raise ProtocolDesyncError(f"malformed frame: {reason}")
+
+
+def decode_frame(body) -> dict:
+    """The message of a frame's bytes after the length prefix; bit lists are uint8 arrays."""
+    end = len(body)
+    if end < _HEAD.size:
+        _refuse(f"{end} bytes, fewer than the {_HEAD.size} of its head")
+    session_id, sequence, code = _HEAD.unpack_from(body)
+    if not 0 < code < len(_KINDS):
+        _refuse(f"unknown kind code {code}")
+    kind = _KINDS[code]
+    _, layout, fields = _PLANS[kind]
+    if end < (at := _HEAD.size + layout.size):
+        _refuse(f"{kind} of {end - _HEAD.size} bytes, fewer than the {layout.size} of its fields")
+    scalars = iter(layout.unpack_from(body, _HEAD.size))
+    payload = {}
+    for name, codec in fields:
+        value = next(scalars)
+        if codec is BITS:
+            start, at = at, at + (value + 7) // 8
+            if at > end:
+                _refuse(f"{kind} {name} of {value} bits runs past the {end - start} bytes left")
+            if value & 7 and body[at - 1] & (0xFF >> (value & 7)):
+                _refuse(f"{kind} {name} sets pad bits beyond bit {value}")
+            value = np.unpackbits(np.frombuffer(body, np.uint8, at - start, start), count=value)
+        elif type(codec) is tuple:
+            if value >= len(codec):
+                _refuse(f"{kind} {name} code {value} is out of range")
+            value = codec[value]
+        elif codec is not UINT:  # a double, after its flag byte if OPTIONAL
+            flag, value = (value, next(scalars)) if codec is OPTIONAL else (1, value)
+            if flag > 1 or not flag and (value != 0.0 or math.copysign(1.0, value) < 0):
+                _refuse(f"{kind} {name} flag {flag} with {value!r} is neither None nor a double")
+            if not math.isfinite(value):
+                _refuse(f"{kind} {name} {value!r} is not finite")
+            value = value if flag else None
+        payload[name] = value
+    if at != end:
+        _refuse(f"{end - at} bytes trail the {kind} payload")
+    return {"session_id": session_id, "sequence": sequence, "kind": kind, "payload": payload}
 
 
 class LoopbackTransport:
@@ -170,12 +173,8 @@ class LoopbackTransport:
 
 
 def loopback_pair() -> tuple[LoopbackTransport, LoopbackTransport]:
-    a_to_b: deque = deque()
-    b_to_a: deque = deque()
-    return (
-        LoopbackTransport(inbox=b_to_a, outbox=a_to_b),
-        LoopbackTransport(inbox=a_to_b, outbox=b_to_a),
-    )
+    a_to_b, b_to_a = deque(), deque()
+    return LoopbackTransport(b_to_a, a_to_b), LoopbackTransport(a_to_b, b_to_a)
 
 
 class SocketTransport:
@@ -204,25 +203,23 @@ class SocketTransport:
             raise ChannelError(f"send failed: {exc}") from exc
 
     def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        got = 0
+        buf, got = bytearray(n), 0
         while got < n:
             try:
-                part = self._sock.recv(n - got)
+                part = self._sock.recv_into(memoryview(buf)[got:])
             except socket.timeout as exc:
                 raise ChannelError("receive timed out") from exc
             except OSError as exc:
                 raise ChannelError(f"receive failed: {exc}") from exc
             if not part:
                 raise ChannelError("connection closed by peer")
-            chunks.append(part)
-            got += len(part)
-        return b"".join(chunks)
+            got += part
+        return bytes(buf)
 
     def recv_frame(self) -> bytes:
-        header = self._recv_exact(_HEADER.size)
-        (length,) = _HEADER.unpack(header)
-        if _HEADER.size + length > MAX_FRAME_BYTES:
+        header = self._recv_exact(_LENGTH.size)
+        (length,) = _LENGTH.unpack(header)
+        if _LENGTH.size + length > MAX_FRAME_BYTES:
             raise ChannelError(f"peer announced oversized frame of {length} bytes")
         return header + self._recv_exact(length)
 
@@ -234,12 +231,10 @@ class SocketTransport:
 
 
 class MessagePipe:
-    """Typed message layer over a transport.
-
-    Numbers outgoing frames 1, 2, 3, ... per session. A read accepts only
-    the next number of the same session, of the kind the caller expects,
-    with a payload of that kind's ``PAYLOADS`` entry, and returns it.
-    """
+    """Typed message layer over a transport: numbers outgoing frames 1,
+    2, 3, ... per session, and a read returns the payload of a frame of
+    its length prefix, the next number of the same session and the kind
+    the caller expects."""
 
     def __init__(self, transport, session_id: int):
         self._transport = transport
@@ -254,17 +249,20 @@ class MessagePipe:
         self._transport.send_frame(encode_frame(msg))
 
     def recv(self, expect_kind: str) -> dict:
-        msg = decode_frame(self._transport.recv_frame()[_HEADER.size:])
+        frame = self._transport.recv_frame()
+        if len(frame) < _LENGTH.size or _LENGTH.unpack_from(frame)[0] != len(frame) - _LENGTH.size:
+            raise ProtocolDesyncError(f"malformed frame: {len(frame)} bytes do not match "
+                                      "their length prefix")
+        msg = decode_frame(frame[_LENGTH.size:])
         if msg["session_id"] != self.session_id:
-            raise ProtocolDesyncError(
-                f"session_id {msg['session_id']} does not match {self.session_id}"
-            )
+            raise ProtocolDesyncError(f"session_id {msg['session_id']} does not match "
+                                      f"{self.session_id}")
         if msg["sequence"] != self._seq_in + 1:
             raise ProtocolDesyncError(f"sequence {msg['sequence']}, expected {self._seq_in + 1}")
         self._seq_in += 1
         if msg["kind"] != expect_kind:
             raise ProtocolDesyncError(f"expected {expect_kind}, got {msg['kind']}")
-        return _check_fields(msg["payload"], PAYLOADS[expect_kind])
+        return msg["payload"]
 
     def close(self) -> None:
         self._transport.close()

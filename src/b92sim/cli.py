@@ -29,9 +29,7 @@ from .channel import (
     MessagePipe,
     SocketTransport,
     accept_one,
-    bits_to_hex,
     connect_with_retry,
-    hex_to_bits,
     open_listener,
 )
 from .errors import (
@@ -272,9 +270,9 @@ def _parse_hostport(spec: str, lowest: int) -> tuple[str, int]:
 
 
 def _render_ciphertext(bits: np.ndarray) -> str:
-    hex_bits = bits_to_hex(bits)
-    chars = "".join(chr(b) if 32 <= b < 127 else "." for b in bytes.fromhex(hex_bits))
-    return f"{hex_bits} ({chars})"
+    raw = np.packbits(bits).tobytes()
+    chars = "".join(chr(b) if 32 <= b < 127 else "." for b in raw)
+    return f"{raw.hex()} ({chars})"
 
 
 # blocks in a row that sift no bit while the alarm is up, after which
@@ -331,7 +329,7 @@ def _cmd_chat(args) -> int:
                 return 1
             pad = pad_from_key(alice.reconciled_key(), n_symbols=needed)
             cipher, _ = encrypt(plain, pad)
-            pipe.send("Ciphertext", {"bits": bits_to_hex(cipher.symbols), "chars": len(text)})
+            pipe.send("Ciphertext", {"bits": cipher.symbols})
             print(f"blocks: {alice.blocks_done}  key bits: {len(alice.reconciled_key())} "
                   f"ber: {alice.ber:.4f}")
             print(f"ciphertext: {_render_ciphertext(cipher.symbols)}")
@@ -348,12 +346,11 @@ def _cmd_chat(args) -> int:
         if bob.final["alarm"]:
             print(f"alarm ({bob.final['reason']}): key discarded")
             return 1
-        cipher = pipe.recv("Ciphertext")
+        bits = pipe.recv("Ciphertext")["bits"]
         key = bob.reconciled_key()
-        if not 0 <= 8 * cipher["chars"] <= len(key):
-            raise ProtocolDesyncError(
-                f"Ciphertext of {cipher['chars']} characters for a key of {len(key)} bits")
-        bits = hex_to_bits(cipher["bits"], 8 * cipher["chars"])
+        if len(bits) % 8 or len(bits) > len(key):
+            raise ProtocolDesyncError(f"Ciphertext of {len(bits)} bits is not whole characters "
+                                      f"within the key's {len(key)}")
         print(f"ciphertext: {_render_ciphertext(bits)}")
         plain, _ = decrypt(Message(bits, 2), pad_from_key(key, n_symbols=len(bits)))
         try:

@@ -90,15 +90,18 @@ def ascii_encode(text: str) -> Message:
 
 
 def ascii_decode(m: Message) -> str:
+    """Inverse of ascii_encode; it refuses the text ascii_encode refuses."""
     if m.base != 2:
         raise EncodingError(f"expected a base-2 message, got base {m.base}")
     if len(m) % 8:
         raise EncodingError(f"bit count {len(m)} is not a multiple of 8")
     raw = np.packbits(m.symbols.astype(np.uint8)).tobytes()
     try:
-        return raw.decode("ascii")
+        text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"bits do not decode as ASCII: {exc}") from exc
+    ascii_encode(text)
+    return text
 
 
 def pad_from_key(bits, n_symbols: int | None = None) -> Pad:

@@ -42,8 +42,6 @@ from .channel import (
     MAX_BITS_PER_BLOCK,
     WIRE_VERSION,
     MessagePipe,
-    bits_to_hex,
-    hex_to_bits,
     loopback_pair,
 )
 from .errors import ChannelError, ConfigError, ProtocolDesyncError, SessionAbort
@@ -524,16 +522,16 @@ class AliceEngine(_Party):
             mask[self.rng.choice(len(key), size=k, replace=False)] = True
         mine, trimmed = _split(key, mask)
         parities = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
-        self.pipe.send("Block", {"results": bits_to_hex(hits), "sample": bits_to_hex(mask),
-                                 "parities": bits_to_hex(parities),
+        self.pipe.send("Block", {"results": hits, "sample": mask, "parities": parities,
                                  "block_size": RECONCILE_BLOCK_SIZE})
         self.peer_step()
         answer = self.pipe.recv("Answer")
         self.bob_bias = answer["bias"]
         if self.bob_bias is not None and not 0.0 <= self.bob_bias <= 1.0:
             raise ProtocolDesyncError(f"bias {self.bob_bias!r} is not a fraction in [0, 1]")
-        values = hex_to_bits(answer["values"], k)
-        drop = hex_to_bits(answer["discard"], len(parities))
+        values, drop = answer["values"], answer["discard"]
+        if len(values) != k:
+            raise ProtocolDesyncError(f"values of {len(values)} bits, expected {k}")
         self.disclosed_total += k
         self.mismatch_total += np.count_nonzero(mine != values)
         self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
@@ -588,16 +586,18 @@ class BobEngine(_Party):
         block = self.pipe.recv("Block")
         if block["block_size"] != RECONCILE_BLOCK_SIZE:
             raise ProtocolDesyncError("peer used a different reconciliation block size")
-        key = _sift(bits, hex_to_bits(block["results"], cfg.bits_per_block))
+        # _sift, _split and apply_block_verdicts check the counts of the other lists
+        key = _sift(bits, block["results"])
         self.sifted_blocks.append(key)
         self.zeros_total += len(key) - np.count_nonzero(key)
         self.sifted_total += len(key)
 
-        sample, trimmed = _split(key, hex_to_bits(block["sample"], len(key)) == 1)
+        sample, trimmed = _split(key, block["sample"] == 1)
         mine = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
-        drop = (mine != hex_to_bits(block["parities"], len(mine))).astype(np.uint8)
-        self.pipe.send("Answer", {"values": bits_to_hex(sample), "bias": self._bias(),
-                                  "discard": bits_to_hex(drop)})
+        if len(parities := block["parities"]) != len(mine):
+            raise ProtocolDesyncError(f"parities of {len(parities)} bits, expected {len(mine)}")
+        drop = (mine != parities).astype(np.uint8)
+        self.pipe.send("Answer", {"values": sample, "bias": self._bias(), "discard": drop})
         self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
 
     def steps(self):

@@ -1,4 +1,3 @@
-import json
 import socket
 import struct
 import threading
@@ -11,68 +10,80 @@ from b92sim.channel import (
     MAX_BITS_PER_BLOCK,
     MAX_FRAME_BYTES,
     MessagePipe,
+    PAYLOADS,
     SocketTransport,
     accept_one,
-    bits_to_hex,
     connect_with_retry,
     decode_frame,
     encode_frame,
-    hex_to_bits,
     loopback_pair,
     open_listener,
 )
 from b92sim.errors import ChannelError, ProtocolDesyncError
 
 
-def test_bits_hex_roundtrip():
-    rng = np.random.default_rng(0)
-    for n in (0, 1, 7, 8, 9, 1000):
-        bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-        assert np.array_equal(hex_to_bits(bits_to_hex(bits), n), bits)
-
-
-@pytest.mark.parametrize("s, n", [("ff", 4), ("f8", 4), ("01", 7), ("ff40", 9)])
-def test_hex_to_bits_rejects_set_pad_bits(s, n):
-    # bits_to_hex pads with zeros, so "ff" and "f0" must not both decode to 1111
-    with pytest.raises(ProtocolDesyncError, match="pad bits"):
-        hex_to_bits(s, n)
-
-
-@pytest.mark.parametrize("s", ["f0 0f", " f00f", "f00f ", "f0\n0f"])
-def test_hex_to_bits_refuses_whitespace(s):
-    # bytes.fromhex skips whitespace, which bits_to_hex never writes
-    assert hex_to_bits(s.replace(" ", "").replace("\n", ""), 16).sum() == 8
-    with pytest.raises(ProtocolDesyncError, match="hex has 5 characters, expected 4 for 16 bits"):
-        hex_to_bits(s, 16)
-
-
 def frame(kind, payload, session_id, sequence):
     return {"session_id": session_id, "sequence": sequence, "kind": kind, "payload": payload}
 
 
-# a receiver's Hello as the schema declares it
-HELLO = {"wire_version": 2, "bits_per_block": 1024, "mode": "ideal", "eve": "none", "reconcile_block_size": 8,
-         "error_sample_fraction": 0.25}
+# a receiver's Hello as the layout table declares it
+HELLO = {"wire_version": 3, "bits_per_block": 1024, "mode": "ideal", "eve": "none",
+         "reconcile_block_size": 8, "error_sample_fraction": 0.25}
+
+
+def read_ciphertext(count: int, data: bytes):
+    """A Ciphertext frame carrying ``count`` bits in the bytes ``data``, read by a pipe."""
+    body = struct.pack(">IIBI", 9, 1, list(PAYLOADS).index("Ciphertext") + 1, count) + data
+    t_a, t_b = loopback_pair()
+    t_a.send_frame(struct.pack(">I", len(body)) + body)
+    return MessagePipe(t_b, session_id=9).recv("Ciphertext")["bits"]
+
+
+@pytest.mark.parametrize("s, n", [("ff", 4), ("f8", 4), ("01", 7), ("ff40", 9)])
+def test_a_bit_list_with_set_pad_bits_is_refused(s, n):
+    # the writer pads with zeros, so "ff" and "f0" must not both carry 1111
+    with pytest.raises(ProtocolDesyncError, match=f"sets pad bits beyond bit {n}$"):
+        read_ciphertext(n, bytes.fromhex(s))
+
+
+def test_a_bit_list_needs_exactly_the_bytes_of_its_count():
+    assert read_ciphertext(16, b"\xff\x00").tolist() == [1] * 8 + [0] * 8
+    # too few: 8 bits for a list of 16
+    with pytest.raises(ProtocolDesyncError, match="bits of 16 bits runs past the 1 bytes left"):
+        read_ciphertext(16, b"\xff")
+    # too many: trailing bytes that no bit of the list needs
+    with pytest.raises(ProtocolDesyncError, match="1 bytes trail the Ciphertext payload"):
+        read_ciphertext(8, b"\xff\x00")
+    with pytest.raises(ProtocolDesyncError, match="1 bytes trail the Ciphertext payload"):
+        read_ciphertext(0, b"\x00")
 
 
 def test_frame_roundtrip():
-    msg = frame(kind="Hello", payload={"x": 1}, session_id=7, sequence=3)
+    msg = frame(kind="Hello", payload=HELLO, session_id=7, sequence=3)
     data = encode_frame(msg)
     assert decode_frame(data[4:]) == msg
 
 
 def test_frame_size_limit():
-    big = "f" * (MAX_FRAME_BYTES * 2)
-    msg = frame(kind="Block", payload={"results": big}, session_id=1, sequence=1)
-    with pytest.raises(ChannelError):
+    big = np.ones(MAX_FRAME_BYTES * 8, np.uint8)
+    msg = frame(kind="Ciphertext", payload={"bits": big}, session_id=1, sequence=1)
+    with pytest.raises(ChannelError, match="exceeds the limit"):
         encode_frame(msg)
 
 
 def test_unknown_kind_rejected():
-    # a read refuses any kind but the one its step expects, known or not
+    # a read refuses any kind but the one its step expects, known or not;
+    # no code is written for a kind outside the table
+    with pytest.raises(ChannelError, match="Gossip payload"):
+        MessagePipe(loopback_pair()[0], session_id=1).send("Gossip", {})
     t_a, t_b = loopback_pair()
-    MessagePipe(t_a, session_id=1).send("Gossip", {})
-    with pytest.raises(ProtocolDesyncError, match="expected Hello, got Gossip"):
+    MessagePipe(t_a, session_id=1).send("HelloReply", {"ok": True})
+    with pytest.raises(ProtocolDesyncError, match="expected Hello, got HelloReply"):
+        MessagePipe(t_b, session_id=1).recv("Hello")
+    t_a, t_b = loopback_pair()
+    data = encode_frame(frame("HelloReply", {"ok": True}, session_id=1, sequence=1))
+    t_a.send_frame(data[:12] + bytes([len(PAYLOADS) + 1]) + data[13:])
+    with pytest.raises(ProtocolDesyncError, match=f"unknown kind code {len(PAYLOADS) + 1}"):
         MessagePipe(t_b, session_id=1).recv("Hello")
 
 
@@ -81,20 +92,27 @@ def test_malformed_frame():
         decode_frame(b"not json at all")
 
 
-GOOD_FRAME = frame("Hello", {}, session_id=5, sequence=1)
+GOOD_FRAME = encode_frame(frame("HelloReply", {"ok": True}, session_id=5, sequence=1))[4:]
 
 
-@pytest.mark.parametrize("obj", [
-    [GOOD_FRAME], "Hello", 5, None,
-    *({k: v for k, v in GOOD_FRAME.items() if k != field} for field in GOOD_FRAME),
-    {**GOOD_FRAME, "kind": 3}, {**GOOD_FRAME, "kind": ["Hello"]}, {**GOOD_FRAME, "kind": None},
-    {**GOOD_FRAME, "payload": []}, {**GOOD_FRAME, "payload": "x"}, {**GOOD_FRAME, "payload": None},
+@pytest.mark.parametrize("body", [
+    # frames of the JSON wire of version 2
+    b'[{"session_id":5,"sequence":1,"kind":"Hello","payload":{}}]', b'"Hello"', b"5", b"null",
+    # a body that stops inside the head, or before the payload
+    GOOD_FRAME[:2], GOOD_FRAME[:6], GOOD_FRAME[:8], GOOD_FRAME[:9],
+    # kind codes outside the table
+    GOOD_FRAME[:8] + bytes([len(PAYLOADS) + 1]) + GOOD_FRAME[9:],
+    GOOD_FRAME[:8] + b"\xff" + GOOD_FRAME[9:], GOOD_FRAME[:8] + b"\x00" + GOOD_FRAME[9:],
+    # payloads that are not a HelloReply's one byte 0 or 1, or a Hello's 26 bytes
+    GOOD_FRAME + b"\x01", GOOD_FRAME[:9] + b"x",
+    GOOD_FRAME[:8] + bytes([list(PAYLOADS).index("Hello") + 1]) + bytes(16),
 ], ids=["list", "string", "number", "null",
-        *(f"no_{field}" for field in GOOD_FRAME),
+        "no_session_id", "no_sequence", "no_kind", "no_payload",
         "kind_int", "kind_list", "kind_null", "payload_list", "payload_string", "payload_null"])
-def test_decode_frame_refuses_a_malformed_object(obj):
+def test_decode_frame_refuses_a_malformed_object(body):
+    assert decode_frame(GOOD_FRAME)["payload"] == {"ok": True}
     with pytest.raises(ProtocolDesyncError, match="malformed frame"):
-        decode_frame(json.dumps(obj).encode("utf-8"))
+        decode_frame(body)
 
 
 def test_pipe_sequence_and_session_checks():
@@ -103,13 +121,13 @@ def test_pipe_sequence_and_session_checks():
     b = MessagePipe(t_b, session_id=5)
     a.send("Hello", HELLO)
     assert b.recv("Hello") == HELLO
-    a.send("Done", {})
+    a.send("HelloReply", {"ok": True})
     with pytest.raises(ProtocolDesyncError):
         b.recv(expect_kind="Hello")
 
     # foreign session id
     t_a, t_b = loopback_pair()
-    MessagePipe(t_a, session_id=1).send("Hello", {})
+    MessagePipe(t_a, session_id=1).send("Hello", HELLO)
     with pytest.raises(ProtocolDesyncError):
         MessagePipe(t_b, session_id=2).recv("Hello")
 
@@ -126,7 +144,7 @@ def test_pipe_sequence_and_session_checks():
     # a skipped sequence number: a frame went missing in between
     for first in (2, 10**6):
         t_a, t_b = loopback_pair()
-        t_a.send_frame(encode_frame(frame("Hello", {}, session_id=3, sequence=first)))
+        t_a.send_frame(encode_frame(frame("Hello", HELLO, session_id=3, sequence=first)))
         with pytest.raises(ProtocolDesyncError, match=f"sequence {first}, expected 1"):
             MessagePipe(t_b, session_id=3).recv("Hello")
 
@@ -134,10 +152,13 @@ def test_pipe_sequence_and_session_checks():
 @pytest.mark.parametrize("field", ["session_id", "sequence"])
 @pytest.mark.parametrize("value", ["5", 5.9, True], ids=["string", "float", "bool"])
 def test_decode_frame_requires_integer_header_fields(field, value):
-    obj = {"session_id": 5, "sequence": 1, "kind": "Hello", "payload": {}}
+    # the head's session id and sequence are four-byte unsigned integers,
+    # which the read gives as ints, so the writer refuses any other type
+    obj = frame("HelloReply", {"ok": True}, session_id=5, sequence=1)
+    assert type(decode_frame(encode_frame(obj)[4:])[field]) is int
     obj[field] = value
-    with pytest.raises(ProtocolDesyncError, match=f"{field} {value!r} is not int"):
-        decode_frame(json.dumps(obj).encode("utf-8"))
+    with pytest.raises(ChannelError, match=f"{field} {value!r}.* is not an int"):
+        encode_frame(obj)
 
 
 def test_loopback_close_wakes_peer():
@@ -171,63 +192,48 @@ def test_empty_loopback_read_raises_at_once():
         t_a.recv_frame()
 
 
-@pytest.mark.parametrize("n", [0, 5, 1024, 250_000])
+@pytest.mark.parametrize("n", [0, 5, 1024, 250_000, 1, 7, 8, 9, 1000])
 def test_bit_frames_roundtrip(n):
-    # a bit list is one hex field of one frame, read at the count the reader knows
+    # a bit list is its count and its packed bytes in one frame
     rng = np.random.default_rng(n + 1)
     bits = rng.integers(0, 2, size=n, dtype=np.uint8)
     t_a, t_b = loopback_pair()
-    MessagePipe(t_a, session_id=9).send("Ciphertext", {"bits": bits_to_hex(bits), "chars": 0})
-    got = MessagePipe(t_b, session_id=9).recv("Ciphertext")
-    assert np.array_equal(hex_to_bits(got["bits"], n), bits)
+    MessagePipe(t_a, session_id=9).send("Ciphertext", {"bits": bits})
+    got = MessagePipe(t_b, session_id=9).recv("Ciphertext")["bits"]
+    assert got.dtype == np.uint8 and np.array_equal(got, bits)
 
 
-def test_hex_to_bits_rejects_non_hex_bits():
-    with pytest.raises(ProtocolDesyncError, match="not a hex string"):
-        hex_to_bits("zz", 8)
-
-
-def test_hex_to_bits_requires_exactly_the_bytes_of_its_count():
-    # too few: 8 bits for a list of 16
-    with pytest.raises(ProtocolDesyncError, match="hex carries 1 bytes, expected 2 for 16 bits"):
-        hex_to_bits("ff", 16)
-    # too many: trailing bytes that no bit of the list needs
-    with pytest.raises(ProtocolDesyncError, match="hex carries 2 bytes, expected 1 for 8 bits"):
-        hex_to_bits("ff00", 8)
-    with pytest.raises(ProtocolDesyncError, match="hex carries 1 bytes, expected 0 for 0 bits"):
-        hex_to_bits("00", 0)
+def largest_block(extra_bits=0):
+    """The largest frame a session sends: a Block of MAX_BITS_PER_BLOCK
+    pulses that all hit, with no sample, so a parity per 8 sifted bits;
+    ``extra_bits`` more in its hit record."""
+    n = MAX_BITS_PER_BLOCK
+    return frame("Block", {"results": np.ones(n + extra_bits, np.uint8),
+                           "sample": np.zeros(n, np.uint8),
+                           "parities": np.ones(n // 8, np.uint8), "block_size": 8},
+                 session_id=0x7FFFFFFF, sequence=2**32 - 1)
 
 
 def test_large_bit_lists_stay_under_frame_limit():
-    # the largest frames a session sends: a Block of MAX_BITS_PER_BLOCK
-    # pulses that all hit, with no sample, so a parity per 8 sifted bits,
-    # and the Ciphertext of the longest chat message
-    n = MAX_BITS_PER_BLOCK
-    block = {"results": "ff" * (n // 8), "sample": "00" * (n // 8),
-             "parities": "ff" * (n // 64), "block_size": 8}
-    cipher = {"bits": "ff" * (n // 8), "chars": n // 8}
+    # the bound is exactly the largest Block; the Ciphertext of the
+    # longest chat message is smaller
+    cipher = frame("Ciphertext", {"bits": np.ones(MAX_BITS_PER_BLOCK, np.uint8)}, 1, 1)
     sizes = []
-    for kind, payload in (("Block", block), ("Ciphertext", cipher)):
-        msg = frame(kind, payload, session_id=0x7FFFFFFF, sequence=10**12)
+    for msg in (largest_block(), cipher):
         data = encode_frame(msg)
-        assert decode_frame(data[4:]) == msg
+        decoded = decode_frame(data[4:])
+        assert all(np.array_equal(decoded["payload"][k], v) for k, v in msg["payload"].items())
         sizes.append(len(data))
-    assert sizes[1] < sizes[0] <= MAX_FRAME_BYTES
-    # the bound leaves no more room than the frame's other fields need
-    assert MAX_FRAME_BYTES - sizes[0] < 1024
+    assert sizes[1] < sizes[0] == MAX_FRAME_BYTES
 
 
 def test_a_frame_at_the_bound_is_taken_and_one_byte_over_is_refused():
-    # a Done whose reason fills the frame exactly; the socket read refuses
-    # a length one byte over (test_socket_peer_announcing_an_oversized_frame_is_refused)
-    msg = frame("Done", {"more": False, "ber": 0.0, "bias": None, "alarm": True, "reason": ""},
-                session_id=1, sequence=1)
-    msg["payload"]["reason"] = "x" * (MAX_FRAME_BYTES - len(encode_frame(msg)))
-    fits = encode_frame(msg)
+    # the socket read refuses a length one byte over too
+    # (test_socket_peer_announcing_an_oversized_frame_is_refused)
+    fits = encode_frame(largest_block())
     assert len(fits) == MAX_FRAME_BYTES
-    msg["payload"]["reason"] += "x"
     with pytest.raises(ChannelError, match=f"frame of {MAX_FRAME_BYTES - 3} bytes exceeds"):
-        encode_frame(msg)
+        encode_frame(largest_block(extra_bits=8))
     a, b = socket.socketpair()
     writer = threading.Thread(target=a.sendall, args=(fits,))
     try:

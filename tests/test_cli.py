@@ -16,7 +16,7 @@ import pytest
 
 from b92sim import channel, cli
 from b92sim.channel import (
-    MessagePipe, SocketTransport, accept_one, bits_to_hex, open_listener,
+    MessagePipe, SocketTransport, accept_one, encode_frame, open_listener,
 )
 from b92sim.cli import (
     CHAT_EMPTY_BLOCKS, MAX_CHAT_CHARS, MAX_SWEEP_ROWS, _session_config, build_parser, main,
@@ -438,26 +438,25 @@ def test_chat_receiver_discards_a_key_without_a_sample(capsys):
 
 
 def test_chat_receiver_refuses_a_ciphertext_of_partial_characters(capsys):
-    # 12 bits are not the 8 a character of the announced "chars": the
-    # peer broke the protocol, which is a transport error, not a
-    # configuration one
+    # 12 bits are not a whole number of 8-bit characters: the peer broke
+    # the protocol, which is a transport error, not a configuration one
     def send_12_bits(pipe, alice):
-        pipe.send("Ciphertext", {"bits": bits_to_hex(np.zeros(12, np.uint8)), "chars": 1})
+        pipe.send("Ciphertext", {"bits": np.zeros(12, np.uint8)})
 
     code, out, err = chat_receiver_against_one_block([], capsys, then=send_12_bits)
     assert code == 3
-    assert err == "transport error: hex carries 2 bytes, expected 1 for 8 bits\n"
+    assert err.startswith("transport error: Ciphertext of 12 bits is not whole characters")
     assert "decrypted" not in out
 
 
 def test_chat_receiver_refuses_a_ciphertext_longer_than_its_key(capsys):
     def send_past_the_key(pipe, alice):
         chars = len(alice.reconciled_key()) // 8 + 1
-        pipe.send("Ciphertext", {"bits": "00" * chars, "chars": chars})
+        pipe.send("Ciphertext", {"bits": np.zeros(8 * chars, np.uint8)})
 
     code, out, err = chat_receiver_against_one_block([], capsys, then=send_past_the_key)
     assert code == 3
-    assert err.startswith("transport error: Ciphertext of ") and "characters for a key of" in err
+    assert err.startswith("transport error: Ciphertext of ") and "bits is not whole characters within the key's" in err
     assert "decrypted" not in out
 
 
@@ -466,7 +465,7 @@ def test_chat_receiver_refuses_a_decryption_that_is_not_ascii(capsys):
     # so the receiver exits 3 as for any bad message, and prints no text
     def send_0x80(pipe, alice):
         cipher = alice.reconciled_key()[:8] ^ np.array([1, 0, 0, 0, 0, 0, 0, 0], np.uint8)
-        pipe.send("Ciphertext", {"bits": bits_to_hex(cipher), "chars": 1})
+        pipe.send("Ciphertext", {"bits": cipher})
 
     code, out, err = chat_receiver_against_one_block([], capsys, then=send_0x80)
     assert code == 3
@@ -475,16 +474,40 @@ def test_chat_receiver_refuses_a_decryption_that_is_not_ascii(capsys):
     assert "ciphertext: " in out and "decrypted" not in out
 
 
-@pytest.mark.parametrize("extra, message", [
-    (None, "chars None is not int"),
-    ({"chars": 1, "note": "x"}, "unexpected field 'note'"),
-    ({"chars": "1"}, "chars '1' is not int"),
-], ids=["no_chars", "extra_field", "chars_string"])
-def test_chat_receiver_refuses_a_ciphertext_off_its_schema(extra, message, capsys):
-    def send_8_bits(pipe, alice):
-        pipe.send("Ciphertext", {"bits": "00", **(extra or {})})
+def test_chat_receiver_refuses_a_decryption_with_control_characters(capsys):
+    # ESC [ 2 J clears a terminal; the sender never encrypts it
+    # (ascii_encode refuses it), so the receiver prints no text
+    def send_escape(pipe, alice):
+        plain = np.unpackbits(np.frombuffer(bytes.fromhex("1b5b324a"), np.uint8))
+        pipe.send("Ciphertext", {"bits": alice.reconciled_key()[:32] ^ plain})
 
-    code, out, err = chat_receiver_against_one_block([], capsys, then=send_8_bits)
+    code, out, err = chat_receiver_against_one_block([], capsys, then=send_escape)
+    assert code == 3
+    assert err == ("transport error: decrypted Ciphertext: character '\\x1b' is not 7-bit "
+                   "printable\n")
+    assert "ciphertext: 1b5b324a" not in out and "decrypted" not in out
+    assert "\x1b" not in out + err
+
+
+def send_ciphertext_bytes(pipe, payload: bytes):
+    """``payload`` as the bytes of the pipe's next frame, a Ciphertext."""
+    pipe._seq_out += 1
+    head = encode_frame({"session_id": pipe.session_id, "sequence": pipe._seq_out,
+                         "kind": "Ciphertext", "payload": {"bits": np.zeros(0, np.uint8)}})[4:13]
+    pipe._transport.send_frame(len(head + payload).to_bytes(4, "big") + head + payload)
+
+
+# the faults of the old text fields, in bytes: a count cut short, a
+# trailing byte, and a count that the bytes do not hold
+@pytest.mark.parametrize("payload, message", [
+    (b"\x00\x00", "malformed frame: Ciphertext of 2 bytes, fewer than the 4 of its fields"),
+    (b"\x00\x00\x00\x08\x00\x00", "malformed frame: 1 bytes trail the Ciphertext payload"),
+    (b"\x00\x00\x00\x31\x00",
+     "malformed frame: Ciphertext bits of 49 bits runs past the 1 bytes left"),
+], ids=["no_chars", "extra_field", "chars_string"])
+def test_chat_receiver_refuses_a_ciphertext_off_its_schema(payload, message, capsys):
+    code, out, err = chat_receiver_against_one_block(
+        [], capsys, then=lambda pipe, alice: send_ciphertext_bytes(pipe, payload))
     assert code == 3
     assert err == f"transport error: {message}\n"
     assert "decrypted" not in out

@@ -122,6 +122,30 @@ def test_ascii_rejects_non_encodable():
         ascii_encode("\x07")
 
 
+def bytes_msg(raw: bytes) -> Message:
+    return Message(np.unpackbits(np.frombuffer(raw, np.uint8)), 2)
+
+
+def test_ascii_decode_refuses_a_terminal_escape():
+    # ESC [ 2 J clears a terminal
+    with pytest.raises(EncodingError, match=r"character '\\x1b' is not 7-bit printable"):
+        ascii_decode(bytes_msg(bytes.fromhex("1b5b324a")))
+
+
+def test_ascii_decode_refuses_exactly_what_ascii_encode_refuses():
+    for code in range(128):
+        text = f"a{chr(code)}b"
+        try:
+            encoded = ascii_encode(text)
+        except EncodingError:
+            with pytest.raises(EncodingError):
+                ascii_decode(bytes_msg(text.encode("ascii")))
+        else:
+            assert ascii_decode(encoded) == text
+    with pytest.raises(EncodingError, match="do not decode as ASCII"):
+        ascii_decode(bytes_msg(b"\x80"))
+
+
 def test_pad_from_key_base2():
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
     pad = pad_from_key(bits)

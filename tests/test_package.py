@@ -87,3 +87,21 @@ def test_the_oracles_write_their_laws_out():
     refs = references(tree, {p.stem for p in SRC.glob("*.py")})
     kernel_laws = {"central_window", "tm_window_distribution"}
     assert sorted(n for n in refs if n.startswith("_") or n in kernel_laws) == []
+
+
+def test_one_wire_path_no_json_and_no_hex_codec():
+    # frames are binary (channel.encode_frame/decode_frame): no module
+    # imports json, names a function for hex, or parses hex back to bytes
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [f"{path.stem} imports {a.name}" for a in node.names
+                          if a.name.split(".")[0] == "json"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                found.append(f"{path.stem} imports from {node.module}")
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "hex" in node.name.lower():
+                found.append(f"{path.stem} defines {node.name}")
+            elif isinstance(node, ast.Attribute) and node.attr == "fromhex":
+                found.append(f"{path.stem} calls fromhex")
+    assert found == []

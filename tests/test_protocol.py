@@ -1,8 +1,8 @@
 import hashlib
 import inspect
 import math
-import re
 import socket
+import struct
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from b92sim.channel import (
+    DOUBLE,
     MAX_FRAME_BYTES,
     PAYLOADS,
     MessagePipe,
     SocketTransport,
-    bits_to_hex,
     decode_frame,
     encode_frame,
-    hex_to_bits,
     loopback_pair,
 )
 from b92sim.errors import (
@@ -73,7 +72,7 @@ from oracles import (
     states_equal,
     thin_photons,
 )
-from payloads import broken
+from payloads import broken, field_at, fmt, payload_bytes, put, reframed
 
 
 def make_cfg(**kw):
@@ -308,7 +307,9 @@ def test_selections_refuse_a_mask_of_the_wrong_length(n):
 
 
 class RewritingTransport:
-    """Replaces the payload of each frame of one kind sent through it."""
+    """Replaces the payload of each frame of one kind sent through it:
+    ``payload`` maps the decoded payload to a new one, or to the bytes
+    of a payload the writer would not send."""
 
     def __init__(self, inner, kind, payload):
         self.inner = inner
@@ -318,7 +319,9 @@ class RewritingTransport:
     def send_frame(self, data):
         msg = decode_frame(data[4:])
         if msg["kind"] == self.kind:
-            data = encode_frame({**msg, "payload": self.payload(msg["payload"])})
+            new = self.payload(msg["payload"])
+            data = (reframed(data, new) if isinstance(new, bytes)
+                    else encode_frame({**msg, "payload": new}))
         self.inner.send_frame(data)
 
     def recv_frame(self):
@@ -340,14 +343,31 @@ def test_invalid_bias_on_error_check_values_aborts(bias):
         run_session(make_cfg(bits_per_block=1024), channel=(t_a, bias_transport(t_b, bias)))
 
 
+def with_bytes(kind, name, new: bytes):
+    """A rewrite that writes ``new`` over the field ``name`` of a ``kind`` payload."""
+    return lambda p: put(payload_bytes(kind, p), field_at(kind, name), new)
+
+
+def double_in(kind, name):
+    """A rewrite that writes the double 8.0, eight bytes, where the
+    four-byte integer ``name`` goes: the payload grows by four bytes."""
+    def rewrite(p):
+        raw, at = payload_bytes(kind, p), field_at(kind, name)
+        return raw[:at] + struct.pack(">d", 8.0) + raw[at + 4:]
+    return rewrite
+
+
+# the bytes a writer of other types would put in a field: an empty
+# payload, the text "x", two bytes for one, the byte of "y" or "n"
+# where a bool goes, and codes past the table
 @pytest.mark.parametrize("kind, payload, message", [
-    ("Done", lambda p: [], "malformed frame"),
-    ("Done", lambda p: "x", "malformed frame"),
-    ("HelloReply", lambda p: [1], "malformed frame"),
-    ("HelloReply", lambda p: {"ok": "yes"}, "ok 'yes' is not bool"),
-    ("Done", lambda p: {**p, "more": "no"}, "more 'no' is not bool"),
-    ("Done", lambda p: {**p, "alarm": 0}, "alarm 0 is not bool"),
-    ("Done", lambda p: {**p, "reason": 5}, "reason 5 is not NoneType or str"),
+    ("Done", lambda p: b"", "malformed frame: Done of 0 bytes"),
+    ("Done", lambda p: b"x", "malformed frame: Done of 1 bytes"),
+    ("HelloReply", lambda p: b"\x01\x01", "malformed frame: 1 bytes trail"),
+    ("HelloReply", lambda p: b"y", "ok code 121 is out of range"),
+    ("Done", with_bytes("Done", "more", b"n"), "more code 110 is out of range"),
+    ("Done", with_bytes("Done", "alarm", b"\x02"), "alarm code 2 is out of range"),
+    ("Done", with_bytes("Done", "reason", b"\x08"), "reason code 8 is out of range"),
 ], ids=["done_list", "done_string", "hello_list", "hello_ok", "more", "alarm", "reason"])
 def test_mistyped_frame_to_the_receiver_aborts(kind, payload, message):
     t_a, t_b = loopback_pair()
@@ -380,8 +400,8 @@ def test_a_session_leaves_no_frame_unread(n_blocks):
 
 
 @pytest.mark.parametrize("payload, message", [
-    (lambda p: {**p, "more": "no"}, "more 'no' is not bool"),
-    (lambda p: [], "malformed frame"),
+    (with_bytes("Done", "more", b"n"), "more code 110 is out of range"),
+    (lambda p: b"", "malformed frame"),
 ], ids=["more", "list"])
 def test_mistyped_done_in_the_middle_of_a_session_aborts(payload, message):
     t_a, t_b = loopback_pair()
@@ -392,57 +412,69 @@ def test_mistyped_done_in_the_middle_of_a_session_aborts(payload, message):
 
 
 def shortened(field):
-    """A rewrite that drops the last byte of the bit list ``field``."""
-    return lambda p: {**p, field: p[field][:-2]}
+    """A rewrite that drops the last 8 bits of the bit list ``field``."""
+    return lambda p: {**p, field: p[field][:-8]}
 
 
 def lengthened(field):
-    """A rewrite that appends a zero byte to the bit list ``field``."""
-    return lambda p: {**p, field: p[field] + "00"}
+    """A rewrite that appends 8 zero bits to the bit list ``field``."""
+    return lambda p: {**p, field: np.concatenate([p[field], np.zeros(8, np.uint8)])}
 
 
-# a bit list of a count the reader does not know from the test
-WRONG_BYTES = r"hex carries \d+ bytes, expected \d+ for \d+ bits"
+# the values or parities of a count the reader does not know from the test
+WRONG_COUNT = r"(values|parities) of \d+ bits, expected \d+"
 
 
 def hello_cases():
-    """(row, id) for each field of the receiver's Hello with a value of
-    another type and with the field missing, and for a Hello with an
-    extra field."""
-    for key, value in protocol._hello_payload(make_cfg()).items():
-        wrong = [value] if isinstance(value, str) else str(value)
-        for rewrite, shown, case in [
-            (lambda p, key=key, wrong=wrong: {**p, key: wrong}, wrong, "type"),
-            (lambda p, key=key: {k: v for k, v in p.items() if k != key}, None, "missing"),
-        ]:
-            message = re.escape(f"{key} {shown!r} is not {type(value).__name__}")
-            yield ("bob", "Hello", rewrite, message), f"hello_{key}_{case}"
-    yield ("bob", "Hello", lambda p: {**p, "extra": 1}, "unexpected field 'extra'"), "hello_extra"
+    """(row, id) for each field of the receiver's Hello with bytes of
+    another type and with the field's bytes missing, and for a Hello
+    with a trailing byte. Another type is a code past the table for an
+    enum, NaN for a double, and a double's eight bytes for an integer,
+    which takes every value of its own four."""
+    for key, codec in PAYLOADS["Hello"].items():
+        if type(codec) is tuple:
+            wrong, message = with_bytes("Hello", key, bytes([len(codec)])), f"{key} code"
+        elif codec is DOUBLE:
+            wrong = with_bytes("Hello", key, struct.pack(">d", math.nan))
+            message = f"{key} nan is not finite"
+        else:
+            wrong, message = double_in("Hello", key), "malformed frame: 4 bytes trail"
+        size = struct.calcsize(">" + fmt(codec))
+
+        def missing(p, key=key, size=size):
+            raw, at = payload_bytes("Hello", p), field_at("Hello", key)
+            return raw[:at] + raw[at + size:]
+
+        yield ("bob", "Hello", wrong, message), f"hello_{key}_type"
+        yield ("bob", "Hello", missing, "fewer than the 22 of its fields"), f"hello_{key}_missing"
+    yield (("bob", "Hello", lambda p: payload_bytes("Hello", p) + b"\x00",
+            "1 bytes trail the Hello payload"), "hello_extra")
 
 
 HELLO_ROWS, HELLO_IDS = zip(*hello_cases())
 
 
 @pytest.mark.parametrize("sender, kind, payload, message", [
-    ("alice", "Block", shortened("results"), "hex carries 127 bytes, expected 128 for 1024 bits"),
-    ("alice", "Block", lengthened("results"), "hex carries 129 bytes, expected 128 for 1024 bits"),
-    ("alice", "Block", shortened("sample"), WRONG_BYTES),
-    ("alice", "Block", lengthened("sample"), WRONG_BYTES),
-    ("bob", "Answer", shortened("values"), WRONG_BYTES),
-    ("bob", "Answer", lengthened("values"), WRONG_BYTES),
+    ("alice", "Block", shortened("results"), "hit record of 1016 entries against 1024 bits"),
+    ("alice", "Block", lengthened("results"), "hit record of 1032 entries against 1024 bits"),
+    ("alice", "Block", shortened("sample"), "error-check mask does not match the key length"),
+    ("alice", "Block", lengthened("sample"), "error-check mask does not match the key length"),
+    ("bob", "Answer", shortened("values"), WRONG_COUNT),
+    ("bob", "Answer", lengthened("values"), WRONG_COUNT),
     ("alice", "Block", lambda p: {**p, "block_size": 4}, "different reconciliation block"),
-    ("alice", "Block", lambda p: {**p, "block_size": 8.0}, "block_size 8.0 is not int"),
-    ("alice", "Block", shortened("parities"), WRONG_BYTES),
-    ("alice", "Block", lengthened("parities"), WRONG_BYTES),
-    ("alice", "Block", lambda p: {**p, "parities": "zz" + p["parities"][2:]}, "not a hex string"),
-    ("bob", "Answer", shortened("discard"), WRONG_BYTES),
-    ("bob", "Answer", lengthened("discard"), WRONG_BYTES),
+    # a double where an integer goes: the lists' bytes move by four
+    ("alice", "Block", double_in("Block", "block_size"), "malformed frame: Block"),
+    ("alice", "Block", shortened("parities"), WRONG_COUNT),
+    ("alice", "Block", lengthened("parities"), WRONG_COUNT),
+    # a parity list whose bytes are not the list its count says
+    ("alice", "Block", with_bytes("Block", "parities", struct.pack(">I", 2**32 - 1)),
+     "parities of 4294967295 bits runs past"),
+    ("bob", "Answer", shortened("discard"), r"verdicts for \d+ blocks, key has \d+"),
+    ("bob", "Answer", lengthened("discard"), r"verdicts for \d+ blocks, key has \d+"),
     ("alice", "HelloReply", lambda p: {"ok": False}, "peer rejected the session configuration"),
     ("bob", "Hello", lambda p: {**p, "wire_version": 1}, "peer configuration mismatch"),
-    # 1024.0 == 1024 and 8.0 == 8, so only a typed check refuses these
-    ("bob", "Hello", lambda p: {**p, "bits_per_block": 1024.0}, "bits_per_block 1024.0 is not int"),
-    ("bob", "Hello", lambda p: {**p, "reconcile_block_size": 8.0},
-     "reconcile_block_size 8.0 is not int"),
+    ("bob", "Hello", double_in("Hello", "bits_per_block"), "4 bytes trail the Hello payload"),
+    ("bob", "Hello", double_in("Hello", "reconcile_block_size"), "4 bytes trail the Hello payload"),
     *HELLO_ROWS,
 ], ids=["results", "results_long", "indices", "indices_long", "values", "values_long",
         "block_size", "block_size_float", "parities", "parities_long", "parities_not_hex",
@@ -465,18 +497,26 @@ def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
     assert isinstance(info.value.__cause__, cause)
 
 
-# (sender, kind, fields) for every message a session sends
+# (sender, kind) for every message a session sends
 SESSION_SHAPES = [
-    *(("alice", kind, PAYLOADS[kind]) for kind in ("HelloReply", "Block", "Done")),
-    *(("bob", kind, PAYLOADS[kind]) for kind in ("Hello", "Answer")),
+    *(("alice", kind) for kind in ("HelloReply", "Block", "Done")),
+    *(("bob", kind) for kind in ("Hello", "Answer")),
 ]
 
 
-@pytest.mark.parametrize("sender, kind, fields", SESSION_SHAPES,
-                         ids=[f"{s}_{k}" for s, k, _ in SESSION_SHAPES])
-def test_a_message_off_its_schema_aborts_the_session(sender, kind, fields):
+@pytest.mark.parametrize("sender, kind", SESSION_SHAPES,
+                         ids=[f"{s}_{k}" for s, k in SESSION_SHAPES])
+def test_a_message_off_its_schema_aborts_the_session(sender, kind):
+    # each fault of ``broken``, written into the session's first frame of the kind
+    seen = []
+    t_a, t_b = loopback_pair()
+    watch = RewritingTransport(t_a if sender == "alice" else t_b, kind,
+                               lambda p: seen.append(p) or p)
+    run_session(make_cfg(bits_per_block=1024),
+                channel=(watch, t_b) if sender == "alice" else (t_a, watch))
     causes = {}
-    for case, rewrite in broken(fields):
+    for case in dict(broken(kind, seen[0])):
+        rewrite = first_only(lambda p, case=case: dict(broken(kind, p))[case])
         t_a, t_b = loopback_pair()
         if sender == "alice":
             t_a = RewritingTransport(t_a, kind, rewrite)
@@ -492,9 +532,9 @@ def test_a_message_off_its_schema_aborts_the_session(sender, kind, fields):
 
 def with_pad_bits_set(p):
     """A Block of 1020 pulses whose hit record sets its 4 pad bits."""
-    raw = bytearray.fromhex(p["results"])
-    raw[-1] |= 0x0F
-    return {**p, "results": raw.hex()}
+    raw = bytearray(payload_bytes("Block", p))
+    raw[field_at("Block", "block_size") + 4 + 127] |= 0x0F
+    return bytes(raw)
 
 
 def test_results_with_set_pad_bits_abort():
@@ -527,7 +567,8 @@ def test_estimate_ber_identical_and_opposite():
 
     def flipped_values(p):
         k = int(cfg.error_sample_fraction * np.count_nonzero(logs.hits))
-        return {**p, "values": bits_to_hex(1 - hex_to_bits(p["values"], k))}
+        assert len(p["values"]) == k
+        return {**p, "values": 1 - p["values"]}
 
     t_a, t_b = loopback_pair()
     inverting = RewritingTransport(t_b, "Answer", flipped_values)
@@ -802,28 +843,28 @@ def test_golden_digests_of_key_and_hits(name):
 # sha256 of all frames each party sends in the GOLDEN_SESSIONS, one
 # stream per direction (each frame carries its length prefix), with the
 # frame count: (sender to receiver, receiver to sender). Computed with
-# a fresh json.dumps per frame and a queue-backed loopback; the wire
-# format must not move by one byte.
+# the binary frames of wire version 3; the wire format must not move by
+# one byte.
 GOLDEN_FRAMES = {
     "ideal": (
-        (7, "05511a5d9eaac5b25b665ee7847101e381b50ace4876cf735eb69e396b9d4dde"),
-        (4, "77098fa8acb1c62ccfc213bad10b1ac1878b33b414a2fae3b8eb2fd8472b2a92"),
+        (7, "ef0dcec3ff7bea84cf81f415a7c90c0d6f790c5fbac83a249050ee734421597a"),
+        (4, "3668af42dfa17bef3a6ffe5c6b7d0ea61ce709e2f47a3998f750bf5b8ac5a6c1"),
     ),
     "ideal_fixed_projection": (
-        (5, "0dc262eb778b4599f5d9ecdba7a069ba79ceca046a688e1a5d153afe928ff059"),
-        (3, "ca8e10768a5ad7c34a86e3a44d886eb5f0225c3f123d4dfa02f09d99c021a4b8"),
+        (5, "0ead33d2f9aa4581b7e6c52f303bf44467bb02ed6f74b55295245b6ecef50ec4"),
+        (3, "316f226181cbb69b77ad67417fc7722dc53bc4d12ff6cf972bbfccd7c3508b7f"),
     ),
     "physical_afterpulse": (
-        (7, "dd80b6379a10849d5768148ed6bf4c0c652662de024d104538dd3c9657e9dadc"),
-        (4, "9fe0d0e731d8308b7457173355eecd0c511c5384673318733c518e00500a77e7"),
+        (7, "a1efe9cb02139a19c707a6426744859ce315fef1ebf8e203db7cb57193c6e285"),
+        (4, "9ce11e12aff5b7b0718c051f779ee20edd6480da6918c23407f376c502bf41a8"),
     ),
     "physical_fixed_projection": (
-        (5, "5d77dffa9a29dac61037984eaf8fedcab22b2ef8503fb0c33d231326adabc201"),
-        (3, "2a169397eb7e4fa72343471fc81a4b3190ade538a1632936a95224c953aed5ba"),
+        (5, "c903300532622f5545b8e34fc9851e5daade6aca376927730964087ae292ffdb"),
+        (3, "2490591bbf99fc105cc817bca0dccfb6f1e237d43162240b6d5a522d48a539a9"),
     ),
     "physical_multiphoton": (
-        (5, "48ba5d53db7c3f1ed26fba64823c616ab395acaa9126a0fa331c9009c3390c87"),
-        (3, "20a23b1e0df642e7de226bd3d3b8c8b2d7abb93b1b83c43a03c1576e6eec8c53"),
+        (5, "416f029e37ada3b40ceecc2be5918b28ba79bc1f9ffa5aac382be0d9dc22ac5d"),
+        (3, "655aa62a7324fba6dd878aa56974704cd6cb2a2fec96de98576c21e5869b4cf4"),
     ),
 }
 
@@ -936,7 +977,7 @@ ALLOWED_PAYLOAD_KEYS = {
     "Block": {"results", "sample", "parities", "block_size"},
     "Answer": {"values", "bias", "discard"},
     "Done": {"more", "ber", "bias", "alarm", "reason"},
-    "Ciphertext": {"bits", "chars"},
+    "Ciphertext": {"bits"},
 }
 
 
@@ -1133,7 +1174,7 @@ def test_message_schema_and_results_content():
         assert set(msg["payload"]) <= ALLOWED_PAYLOAD_KEYS[msg["kind"]], msg["kind"]
         assert len(raw) <= MAX_FRAME_BYTES
         if msg["kind"] == "Block":
-            results_bits = hex_to_bits(msg["payload"]["results"], cfg.bits_per_block)
+            results_bits = msg["payload"]["results"]
     # the hit record crosses the wire; nobody's bit values do
     assert results_bits is not None
     assert np.array_equal(results_bits, kernel_logs.hits)
@@ -1164,8 +1205,7 @@ def test_a_round_log_touches_no_draw(cfg):
     assert np.array_equal(key_a, logged[0]) and np.array_equal(key_b, logged[1])
     assert frames == logged[2] and streams == logged[3]
     sent = [decode_frame(raw[4:]) for raw in frames]
-    hits = np.concatenate([hex_to_bits(msg["payload"]["results"], cfg.bits_per_block)
-                           for msg in sent if msg["kind"] == "Block"])
+    hits = np.concatenate([msg["payload"]["results"] for msg in sent if msg["kind"] == "Block"])
     assert len(hits) == 3 * cfg.bits_per_block
     assert np.array_equal(hits, logs.hits)
 

@@ -1,20 +1,46 @@
-"""The payload schema table of ``b92sim.channel``: each read refuses a
-payload with a field missing, an extra field or a mistyped field; the
-table and the code agree on the kinds; and well-formed messages
-round-trip."""
+"""The payload layout table of ``b92sim.channel``: each read refuses a
+payload a byte short or long, or with a value its field's codec does
+not take; the table and the code agree on the kinds; well-formed
+messages round-trip; and each message has exactly one frame."""
 import ast
-import json
+import math
 import pathlib
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b92sim import errors
-from b92sim.channel import PAYLOADS, MessagePipe, decode_frame, encode_frame, loopback_pair
-from b92sim.errors import ProtocolDesyncError
+from b92sim.channel import (
+    BITS,
+    BOOL,
+    DOUBLE,
+    OPTIONAL,
+    PAYLOADS,
+    UINT,
+    MessagePipe,
+    decode_frame,
+    encode_frame,
+    loopback_pair,
+)
+from b92sim.errors import ChannelError, ProtocolDesyncError
+from b92sim.protocol import EveStrategy, Mode, _evaluate_alarm
 
-from payloads import JSON_VALUES, SHAPE_IDS, SHAPES, broken, well_formed
+from payloads import (
+    JSON_VALUES,
+    SHAPE_IDS,
+    SHAPES,
+    broken,
+    field_at,
+    frame,
+    payload_bytes,
+    put,
+    reframed,
+    same,
+    well_formed,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "b92sim"
 
@@ -26,53 +52,92 @@ def read(kind, payload):
     return MessagePipe(t_b, session_id=2).recv(kind)
 
 
+def read_bytes(kind, raw: bytes):
+    """The payload bytes ``raw`` framed as a ``kind`` frame and read."""
+    t_a, t_b = loopback_pair()
+    t_a.send_frame(reframed(encode_frame(frame(kind, well_formed(PAYLOADS[kind]))), raw))
+    return MessagePipe(t_b, session_id=2).recv(kind)
+
+
 @pytest.mark.parametrize("kind, fields", SHAPES, ids=SHAPE_IDS)
 def test_a_read_refuses_a_missing_extra_or_mistyped_field(kind, fields):
+    # missing: a byte short; extra: a byte trailing; mistyped: a value
+    # the field's codec does not take
     good = well_formed(fields)
-    assert read(kind, good) == good
+    assert same(read(kind, good), good)
     unrefused = []
-    for case, rewrite in broken(fields):
+    cases = dict(broken(kind, good))
+    for case, raw in cases.items():
         try:
-            read(kind, rewrite(good))
+            read_bytes(kind, raw)
             unrefused.append(case)
         except ProtocolDesyncError:
             pass
     assert unrefused == []
+    # every field but an unsigned integer has a value its codec does not take
+    assert all(any(case.startswith(f"{name}_") for case in cases)
+               for name, codec in fields.items() if codec is not UINT)
 
 
-@pytest.mark.parametrize("rewrite, message", [
-    (lambda p: {k: v for k, v in p.items() if k != "reason"}, "reason None is not NoneType or str"),
-    (lambda p: {**p, "ber": 0}, "ber 0 is not float"),
-    (lambda p: {**p, "more": 1}, "more 1 is not bool"),
-    (lambda p: {**p, "note": "x"}, "unexpected field 'note'"),
+def done_bytes(**put_at) -> bytes:
+    """A Done payload with the bytes of ``put_at`` written at their fields."""
+    raw = payload_bytes("Done", well_formed(PAYLOADS["Done"]))
+    for name, new in put_at.items():
+        raw = put(raw, field_at("Done", name), new)
+    return raw
+
+
+@pytest.mark.parametrize("raw, message", [
+    # the payload stops inside its last field
+    (done_bytes()[:-1], "Done of 19 bytes, fewer than the 20 of its fields"),
+    # an integer's four bytes where ber's double goes: the payload is short
+    (done_bytes()[:1] + struct.pack(">I", 0) + done_bytes()[9:],
+     "Done of 16 bytes, fewer than the 20 of its fields"),
+    (done_bytes(more=b"\x02"), "Done more code 2 is out of range"),
+    (done_bytes() + b"\x00", "1 bytes trail the Done payload"),
 ], ids=["missing", "int_for_float", "int_for_bool", "extra"])
-def test_a_refused_field_is_named(rewrite, message):
-    # a missing field reads as None, so a field that may be None is
-    # refused for its absence too
-    with pytest.raises(ProtocolDesyncError, match=message):
-        read("Done", rewrite(well_formed(PAYLOADS["Done"])))
+def test_a_refused_field_is_named(raw, message):
+    with pytest.raises(ProtocolDesyncError, match=f"^malformed frame: {message}$"):
+        read_bytes("Done", raw)
 
 
 def test_decode_frame_refuses_a_fifth_field():
-    obj = {"session_id": 5, "sequence": 1, "kind": "Hello", "payload": {}, "extra": [1, 2]}
-    with pytest.raises(ProtocolDesyncError, match="malformed frame: unexpected field 'extra'"):
-        decode_frame(json.dumps(obj).encode("utf-8"))
+    # bytes after a whole payload are a field no kind has
+    data = encode_frame(frame("HelloReply", {"ok": True}))
+    assert decode_frame(data[4:])["payload"] == {"ok": True}
+    with pytest.raises(ProtocolDesyncError, match="malformed frame: 2 bytes trail the HelloReply"):
+        decode_frame(data[4:] + b"\x01\x02")
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
 def test_a_number_that_json_lacks_is_refused_by_name(constant):
-    # json reads the first three by default, and a literal beyond a double's
-    # range as inf; RFC 8259 has no such numbers
-    t_a, t_b = loopback_pair()
-    for field, types in [("bias", "NoneType or int or float"), ("ber", "float")]:
-        payload = json.dumps({**well_formed(PAYLOADS["Done"]), field: 0.25}).replace("0.25", constant)
-        body = f'{{"session_id":2,"sequence":1,"kind":"Done","payload":{payload}}}'.encode("utf-8")
-        t_a.send_frame(b"\0\0\0\0" + body)
-        with pytest.raises(ProtocolDesyncError, match=f"^{field} {constant} is not {types}$"):
-            MessagePipe(t_b, 2).recv("Done")
-    in_header = body.replace(b'"sequence":1', b'"sequence":' + constant.encode("utf-8"))
-    with pytest.raises(ProtocolDesyncError, match=f"^malformed frame: sequence {constant} is not int$"):
-        decode_frame(in_header)
+    # a double that is not finite, what each of these reads as, is refused
+    # in a double field and in an optional one, as JSON refuses them
+    value = float(constant)
+    for field, new in [("bias", b"\x01" + struct.pack(">d", value)),
+                       ("ber", struct.pack(">d", value))]:
+        with pytest.raises(ProtocolDesyncError,
+                           match=f"^malformed frame: Done {field} {value!r} is not finite$"):
+            read_bytes("Done", done_bytes(**{field: new}))
+
+
+def test_encode_refuses_a_payload_off_its_layout():
+    # the writer sends no frame that the read would refuse or read
+    # differently: a field missing or extra, a bool where another codec
+    # goes (True is an int and a float to struct), or a value of no codec
+    good = well_formed(PAYLOADS["Done"])
+    for payload, message in [
+        ({k: v for k, v in good.items() if k != "reason"}, "is not of the fields"),
+        ({**good, "note": 1}, "is not of the fields"),
+        ({**good, "more": 1}, "Done more 1 is not of codec"),
+        ({**good, "ber": True}, "Done ber True is not of codec"),
+        ({**good, "ber": "x"}, "Done payload does not fit its layout"),
+        ({**good, "reason": "ber+sample"}, "Done reason 'ber\\+sample' is not of codec"),
+    ]:
+        with pytest.raises(ChannelError, match=message):
+            encode_frame(frame("Done", payload))
+    with pytest.raises(ChannelError, match="Gossip payload"):
+        encode_frame(frame("Gossip", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -104,28 +169,34 @@ def test_every_kind_in_the_code_has_a_schema_and_every_schema_is_sent():
     assert sent == set(PAYLOADS)
 
 
+def test_the_enums_of_the_table_are_the_values_the_engines_send():
+    assert PAYLOADS["Hello"]["mode"] == tuple(m.value for m in Mode)
+    assert PAYLOADS["Hello"]["eve"] == tuple(e.value for e in EveStrategy)
+    reasons = {_evaluate_alarm(disclosed, ber, bias)[1]
+               for disclosed in (0, 1) for ber in (0.0, 0.5) for bias in (None, 0.5, 0.9)}
+    assert reasons == set(PAYLOADS["Done"]["reason"])
+
+
 # ---------------------------------------------------------------------------
 # properties over payloads the table generates
 
+BIT_LISTS = st.lists(st.integers(0, 1), max_size=40).map(lambda b: np.array(b, np.uint8))
 VALUES = {
-    int: st.integers(),
-    float: st.floats(allow_nan=False, allow_infinity=False),  # the read refuses both
-    str: st.text(max_size=20),
-    bool: st.booleans(),
-    type(None): st.none(),
+    UINT: st.integers(0, 2**32 - 1),
+    DOUBLE: st.floats(allow_nan=False, allow_infinity=False),  # the read refuses both
+    BOOL: st.booleans(),
+    OPTIONAL: st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    BITS: BIT_LISTS,
 }
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=6,
-)
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
+def values(codec):
+    return st.sampled_from(codec) if type(codec) is tuple else VALUES[codec]
+
+
 def payloads(fields):
-    return st.fixed_dictionaries(
-        {key: st.one_of(*(VALUES[t] for t in types)) for key, types in fields.items()}
-    )
+    return st.fixed_dictionaries({key: values(codec) for key, codec in fields.items()})
 
 
 def shapes_with_payloads():
@@ -136,9 +207,9 @@ def shapes_with_payloads():
 
 def through_a_pipe(kind, payload):
     """The payload framed, checked by decode_frame, and read by a pipe."""
-    msg = {"session_id": 3, "sequence": 1, "kind": kind, "payload": payload}
+    msg = frame(kind, payload, session_id=3)
     data = encode_frame(msg)
-    assert decode_frame(data[4:]) == msg
+    assert same(decode_frame(data[4:]), msg)
     t_a, t_b = loopback_pair()
     t_a.send_frame(data)
     return MessagePipe(t_b, 3)
@@ -148,44 +219,55 @@ def through_a_pipe(kind, payload):
 @given(shapes_with_payloads())
 def test_a_well_formed_payload_round_trips(shape_and_payload):
     (kind, _), payload = shape_and_payload
-    assert through_a_pipe(kind, payload).recv(kind) == payload
+    assert same(through_a_pipe(kind, payload).recv(kind), payload)
 
 
 @st.composite
 def broken_payloads(draw):
-    (kind, fields), payload = draw(shapes_with_payloads())
-    change = draw(st.sampled_from(["drop", "add", "retype"]))
-    key = draw(st.sampled_from(sorted(fields)))
-    if change == "drop":
-        del payload[key]
-    elif change == "add":
-        payload[draw(st.text(max_size=8).filter(lambda k: k not in fields))] = draw(JSON)
-    else:
-        payload[key] = draw(JSON.filter(lambda v: type(v) not in fields[key]))
-    return kind, payload
+    (kind, _), payload = draw(shapes_with_payloads())
+    cases = dict(broken(kind, payload))
+    return kind, cases[draw(st.sampled_from(sorted(cases)))]
 
 
 @PROPERTY
 @given(broken_payloads())
 def test_a_payload_with_one_field_dropped_added_or_retyped_is_refused(case):
-    kind, payload = case
+    kind, raw = case
     with pytest.raises(ProtocolDesyncError):
-        through_a_pipe(kind, payload).recv(kind)
+        read_bytes(kind, raw)
 
 
-FRAME_OBJECTS = st.fixed_dictionaries({
-    "session_id": st.just(3), "sequence": st.just(1), "kind": st.sampled_from(list(PAYLOADS)),
-    "payload": st.dictionaries(st.text(max_size=8), JSON, max_size=6),
-})
+@st.composite
+def frames(draw):
+    """Frame bodies: arbitrary bytes, or a valid frame with a few bytes
+    overwritten, cut off or appended."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    (kind, _), payload = draw(shapes_with_payloads())
+    body = bytearray(encode_frame(frame(kind, payload, session_id=3))[4:])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(body) - 1))
+        body[at] = draw(st.integers(0, 255))
+    cut = draw(st.integers(0, 2))
+    return bytes(body[:len(body) - cut]) + draw(st.binary(max_size=2))
 
 
 @PROPERTY
-@given(st.one_of(st.binary(max_size=64), st.one_of(JSON, FRAME_OBJECTS).map(json.dumps)),
-       st.sampled_from(list(PAYLOADS)))
+@given(frames())
+def test_every_frame_the_read_accepts_is_the_encoding_of_its_message(body):
+    # no two frames carry one message
+    try:
+        msg = decode_frame(body)
+    except ProtocolDesyncError:
+        return
+    assert encode_frame(msg)[4:] == body
+
+
+@PROPERTY
+@given(frames(), st.sampled_from(list(PAYLOADS)))
 def test_no_frame_raises_outside_the_errors_module(body, kind):
-    body = body if isinstance(body, bytes) else body.encode("utf-8")
     t_a, t_b = loopback_pair()
-    t_a.send_frame(b"\0\0\0\0" + body)
+    t_a.send_frame(struct.pack(">I", len(body)) + body)
     try:
         MessagePipe(t_b, 3).recv(kind)
     except Exception as exc:  # the property is about what escapes
@@ -193,5 +275,65 @@ def test_no_frame_raises_outside_the_errors_module(body, kind):
 
 
 def test_json_values_cover_every_type_of_the_table():
-    types = {t for _, fields in SHAPES for types in fields.values() for t in types}
-    assert types <= {type(v) for v in JSON_VALUES}
+    # every field of the table refuses one of these values at the writer,
+    # and each refusal is a ChannelError that names the kind
+    for kind, fields in SHAPES:
+        for name in fields:
+            refused = 0
+            for value in JSON_VALUES:
+                try:
+                    encode_frame(frame(kind, {**well_formed(fields), name: value}))
+                except ChannelError as exc:
+                    assert kind in str(exc)
+                    refused += 1
+            assert refused, (kind, name)
+
+
+# ---------------------------------------------------------------------------
+# one refusal per fault class
+
+BLOCK = {"results": np.ones(12, np.uint8), "sample": np.zeros(3, np.uint8),
+         "parities": np.array([1], np.uint8), "block_size": 8}
+
+
+def block_bytes(**put_at) -> bytes:
+    raw = payload_bytes("Block", BLOCK)
+    for name, new in put_at.items():
+        raw = put(raw, field_at("Block", name), new)
+    return raw
+
+
+def framed(kind, raw: bytes) -> bytes:
+    """The payload bytes ``raw`` as the first ``kind`` frame of session 2."""
+    return reframed(encode_frame(frame(kind, well_formed(PAYLOADS[kind]))), raw)
+
+
+BLOCK_FRAME = encode_frame(frame("Block", BLOCK))
+ANSWER = payload_bytes("Answer", well_formed(PAYLOADS["Answer"]))
+
+
+@pytest.mark.parametrize("data, message", [
+    (BLOCK_FRAME[:-1], "bytes do not match their length prefix"),
+    (BLOCK_FRAME[:-1] + b"\x80\x00", "bytes do not match their length prefix"),
+    (put(BLOCK_FRAME, 12, b"\x07"), "unknown kind code 7"),
+    (put(BLOCK_FRAME, 12, b"\x00"), "unknown kind code 0"),
+    (put(BLOCK_FRAME, 4, struct.pack(">I", 9)), "session_id 9 does not match 2"),
+    (put(BLOCK_FRAME, 8, struct.pack(">I", 2)), "sequence 2, expected 1"),
+    (framed("HelloReply", b"\x02"), "HelloReply ok code 2 is out of range"),
+    (framed("Answer", put(ANSWER, field_at("Answer", "bias"), b"\xff")),
+     "Answer bias flag 255 with 0.5 is neither None nor a double"),
+    (framed("Done", done_bytes(reason=b"\x08")), "Done reason code 8 is out of range"),
+    (framed("Done", done_bytes(ber=struct.pack(">d", math.inf))), "Done ber inf is not finite"),
+    (framed("Block", block_bytes()[:-3] + b"\x11\x00\x80"),
+     "Block results sets pad bits beyond bit 12"),
+    (framed("Block", block_bytes(parities=struct.pack(">I", 9))),
+     "Block parities of 9 bits runs past the 1 bytes left"),
+    (framed("Block", block_bytes() + b"\x00"), "1 bytes trail the Block payload"),
+], ids=["length", "length_long", "kind", "kind_zero", "session", "sequence", "bool", "flag",
+        "enum", "double", "pad", "count", "trailing"])
+def test_each_fault_class_is_refused(data, message):
+    # a payload is decoded before the pipe compares its kind with the one it expects
+    t_a, t_b = loopback_pair()
+    t_a.send_frame(data)
+    with pytest.raises(ProtocolDesyncError, match=message):
+        MessagePipe(t_b, session_id=2).recv("Block")
