@@ -1,16 +1,16 @@
 """Classical public channel: binary frames and the transports that carry them.
 
-Wire format (``WIRE_VERSION`` 3, which the Hello carries). A frame is a
+Wire format (``WIRE_VERSION`` 4, which the Hello carries). A frame is a
 ``>I`` length of the bytes after it; the ``>IIB`` session id, sequence
 and kind code (the kind's place in ``PAYLOADS``, from 1); and the
 payload: one ``struct`` of its fields in ``PAYLOADS`` order, followed
 by the ``np.packbits`` bytes (big-endian, zero pad bits) of each bit
 list. ``UINT`` is a ``>I``, ``DOUBLE`` a finite ``>d``, ``OPTIONAL``
 None or a finite double as a flag byte and a double (0.0 for None), a
-tuple (``BOOL`` among them) one of its values as the byte of its index,
-and ``BITS`` a list of 0/1 bits as its four-byte count. So each message
-has one frame, and a read refuses every other with ProtocolDesyncError:
-a length prefix that is not the frame's, an unknown kind code, a session
+tuple (an enum) one of its values as the byte of its index, and
+``BITS`` a list of 0/1 bits as its four-byte count. So each message has
+one frame, and a read refuses every other with ProtocolDesyncError: a
+length prefix that is not the frame's, an unknown kind code, a session
 or sequence that is not the next, a flag or code byte out of range, a
 double that is not finite, None with a double other than 0.0, a set pad
 bit, a bit count beyond the bytes left, or a trailing byte. Each turn is
@@ -37,19 +37,18 @@ from .errors import ChannelError, ProtocolDesyncError
 # Eve at this size peaked at 266 MB resident (235 MB above the import)
 MAX_BITS_PER_BLOCK = 4_000_000
 # the format of the frames and payloads below, which the Hello carries
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 # a codec that is not a tuple is its struct format; BITS, four bytes as >I, is a list's count
-UINT, DOUBLE, OPTIONAL, BITS, BOOL = "I", "d", "Bd", "L", (False, True)
+UINT, DOUBLE, OPTIONAL, BITS = "I", "d", "Bd", "L"
 PAYLOADS = {
     "Hello": {"wire_version": UINT, "bits_per_block": UINT, "mode": ("ideal", "physical"),
               "eve": ("none", "fixed"), "reconcile_block_size": UINT,
               "error_sample_fraction": DOUBLE},
-    "HelloReply": {"ok": BOOL},
-    "Block": {"results": BITS, "sample": BITS, "parities": BITS, "block_size": UINT},
+    "Block": {"results": BITS, "sample": BITS, "parities": BITS},
     "Answer": {"values": BITS, "bias": OPTIONAL, "discard": BITS},
-    "Done": {"more": BOOL, "ber": DOUBLE, "bias": OPTIONAL, "alarm": BOOL, "reason": (
-        None, "sample", "ber", "bias", "sample+ber", "sample+bias", "ber+bias", "sample+ber+bias")},
+    "Done": {"reason": (None, "sample", "ber", "bias", "sample+ber", "sample+bias", "ber+bias",
+                        "sample+ber+bias")},
     "Ciphertext": {"bits": BITS},
 }
 _LENGTH, _HEAD, _FRAME_HEAD = struct.Struct(">I"), struct.Struct(">IIB"), struct.Struct(">IIIB")
@@ -65,7 +64,7 @@ MAX_FRAME_BYTES = (_LENGTH.size + _HEAD.size + _PLANS["Block"][1].size
 
 def encode_frame(msg: dict) -> bytes:
     """The frame of a message {session_id, sequence, kind, payload}; ChannelError
-    if a field is not of its codec (bool only for BOOL) or the frame is over the bound."""
+    if a field is not of its codec (never a bool) or the frame is over the bound."""
     kind, payload, sid, seq = msg["kind"], msg["payload"], msg["session_id"], msg["sequence"]
     if kind not in _PLANS or payload.keys() != PAYLOADS[kind].keys():
         raise ChannelError(f"{kind} payload {sorted(payload)} is not of the fields of its kind")
@@ -76,8 +75,7 @@ def encode_frame(msg: dict) -> bytes:
     try:
         for name, codec in fields:
             value = payload[name]
-            if (type(value) is bool) != (codec is BOOL) or (type(codec) is tuple
-                                                            and value not in codec):
+            if type(value) is bool or type(codec) is tuple and value not in codec:
                 raise ChannelError(f"{kind} {name} {value!r} is not of codec {codec!r}")
             if codec is BITS:
                 lists.append(np.packbits(value).tobytes())
@@ -181,13 +179,12 @@ class SocketTransport:
     """Blocking transport for one peer connection over a stream socket.
 
     Each frame leaves in one ``sendall``. On a TCP socket Nagle's
-    algorithm is off (TCP_NODELAY): with it on, a turn's last small frame
+    algorithm is off (TCP_NODELAY): with it on, a turn's small frame
     waits for the peer's delayed ACK, about 40 ms a block. Sends are not
-    batched until the next read either: batching was measured slower,
-    because the receiver then no longer handles one block's ``Done`` while
-    the sender computes the next, and it strands a last frame that no read
-    or close follows. An AF_UNIX socket pair has no such timer and no TCP
-    option, and is taken as it is.
+    batched: each turn of a session is one frame, but for the chat
+    sender's last (its Done and Ciphertext), which no read follows. An
+    AF_UNIX socket pair has no such timer and no TCP option, and is
+    taken as it is.
     """
 
     def __init__(self, sock: socket.socket, timeout: float = 30.0):
@@ -233,8 +230,9 @@ class SocketTransport:
 class MessagePipe:
     """Typed message layer over a transport: numbers outgoing frames 1,
     2, 3, ... per session, and a read returns the payload of a frame of
-    its length prefix, the next number of the same session and the kind
-    the caller expects."""
+    its length prefix, the next number of the same session and one of
+    the kinds the caller allows. No two kinds have the same fields, so
+    the payload's fields tell which kind it is."""
 
     def __init__(self, transport, session_id: int):
         self._transport = transport
@@ -248,7 +246,7 @@ class MessagePipe:
                "payload": payload}
         self._transport.send_frame(encode_frame(msg))
 
-    def recv(self, expect_kind: str) -> dict:
+    def recv(self, *kinds: str) -> dict:
         frame = self._transport.recv_frame()
         if len(frame) < _LENGTH.size or _LENGTH.unpack_from(frame)[0] != len(frame) - _LENGTH.size:
             raise ProtocolDesyncError(f"malformed frame: {len(frame)} bytes do not match "
@@ -260,8 +258,8 @@ class MessagePipe:
         if msg["sequence"] != self._seq_in + 1:
             raise ProtocolDesyncError(f"sequence {msg['sequence']}, expected {self._seq_in + 1}")
         self._seq_in += 1
-        if msg["kind"] != expect_kind:
-            raise ProtocolDesyncError(f"expected {expect_kind}, got {msg['kind']}")
+        if msg["kind"] not in kinds:
+            raise ProtocolDesyncError(f"expected {' or '.join(kinds)}, got {msg['kind']}")
         return msg["payload"]
 
     def close(self) -> None:

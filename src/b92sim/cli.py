@@ -259,13 +259,16 @@ def _cmd_histogram(args) -> int:
 
 
 def _parse_hostport(spec: str, lowest: int) -> tuple[str, int]:
-    """HOST:PORT with the port in [lowest, 65535]: 0 lets a listener
-    pick a free port, while a connection needs a real one."""
+    """HOST:PORT with the port in ASCII digits and in [lowest, 65535]:
+    0 lets a listener pick a free port, while a connection needs a real
+    one. ``isdigit`` also takes '²', which ``int`` refuses, and '٨٠',
+    which it reads as 80."""
     host, _, port = spec.rpartition(":")
     if not host or not port.isdigit():
         raise ConfigError(f"expected HOST:PORT, got {spec!r}")
-    if not lowest <= int(port) <= 65535:
-        raise ConfigError(f"port {port} of {spec!r} is outside [{lowest}, 65535]")
+    if not port.isascii() or not lowest <= int(port) <= 65535:
+        raise ConfigError(f"port {port} of {spec!r} is not an ASCII number in "
+                          f"[{lowest}, 65535]")
     return host, int(port)
 
 
@@ -342,13 +345,13 @@ def _cmd_chat(args) -> int:
     pipe = MessagePipe(SocketTransport(connect_with_retry(host, port)), cfg.session_id())
     try:
         bob = BobEngine(cfg, pipe)
-        bob.run()
-        if bob.final["alarm"]:
-            print(f"alarm ({bob.final['reason']}): key discarded")
+        reason = bob.run().final["reason"]
+        if reason is not None:
+            print(f"alarm ({reason}): key discarded")
             return 1
         bits = pipe.recv("Ciphertext")["bits"]
         key = bob.reconciled_key()
-        if len(bits) % 8 or len(bits) > len(key):
+        if not len(bits) or len(bits) % 8 or len(bits) > len(key):
             raise ProtocolDesyncError(f"Ciphertext of {len(bits)} bits is not whole characters "
                                       f"within the key's {len(key)}")
         print(f"ciphertext: {_render_ciphertext(bits)}")

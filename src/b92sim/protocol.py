@@ -12,14 +12,15 @@ A wire cannot carry a qubit, so a session has one shape: the sender's
 side owns the physics. It rebuilds the receiver's bit stream from the
 shared seed, simulates the whole quantum layer, and sends the hit
 flags in each block's Block message; the receiver learns nothing
-beyond what the message schema carries. A block is one exchange and
-three frames: the sender's Block carries the hit record, the error
-sample's mask and the parities, the receiver's Answer carries the
-sample's values, its bias and the discard list, and the sender's Done
-closes the block. Each party waits at two reads: the sender calls an
-injected ``peer_step`` before the Hello and each block's Answer, the
-receiver's session is a generator that yields before the HelloReply
-and each Done.
+beyond what the message schema carries. The receiver opens with its
+Hello, and the sender's first Block accepts it. A block is one
+exchange of two frames: the sender's Block carries the hit record, the
+error sample's mask and the parities, and the receiver's Answer carries
+the sample's values, its bias and the discard list. One Done from the
+sender ends the session with the alarm's reason. The sender calls an
+injected ``peer_step`` before each read, of the Hello and of each
+block's Answer; the receiver's session is a generator that yields
+before each read, which takes a Block or the Done.
 ``run_session`` drives both in one thread over a loopback channel;
 ``b92sim chat`` runs each in its own process over TCP, where every
 receive blocks on the socket instead.
@@ -93,7 +94,7 @@ class EveStrategy(Enum):
 
 
 # Protocol constants. The reconciliation block size also goes on the
-# wire (Hello, Block), where each party checks the other's value.
+# wire in the Hello, which the sender checks against its own.
 RECONCILE_BLOCK_SIZE = 8
 ALARM_BER_THRESHOLD = 0.05
 ALARM_BIAS_THRESHOLD = 0.05
@@ -485,12 +486,11 @@ class AliceEngine(_Party):
     Each block it draws its bits, rebuilds the receiver's from the
     shared seed, runs both through the PhysicsKernel, and sends the
     hit flags, its sample's mask and its parities as one Block.
-    ``peer_step`` is called at the two points where the sender waits
-    for the receiver: before receiving its Hello and before each
-    block's Answer. ``run_session`` passes one that advances the
-    receiver's ``steps()`` in the same thread; over TCP the receiver
-    runs in its own process and the default does nothing. ``logs``
-    goes to the kernel.
+    ``peer_step`` is called before each read, where the sender waits
+    for the receiver: its Hello and each block's Answer. ``run_session``
+    passes one that advances the receiver's ``steps()`` in the same
+    thread; over TCP the receiver runs in its own process and the
+    default does nothing. ``logs`` goes to the kernel.
     """
 
     def __init__(self, cfg: SessionConfig, pipe: MessagePipe, peer_step=lambda: None, logs=None):
@@ -522,8 +522,7 @@ class AliceEngine(_Party):
             mask[self.rng.choice(len(key), size=k, replace=False)] = True
         mine, trimmed = _split(key, mask)
         parities = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
-        self.pipe.send("Block", {"results": hits, "sample": mask, "parities": parities,
-                                 "block_size": RECONCILE_BLOCK_SIZE})
+        self.pipe.send("Block", {"results": hits, "sample": mask, "parities": parities})
         self.peer_step()
         answer = self.pipe.recv("Answer")
         self.bob_bias = answer["bias"]
@@ -542,20 +541,17 @@ class AliceEngine(_Party):
         )
 
     def run(self, continue_fn) -> "AliceEngine":
-        """The whole session: the Hello reply, then blocks, each followed
-        by a Done, until ``continue_fn(self)`` is false."""
+        """The whole session: the receiver's Hello, then blocks until
+        ``continue_fn(self)`` is false, then the Done."""
         self.peer_step()
-        hello = self.pipe.recv(expect_kind="Hello")
+        hello = self.pipe.recv("Hello")
         if hello != (mine := _hello_payload(self.cfg)):
             raise SessionAbort(f"peer configuration mismatch: {hello} != {mine}")
-        self.pipe.send("HelloReply", {"ok": True})
-        while True:
+        self.run_block()
+        while continue_fn(self):
             self.run_block()
-            more = bool(continue_fn(self))
-            self.pipe.send("Done", {"more": more, "ber": self.ber, "bias": self.bob_bias,
-                                    "alarm": self.alarm, "reason": self.alarm_reason})
-            if not more:
-                return self
+        self.pipe.send("Done", {"reason": self.alarm_reason})
+        return self
 
 
 class BobEngine(_Party):
@@ -563,10 +559,11 @@ class BobEngine(_Party):
 
     It receives the hit record in each Block; its decisions read only
     this party's bits and the messages. ``steps()`` is the whole
-    session as a generator that yields before the two reads that wait
-    on the sender. ``run_session`` advances it from the sender's
+    session as a generator that yields before each read, which waits on
+    the sender. ``run_session`` advances it from the sender's
     ``peer_step`` in one thread; ``run`` (TCP) exhausts it, and each
-    receive blocks on the socket.
+    receive blocks on the socket. ``final`` is the Done that ended the
+    session.
     """
 
     def __init__(self, cfg: SessionConfig, pipe: MessagePipe):
@@ -578,14 +575,10 @@ class BobEngine(_Party):
     def _bias(self) -> float | None:
         return self.zeros_total / self.sifted_total if self.sifted_total else None
 
-    def run_block(self) -> None:
-        """One block: it reads the sender's Block and writes its Answer,
-        so neither party writes while the other does."""
-        cfg = self.cfg
-        bits = generate_bits(cfg.bits_per_block, self.rng)
-        block = self.pipe.recv("Block")
-        if block["block_size"] != RECONCILE_BLOCK_SIZE:
-            raise ProtocolDesyncError("peer used a different reconciliation block size")
+    def run_block(self, block: dict) -> None:
+        """One block: it answers the sender's Block, which ``steps()``
+        has read, so neither party writes while the other does."""
+        bits = generate_bits(self.cfg.bits_per_block, self.rng)
         # _sift, _split and apply_block_verdicts check the counts of the other lists
         key = _sift(bits, block["results"])
         self.sifted_blocks.append(key)
@@ -601,19 +594,19 @@ class BobEngine(_Party):
         self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
 
     def steps(self):
-        """The whole session; yields before the two reads that wait on
-        the sender: the HelloReply and each Done. By its next turn a
-        Done that asks for more has the next block behind it."""
+        """The whole session; yields before each read that waits on the
+        sender. Each read takes a Block, or the Done once a Block has
+        come."""
         self.pipe.send("Hello", _hello_payload(self.cfg))
-        yield
-        if not self.pipe.recv("HelloReply")["ok"]:
-            raise SessionAbort("peer rejected the session configuration")
         while True:
-            self.run_block()
             yield
-            self.final = self.pipe.recv(expect_kind="Done")
-            if not self.final["more"]:
+            msg = self.pipe.recv("Block", "Done")
+            if "reason" in msg:  # the Done
+                if not self.sifted_blocks:
+                    raise ProtocolDesyncError("Done before any Block")
+                self.final = msg
                 return
+            self.run_block(msg)
 
     def run(self) -> "BobEngine":
         for _ in self.steps():
@@ -631,9 +624,9 @@ def run_session(
 
     Both parties speak the wire protocol of ``b92sim chat``: the
     sender's ``peer_step`` advances the receiver's ``steps()`` before
-    each of its two waits, for the Hello and for each block's Answer,
+    each of its reads, of the Hello and of each block's Answer,
     1 + n_blocks steps in all, and the receiver then runs to its end,
-    reading the last Done. ``channel`` may supply a
+    reading the Done. ``channel`` may supply a
     (alice_transport, bob_transport) pair so tests can watch the
     frames; by default a loopback pair is built. The round record goes
     to ``logs`` if given, and nowhere otherwise: any object whose

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 
-from b92sim.channel import BITS, BOOL, DOUBLE, OPTIONAL, PAYLOADS, UINT, encode_frame
+from b92sim.channel import BITS, DOUBLE, OPTIONAL, PAYLOADS, UINT, encode_frame
 
 # one value of each JSON type, to put where a field takes another
 JSON_VALUES = (None, True, 7, 0.5, "x", [1], {"a": 1})
@@ -28,7 +28,7 @@ def sample(codec):
     """One value the codec takes."""
     if type(codec) is tuple:
         return codec[-1]
-    return {UINT: 7, DOUBLE: 0.5, BOOL: True, OPTIONAL: 0.5,
+    return {UINT: 7, DOUBLE: 0.5, OPTIONAL: 0.5,
             BITS: np.array([1, 0, 1], np.uint8)}[codec]
 
 
@@ -77,7 +77,7 @@ def broken(kind, payload):
     """(case, payload bytes) pairs: ``payload``, a ``kind`` payload,
     encoded and then given one fault that its layout does not take: a
     byte missing, a byte trailing, and for each field a value its codec
-    does not take (a flag or bool byte of 2, an enum code out of range,
+    does not take (a flag byte of 2, an enum code out of range,
     a non-finite double, None carrying a double, a bit count past the
     bytes left, a set pad bit). An unsigned integer takes every value of
     its four bytes, so it has only the first two."""
@@ -88,9 +88,7 @@ def broken(kind, payload):
     data = struct.calcsize(">" + "".join(fmt(c) for c in fields.values()))
     for name, codec in fields.items():
         at = field_at(kind, name)
-        if codec is BOOL:
-            yield f"{name}_2", put(raw, at, b"\x02")
-        elif type(codec) is tuple:
+        if type(codec) is tuple:
             yield f"{name}_code", put(raw, at, bytes([len(codec)]))
         elif codec is DOUBLE:
             yield f"{name}_nan", put(raw, at, struct.pack(">d", math.nan))

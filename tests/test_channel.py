@@ -27,7 +27,7 @@ def frame(kind, payload, session_id, sequence):
 
 
 # a receiver's Hello as the layout table declares it
-HELLO = {"wire_version": 3, "bits_per_block": 1024, "mode": "ideal", "eve": "none",
+HELLO = {"wire_version": 4, "bits_per_block": 1024, "mode": "ideal", "eve": "none",
          "reconcile_block_size": 8, "error_sample_fraction": 0.25}
 
 
@@ -71,17 +71,30 @@ def test_frame_size_limit():
         encode_frame(msg)
 
 
+DONE = {"reason": None}
+
+
 def test_unknown_kind_rejected():
-    # a read refuses any kind but the one its step expects, known or not;
+    # a read refuses any kind but those its step allows, known or not;
     # no code is written for a kind outside the table
     with pytest.raises(ChannelError, match="Gossip payload"):
         MessagePipe(loopback_pair()[0], session_id=1).send("Gossip", {})
     t_a, t_b = loopback_pair()
-    MessagePipe(t_a, session_id=1).send("HelloReply", {"ok": True})
-    with pytest.raises(ProtocolDesyncError, match="expected Hello, got HelloReply"):
+    MessagePipe(t_a, session_id=1).send("Done", DONE)
+    with pytest.raises(ProtocolDesyncError, match="expected Hello, got Done"):
         MessagePipe(t_b, session_id=1).recv("Hello")
+    # a read that allows two kinds takes either, and refuses a third
     t_a, t_b = loopback_pair()
-    data = encode_frame(frame("HelloReply", {"ok": True}, session_id=1, sequence=1))
+    a, b = MessagePipe(t_a, session_id=1), MessagePipe(t_b, session_id=1)
+    for kind, payload in (("Done", DONE), ("Hello", HELLO),
+                          ("Ciphertext", {"bits": np.zeros(8, np.uint8)})):
+        a.send(kind, payload)
+    assert b.recv("Block", "Done") == DONE
+    assert b.recv("Hello", "Done") == HELLO
+    with pytest.raises(ProtocolDesyncError, match="expected Block or Done, got Ciphertext"):
+        b.recv("Block", "Done")
+    t_a, t_b = loopback_pair()
+    data = encode_frame(frame("Done", DONE, session_id=1, sequence=1))
     t_a.send_frame(data[:12] + bytes([len(PAYLOADS) + 1]) + data[13:])
     with pytest.raises(ProtocolDesyncError, match=f"unknown kind code {len(PAYLOADS) + 1}"):
         MessagePipe(t_b, session_id=1).recv("Hello")
@@ -92,7 +105,7 @@ def test_malformed_frame():
         decode_frame(b"not json at all")
 
 
-GOOD_FRAME = encode_frame(frame("HelloReply", {"ok": True}, session_id=5, sequence=1))[4:]
+GOOD_FRAME = encode_frame(frame("Done", DONE, session_id=5, sequence=1))[4:]
 
 
 @pytest.mark.parametrize("body", [
@@ -103,14 +116,14 @@ GOOD_FRAME = encode_frame(frame("HelloReply", {"ok": True}, session_id=5, sequen
     # kind codes outside the table
     GOOD_FRAME[:8] + bytes([len(PAYLOADS) + 1]) + GOOD_FRAME[9:],
     GOOD_FRAME[:8] + b"\xff" + GOOD_FRAME[9:], GOOD_FRAME[:8] + b"\x00" + GOOD_FRAME[9:],
-    # payloads that are not a HelloReply's one byte 0 or 1, or a Hello's 26 bytes
+    # payloads that are not a Done's one code byte, 0 to 7, or a Hello's 22 bytes
     GOOD_FRAME + b"\x01", GOOD_FRAME[:9] + b"x",
     GOOD_FRAME[:8] + bytes([list(PAYLOADS).index("Hello") + 1]) + bytes(16),
 ], ids=["list", "string", "number", "null",
         "no_session_id", "no_sequence", "no_kind", "no_payload",
         "kind_int", "kind_list", "kind_null", "payload_list", "payload_string", "payload_null"])
 def test_decode_frame_refuses_a_malformed_object(body):
-    assert decode_frame(GOOD_FRAME)["payload"] == {"ok": True}
+    assert decode_frame(GOOD_FRAME)["payload"] == DONE
     with pytest.raises(ProtocolDesyncError, match="malformed frame"):
         decode_frame(body)
 
@@ -121,9 +134,9 @@ def test_pipe_sequence_and_session_checks():
     b = MessagePipe(t_b, session_id=5)
     a.send("Hello", HELLO)
     assert b.recv("Hello") == HELLO
-    a.send("HelloReply", {"ok": True})
+    a.send("Done", DONE)
     with pytest.raises(ProtocolDesyncError):
-        b.recv(expect_kind="Hello")
+        b.recv("Hello")
 
     # foreign session id
     t_a, t_b = loopback_pair()
@@ -154,7 +167,7 @@ def test_pipe_sequence_and_session_checks():
 def test_decode_frame_requires_integer_header_fields(field, value):
     # the head's session id and sequence are four-byte unsigned integers,
     # which the read gives as ints, so the writer refuses any other type
-    obj = frame("HelloReply", {"ok": True}, session_id=5, sequence=1)
+    obj = frame("Done", DONE, session_id=5, sequence=1)
     assert type(decode_frame(encode_frame(obj)[4:])[field]) is int
     obj[field] = value
     with pytest.raises(ChannelError, match=f"{field} {value!r}.* is not an int"):
@@ -210,7 +223,7 @@ def largest_block(extra_bits=0):
     n = MAX_BITS_PER_BLOCK
     return frame("Block", {"results": np.ones(n + extra_bits, np.uint8),
                            "sample": np.zeros(n, np.uint8),
-                           "parities": np.ones(n // 8, np.uint8), "block_size": 8},
+                           "parities": np.ones(n // 8, np.uint8)},
                  session_id=0x7FFFFFFF, sequence=2**32 - 1)
 
 
@@ -254,8 +267,8 @@ def test_socket_transport_roundtrip():
     def serve():
         conn = accept_one(listener, timeout=5.0)
         pipe = MessagePipe(SocketTransport(conn, timeout=5.0), session_id=4)
-        server_msg["got"] = pipe.recv(expect_kind="Hello")
-        pipe.send("HelloReply", {"ok": True})
+        server_msg["got"] = pipe.recv("Hello")
+        pipe.send("Done", DONE)
         pipe.close()
 
     th = threading.Thread(target=serve)
@@ -263,11 +276,11 @@ def test_socket_transport_roundtrip():
     sock = connect_with_retry("127.0.0.1", port, deadline=5.0)
     pipe = MessagePipe(SocketTransport(sock, timeout=5.0), session_id=4)
     pipe.send("Hello", HELLO)
-    reply = pipe.recv("HelloReply")
+    reply = pipe.recv("Done")
     pipe.close()
     th.join(timeout=5.0)
     assert server_msg["got"] == HELLO
-    assert reply == {"ok": True}
+    assert reply == DONE
 
 
 def test_socket_transport_turns_nagle_off_on_tcp_only():

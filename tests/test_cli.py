@@ -429,7 +429,7 @@ def chat_receiver_against_one_block(flags, capsys, then=lambda pipe, alice: None
 
 
 def test_chat_receiver_discards_a_key_without_a_sample(capsys):
-    # the receiver must see the alarm in Done and discard the key
+    # the receiver must see the alarm's reason in Done and discard the key
     # instead of decrypting
     code, out, _ = chat_receiver_against_one_block(EMPTY_SAMPLE_FLAGS, capsys)
     assert code == 1
@@ -447,6 +447,28 @@ def test_chat_receiver_refuses_a_ciphertext_of_partial_characters(capsys):
     assert code == 3
     assert err.startswith("transport error: Ciphertext of 12 bits is not whole characters")
     assert "decrypted" not in out
+
+
+def test_chat_receiver_refuses_an_empty_ciphertext(capsys):
+    # the sender refuses an empty message, so a Ciphertext of no bits is
+    # the peer's fault, not a message to print
+    def send_no_bits(pipe, alice):
+        pipe.send("Ciphertext", {"bits": np.zeros(0, np.uint8)})
+
+    code, out, err = chat_receiver_against_one_block([], capsys, then=send_no_bits)
+    assert code == 3
+    assert err.startswith("transport error: Ciphertext of 0 bits is not whole characters")
+    assert "decrypted" not in out
+
+
+def test_chat_receiver_refuses_a_done_before_any_block(capsys, monkeypatch):
+    # a sender that takes the Hello and ends the session at once: every
+    # session runs a block, so the receiver refuses the Done
+    monkeypatch.setattr(AliceEngine, "run_block", lambda self: None)
+    code, out, err = chat_receiver_against_one_block([], capsys)
+    assert code == 3
+    assert err == "transport error: Done before any Block\n"
+    assert out == ""
 
 
 def test_chat_receiver_refuses_a_ciphertext_longer_than_its_key(capsys):
@@ -728,7 +750,11 @@ def test_chat_requires_endpoints(capsys):
     (["--role", "alice", "--listen", "127.0.0.1:65536", "--message", "hi"], "65536"),
     (["--role", "bob", "--connect", "127.0.0.1:70000"], "70000"),
     (["--role", "bob", "--connect", "127.0.0.1:0"], "0"),
-], ids=["alice_99999", "alice_65536", "bob_70000", "bob_0"])
+    # digits that str.isdigit takes but int refuses, or reads as 80
+    (["--role", "bob", "--connect", "localhost:\u00b2"], "\u00b2"),
+    (["--role", "bob", "--connect", "localhost:\u0668\u0660"], "\u0668\u0660"),
+], ids=["alice_99999", "alice_65536", "bob_70000", "bob_0", "bob_superscript_2",
+        "bob_arabic_indic_80"])
 def test_chat_port_out_of_range_exits_2_before_any_socket(capsys, argv, port):
     start = time.monotonic()
     code, out, err = run_cli(["chat", *argv], capsys)

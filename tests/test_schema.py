@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from b92sim import errors
 from b92sim.channel import (
     BITS,
-    BOOL,
     DOUBLE,
     OPTIONAL,
     PAYLOADS,
@@ -79,33 +78,38 @@ def test_a_read_refuses_a_missing_extra_or_mistyped_field(kind, fields):
                for name, codec in fields.items() if codec is not UINT)
 
 
-def done_bytes(**put_at) -> bytes:
-    """A Done payload with the bytes of ``put_at`` written at their fields."""
-    raw = payload_bytes("Done", well_formed(PAYLOADS["Done"]))
+def payload_with(kind, **put_at) -> bytes:
+    """A well-formed ``kind`` payload with the bytes of ``put_at`` written at their fields."""
+    raw = payload_bytes(kind, well_formed(PAYLOADS[kind]))
     for name, new in put_at.items():
-        raw = put(raw, field_at("Done", name), new)
+        raw = put(raw, field_at(kind, name), new)
     return raw
+
+
+ANSWER = payload_with("Answer")
 
 
 @pytest.mark.parametrize("raw, message", [
     # the payload stops inside its last field
-    (done_bytes()[:-1], "Done of 19 bytes, fewer than the 20 of its fields"),
-    # an integer's four bytes where ber's double goes: the payload is short
-    (done_bytes()[:1] + struct.pack(">I", 0) + done_bytes()[9:],
-     "Done of 16 bytes, fewer than the 20 of its fields"),
-    (done_bytes(more=b"\x02"), "Done more code 2 is out of range"),
-    (done_bytes() + b"\x00", "1 bytes trail the Done payload"),
+    (ANSWER[:16], "Answer of 16 bytes, fewer than the 17 of its fields"),
+    # an integer's four bytes where bias's double goes: the payload is short
+    (ANSWER[:5] + struct.pack(">I", 0) + ANSWER[13:],
+     "Answer of 15 bytes, fewer than the 17 of its fields"),
+    # the integer 2 where bias's flag byte, 0 or 1, goes
+    (payload_with("Answer", bias=b"\x02"),
+     "Answer bias flag 2 with 0.5 is neither None nor a double"),
+    (ANSWER + b"\x00", "1 bytes trail the Answer payload"),
 ], ids=["missing", "int_for_float", "int_for_bool", "extra"])
 def test_a_refused_field_is_named(raw, message):
     with pytest.raises(ProtocolDesyncError, match=f"^malformed frame: {message}$"):
-        read_bytes("Done", raw)
+        read_bytes("Answer", raw)
 
 
 def test_decode_frame_refuses_a_fifth_field():
     # bytes after a whole payload are a field no kind has
-    data = encode_frame(frame("HelloReply", {"ok": True}))
-    assert decode_frame(data[4:])["payload"] == {"ok": True}
-    with pytest.raises(ProtocolDesyncError, match="malformed frame: 2 bytes trail the HelloReply"):
+    data = encode_frame(frame("Done", {"reason": None}))
+    assert decode_frame(data[4:])["payload"] == {"reason": None}
+    with pytest.raises(ProtocolDesyncError, match="malformed frame: 2 bytes trail the Done"):
         decode_frame(data[4:] + b"\x01\x02")
 
 
@@ -114,28 +118,30 @@ def test_a_number_that_json_lacks_is_refused_by_name(constant):
     # a double that is not finite, what each of these reads as, is refused
     # in a double field and in an optional one, as JSON refuses them
     value = float(constant)
-    for field, new in [("bias", b"\x01" + struct.pack(">d", value)),
-                       ("ber", struct.pack(">d", value))]:
+    for kind, field, new in [("Answer", "bias", b"\x01" + struct.pack(">d", value)),
+                             ("Hello", "error_sample_fraction", struct.pack(">d", value))]:
         with pytest.raises(ProtocolDesyncError,
-                           match=f"^malformed frame: Done {field} {value!r} is not finite$"):
-            read_bytes("Done", done_bytes(**{field: new}))
+                           match=f"^malformed frame: {kind} {field} {value!r} is not finite$"):
+            read_bytes(kind, payload_with(kind, **{field: new}))
 
 
 def test_encode_refuses_a_payload_off_its_layout():
     # the writer sends no frame that the read would refuse or read
-    # differently: a field missing or extra, a bool where another codec
-    # goes (True is an int and a float to struct), or a value of no codec
-    good = well_formed(PAYLOADS["Done"])
-    for payload, message in [
-        ({k: v for k, v in good.items() if k != "reason"}, "is not of the fields"),
-        ({**good, "note": 1}, "is not of the fields"),
-        ({**good, "more": 1}, "Done more 1 is not of codec"),
-        ({**good, "ber": True}, "Done ber True is not of codec"),
-        ({**good, "ber": "x"}, "Done payload does not fit its layout"),
-        ({**good, "reason": "ber+sample"}, "Done reason 'ber\\+sample' is not of codec"),
+    # differently: a field missing or extra, a bool in a number field
+    # (True is an int and a float to struct), or a value of no codec
+    hello, answer = well_formed(PAYLOADS["Hello"]), well_formed(PAYLOADS["Answer"])
+    for kind, payload, message in [
+        ("Done", {}, "is not of the fields"),
+        ("Done", {"reason": None, "note": 1}, "is not of the fields"),
+        ("Hello", {**hello, "bits_per_block": True}, "Hello bits_per_block True is not of codec"),
+        ("Hello", {**hello, "error_sample_fraction": False},
+         "Hello error_sample_fraction False is not of codec"),
+        ("Answer", {**answer, "bias": True}, "Answer bias True is not of codec"),
+        ("Hello", {**hello, "error_sample_fraction": "x"}, "Hello payload does not fit its layout"),
+        ("Done", {"reason": "ber+sample"}, "Done reason 'ber\\+sample' is not of codec"),
     ]:
         with pytest.raises(ChannelError, match=message):
-            encode_frame(frame("Done", payload))
+            encode_frame(frame(kind, payload))
     with pytest.raises(ChannelError, match="Gossip payload"):
         encode_frame(frame("Gossip", {}))
 
@@ -145,8 +151,8 @@ def test_encode_refuses_a_payload_off_its_layout():
 
 
 def literal_kinds():
-    """(sent, read): the literal kinds src/ passes to MessagePipe.send and
-    to MessagePipe.recv."""
+    """(sent, read): the literal kinds src/ passes to MessagePipe.send, its
+    first argument, and to MessagePipe.recv, each of its arguments."""
     sent, read_kinds = set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -156,8 +162,7 @@ def literal_kinds():
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name not in ("send", "recv"):
                 continue
-            args = [*node.args[:1], *(k.value for k in node.keywords
-                                      if k.arg in ("kind", "expect_kind"))]
+            args = node.args[:1] if name == "send" else node.args
             kinds = {a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)}
             (sent if name == "send" else read_kinds).update(kinds)
     return sent, read_kinds
@@ -165,8 +170,7 @@ def literal_kinds():
 
 def test_every_kind_in_the_code_has_a_schema_and_every_schema_is_sent():
     sent, read_kinds = literal_kinds()
-    assert read_kinds <= set(PAYLOADS)
-    assert sent == set(PAYLOADS)
+    assert sent == read_kinds == set(PAYLOADS)
 
 
 def test_the_enums_of_the_table_are_the_values_the_engines_send():
@@ -184,7 +188,6 @@ BIT_LISTS = st.lists(st.integers(0, 1), max_size=40).map(lambda b: np.array(b, n
 VALUES = {
     UINT: st.integers(0, 2**32 - 1),
     DOUBLE: st.floats(allow_nan=False, allow_infinity=False),  # the read refuses both
-    BOOL: st.booleans(),
     OPTIONAL: st.none() | st.floats(allow_nan=False, allow_infinity=False),
     BITS: BIT_LISTS,
 }
@@ -293,7 +296,7 @@ def test_json_values_cover_every_type_of_the_table():
 # one refusal per fault class
 
 BLOCK = {"results": np.ones(12, np.uint8), "sample": np.zeros(3, np.uint8),
-         "parities": np.array([1], np.uint8), "block_size": 8}
+         "parities": np.array([1], np.uint8)}
 
 
 def block_bytes(**put_at) -> bytes:
@@ -309,7 +312,6 @@ def framed(kind, raw: bytes) -> bytes:
 
 
 BLOCK_FRAME = encode_frame(frame("Block", BLOCK))
-ANSWER = payload_bytes("Answer", well_formed(PAYLOADS["Answer"]))
 
 
 @pytest.mark.parametrize("data, message", [
@@ -319,17 +321,17 @@ ANSWER = payload_bytes("Answer", well_formed(PAYLOADS["Answer"]))
     (put(BLOCK_FRAME, 12, b"\x00"), "unknown kind code 0"),
     (put(BLOCK_FRAME, 4, struct.pack(">I", 9)), "session_id 9 does not match 2"),
     (put(BLOCK_FRAME, 8, struct.pack(">I", 2)), "sequence 2, expected 1"),
-    (framed("HelloReply", b"\x02"), "HelloReply ok code 2 is out of range"),
-    (framed("Answer", put(ANSWER, field_at("Answer", "bias"), b"\xff")),
+    (framed("Answer", payload_with("Answer", bias=b"\xff")),
      "Answer bias flag 255 with 0.5 is neither None nor a double"),
-    (framed("Done", done_bytes(reason=b"\x08")), "Done reason code 8 is out of range"),
-    (framed("Done", done_bytes(ber=struct.pack(">d", math.inf))), "Done ber inf is not finite"),
+    (framed("Done", b"\x08"), "Done reason code 8 is out of range"),
+    (framed("Hello", payload_with("Hello", error_sample_fraction=struct.pack(">d", math.inf))),
+     "Hello error_sample_fraction inf is not finite"),
     (framed("Block", block_bytes()[:-3] + b"\x11\x00\x80"),
      "Block results sets pad bits beyond bit 12"),
     (framed("Block", block_bytes(parities=struct.pack(">I", 9))),
      "Block parities of 9 bits runs past the 1 bytes left"),
     (framed("Block", block_bytes() + b"\x00"), "1 bytes trail the Block payload"),
-], ids=["length", "length_long", "kind", "kind_zero", "session", "sequence", "bool", "flag",
+], ids=["length", "length_long", "kind", "kind_zero", "session", "sequence", "flag",
         "enum", "double", "pad", "count", "trailing"])
 def test_each_fault_class_is_refused(data, message):
     # a payload is decoded before the pipe compares its kind with the one it expects
