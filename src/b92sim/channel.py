@@ -1,21 +1,19 @@
 """Classical public channel: binary frames and the transports that carry them.
 
-Wire format (``WIRE_VERSION`` 4, which the Hello carries). A frame is a
+Wire format (``WIRE_VERSION`` 5, which the Hello carries). A frame is a
 ``>I`` length of the bytes after it; the ``>IIB`` session id, sequence
 and kind code (the kind's place in ``PAYLOADS``, from 1); and the
 payload: one ``struct`` of its fields in ``PAYLOADS`` order, followed
 by the ``np.packbits`` bytes (big-endian, zero pad bits) of each bit
-list. ``UINT`` is a ``>I``, ``DOUBLE`` a finite ``>d``, ``OPTIONAL``
-None or a finite double as a flag byte and a double (0.0 for None), a
-tuple (an enum) one of its values as the byte of its index, and
-``BITS`` a list of 0/1 bits as its four-byte count. So each message has
-one frame, and a read refuses every other with ProtocolDesyncError: a
-length prefix that is not the frame's, an unknown kind code, a session
-or sequence that is not the next, a flag or code byte out of range, a
-double that is not finite, None with a double other than 0.0, a set pad
-bit, a bit count beyond the bytes left, or a trailing byte. Each turn is
-one message, and ``MAX_FRAME_BYTES`` is the largest frame a valid
-session sends.
+list. Every field is a count, a position or a bit: ``UINT`` is a
+``>I``, a tuple (an enum) one of its values as the byte of its index,
+and ``BITS`` a list of 0/1 bits as its four-byte count. So each message
+has one frame, and a read refuses every other with ProtocolDesyncError:
+a length prefix that is not the frame's, an unknown kind code, a
+session or sequence that is not the next, a code byte out of range, a
+set pad bit, a bit count beyond the bytes left, or a trailing byte.
+Each turn is one message, and ``MAX_FRAME_BYTES`` is the largest frame
+a valid session sends.
 
 The same framing runs over an in-process loopback (two deques, read in
 turn by one thread) or a TCP socket (``SocketTransport``), so the wire
@@ -23,7 +21,6 @@ is identical in both modes and tests can inspect it.
 """
 from __future__ import annotations
 
-import math
 import socket
 import struct
 import time
@@ -37,18 +34,18 @@ from .errors import ChannelError, ProtocolDesyncError
 # Eve at this size peaked at 266 MB resident (235 MB above the import)
 MAX_BITS_PER_BLOCK = 4_000_000
 # the format of the frames and payloads below, which the Hello carries
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 # a codec that is not a tuple is its struct format; BITS, four bytes as >I, is a list's count
-UINT, DOUBLE, OPTIONAL, BITS = "I", "d", "Bd", "L"
+UINT, BITS = "I", "L"
 PAYLOADS = {
     "Hello": {"wire_version": UINT, "bits_per_block": UINT, "mode": ("ideal", "physical"),
-              "eve": ("none", "fixed"), "reconcile_block_size": UINT,
-              "error_sample_fraction": DOUBLE},
+              "eve": ("none", "fixed")},
     "Block": {"results": BITS, "sample": BITS, "parities": BITS},
-    "Answer": {"values": BITS, "bias": OPTIONAL, "discard": BITS},
+    "Answer": {"values": BITS, "zeros": UINT, "discard": BITS},
+    # the alarm's reasons, then the sender's refusal of the Hello
     "Done": {"reason": (None, "sample", "ber", "bias", "sample+ber", "sample+bias", "ber+bias",
-                        "sample+ber+bias")},
+                        "sample+ber+bias", "config")},
     "Ciphertext": {"bits": BITS},
 }
 _LENGTH, _HEAD, _FRAME_HEAD = struct.Struct(">I"), struct.Struct(">IIB"), struct.Struct(">IIIB")
@@ -80,9 +77,6 @@ def encode_frame(msg: dict) -> bytes:
             if codec is BITS:
                 lists.append(np.packbits(value).tobytes())
                 value = len(value)
-            elif codec is OPTIONAL:
-                scalars.append(value is not None)
-                value = 0.0 if value is None else value
             elif type(codec) is tuple:
                 value = codec.index(value)
             scalars.append(value)
@@ -111,10 +105,8 @@ def decode_frame(body) -> dict:
     _, layout, fields = _PLANS[kind]
     if end < (at := _HEAD.size + layout.size):
         _refuse(f"{kind} of {end - _HEAD.size} bytes, fewer than the {layout.size} of its fields")
-    scalars = iter(layout.unpack_from(body, _HEAD.size))
     payload = {}
-    for name, codec in fields:
-        value = next(scalars)
+    for (name, codec), value in zip(fields, layout.unpack_from(body, _HEAD.size)):
         if codec is BITS:
             start, at = at, at + (value + 7) // 8
             if at > end:
@@ -126,13 +118,6 @@ def decode_frame(body) -> dict:
             if value >= len(codec):
                 _refuse(f"{kind} {name} code {value} is out of range")
             value = codec[value]
-        elif codec is not UINT:  # a double, after its flag byte if OPTIONAL
-            flag, value = (value, next(scalars)) if codec is OPTIONAL else (1, value)
-            if flag > 1 or not flag and (value != 0.0 or math.copysign(1.0, value) < 0):
-                _refuse(f"{kind} {name} flag {flag} with {value!r} is neither None nor a double")
-            if not math.isfinite(value):
-                _refuse(f"{kind} {name} {value!r} is not finite")
-            value = value if flag else None
         payload[name] = value
     if at != end:
         _refuse(f"{end - at} bytes trail the {kind} payload")

@@ -13,14 +13,15 @@ side owns the physics. It rebuilds the receiver's bit stream from the
 shared seed, simulates the whole quantum layer, and sends the hit
 flags in each block's Block message; the receiver learns nothing
 beyond what the message schema carries. The receiver opens with its
-Hello, and the sender's first Block accepts it. A block is one
-exchange of two frames: the sender's Block carries the hit record, the
-error sample's mask and the parities, and the receiver's Answer carries
-the sample's values, its bias and the discard list. One Done from the
-sender ends the session with the alarm's reason. The sender calls an
-injected ``peer_step`` before each read, of the Hello and of each
-block's Answer; the receiver's session is a generator that yields
-before each read, which takes a Block or the Done.
+Hello, and the sender's first Block accepts it (or a Done "config"
+refuses it). A block is one exchange of two frames: the sender's Block
+carries the hit record, the error sample's mask and the parities, and
+the receiver's Answer carries the sample's values, its block's count of
+zeros and the discard list. The sender keeps every session tally. One
+Done from the sender ends the session with the alarm's reason. The
+sender calls an injected ``peer_step`` before each read, of the Hello
+and of each block's Answer; the receiver's session is a generator that
+yields before each read, which takes a Block or the Done.
 ``run_session`` drives both in one thread over a loopback channel;
 ``b92sim chat`` runs each in its own process over TCP, where every
 receive blocks on the socket instead.
@@ -31,6 +32,7 @@ messages, and sessions are bit-for-bit reproducible from the
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -93,8 +95,8 @@ class EveStrategy(Enum):
             raise ConfigError(f"unknown eve strategy {s!r}") from exc
 
 
-# Protocol constants. The reconciliation block size also goes on the
-# wire in the Hello, which the sender checks against its own.
+# Protocol constants. The wire version fixes the reconciliation block
+# size: the Hello carries the version, which the sender checks.
 RECONCILE_BLOCK_SIZE = 8
 ALARM_BER_THRESHOLD = 0.05
 ALARM_BIAS_THRESHOLD = 0.05
@@ -119,7 +121,7 @@ class SessionConfig:
     error_sample_fraction: float = 0.25
 
     def __post_init__(self):
-        # ints and a float, as the Hello carries them: a numpy number is converted, a bool refused
+        # ints and the sample fraction's float: a numpy number is converted, a bool refused
         for name in ("seed_alice", "seed_bob", "seed_physics", "bits_per_block",
                      "error_sample_fraction"):
             kind = numbers.Real if name == "error_sample_fraction" else numbers.Integral
@@ -434,8 +436,8 @@ def reconcile_block_parity(
     return a2, b2, len(alice_key) - len(a2), int(drop.sum())
 
 
-def _evaluate_alarm(disclosed: int, ber: float, bias: float | None) -> tuple[bool, str | None]:
-    """The alarm and its reasons. With no disclosed sample the error
+def _evaluate_alarm(disclosed: int, ber: float, bias: float | None) -> str | None:
+    """The alarm's reasons, or None. With no disclosed sample the error
     rate is unknown, so the session fails closed with reason "sample"."""
     reasons = []
     if disclosed == 0:
@@ -444,7 +446,7 @@ def _evaluate_alarm(disclosed: int, ber: float, bias: float | None) -> tuple[boo
         reasons.append("ber")
     if bias is not None and abs(bias - 0.5) > ALARM_BIAS_THRESHOLD:
         reasons.append("bias")
-    return bool(reasons), "+".join(reasons) if reasons else None
+    return "+".join(reasons) if reasons else None
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +459,6 @@ def _hello_payload(cfg: SessionConfig) -> dict:
         "bits_per_block": cfg.bits_per_block,
         "mode": cfg.mode.value,
         "eve": cfg.eve.value,
-        "reconcile_block_size": RECONCILE_BLOCK_SIZE,
-        "error_sample_fraction": cfg.error_sample_fraction,
     }
 
 
@@ -485,12 +485,15 @@ class AliceEngine(_Party):
 
     Each block it draws its bits, rebuilds the receiver's from the
     shared seed, runs both through the PhysicsKernel, and sends the
-    hit flags, its sample's mask and its parities as one Block.
-    ``peer_step`` is called before each read, where the sender waits
-    for the receiver: its Hello and each block's Answer. ``run_session``
-    passes one that advances the receiver's ``steps()`` in the same
-    thread; over TCP the receiver runs in its own process and the
-    default does nothing. ``logs`` goes to the kernel.
+    hit flags, its sample's mask and its parities as one Block. Its
+    running counts of sifted bits, the receiver's zeros (of a key as long
+    as its own), disclosed bits and mismatches give ``ber``, ``bias``,
+    ``alarm_reason`` and ``alarm``. ``peer_step`` is called before each
+    read, where the sender waits for the receiver: its Hello and each
+    block's Answer. ``run_session`` passes one that advances the
+    receiver's ``steps()`` in the same thread; over TCP the receiver
+    runs in its own process and the default does nothing. ``logs`` goes
+    to the kernel.
     """
 
     def __init__(self, cfg: SessionConfig, pipe: MessagePipe, peer_step=lambda: None, logs=None):
@@ -498,15 +501,21 @@ class AliceEngine(_Party):
         self.peer_step = peer_step
         self.kernel = PhysicsKernel(cfg, np.random.default_rng(cfg.seed_physics), logs)
         self._bob_replica_rng = np.random.default_rng(cfg.seed_bob)
+        self.sifted_total = 0
+        self.zeros_total = 0
         self.disclosed_total = 0
         self.mismatch_total = 0
-        self.bob_bias: float | None = None
-        self.ber = 0.0
-        self.alarm = False
-        self.alarm_reason: str | None = None
 
     blocks_done = property(lambda self: len(self.reconciled_blocks))
     rounds_sent = property(lambda self: self.blocks_done * self.cfg.bits_per_block)
+    # the session's verdict so far, which ``run``'s continue_fn sees
+    ber = property(lambda self: self.mismatch_total / self.disclosed_total
+                   if self.disclosed_total else 0.0)
+    bias = property(lambda self: self.zeros_total / self.sifted_total
+                    if self.sifted_total else None)
+    alarm_reason = property(lambda self: _evaluate_alarm(self.disclosed_total, self.ber,
+                                                         self.bias))
+    alarm = property(lambda self: self.alarm_reason is not None)
 
     def run_block(self) -> None:
         cfg = self.cfg
@@ -525,27 +534,26 @@ class AliceEngine(_Party):
         self.pipe.send("Block", {"results": hits, "sample": mask, "parities": parities})
         self.peer_step()
         answer = self.pipe.recv("Answer")
-        self.bob_bias = answer["bias"]
-        if self.bob_bias is not None and not 0.0 <= self.bob_bias <= 1.0:
-            raise ProtocolDesyncError(f"bias {self.bob_bias!r} is not a fraction in [0, 1]")
-        values, drop = answer["values"], answer["discard"]
+        values, zeros, drop = answer["values"], answer["zeros"], answer["discard"]
+        if zeros > len(key):
+            raise ProtocolDesyncError(f"zeros {zeros} exceed the {len(key)} sifted bits")
         if len(values) != k:
             raise ProtocolDesyncError(f"values of {len(values)} bits, expected {k}")
+        self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
+        self.sifted_total += len(key)
+        self.zeros_total += zeros
         self.disclosed_total += k
         self.mismatch_total += np.count_nonzero(mine != values)
-        self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
-        # the session's verdict so far, which ``run``'s continue_fn sees
-        self.ber = self.mismatch_total / self.disclosed_total if self.disclosed_total else 0.0
-        self.alarm, self.alarm_reason = _evaluate_alarm(
-            self.disclosed_total, self.ber, self.bob_bias
-        )
 
     def run(self, continue_fn) -> "AliceEngine":
         """The whole session: the receiver's Hello, then blocks until
-        ``continue_fn(self)`` is false, then the Done."""
+        ``continue_fn(self)`` is false, then the Done. A Hello unlike
+        its own gets a Done with reason "config" before SessionAbort."""
         self.peer_step()
         hello = self.pipe.recv("Hello")
         if hello != (mine := _hello_payload(self.cfg)):
+            with contextlib.suppress(ChannelError):  # the mismatch is the error to report
+                self.pipe.send("Done", {"reason": "config"})
             raise SessionAbort(f"peer configuration mismatch: {hello} != {mine}")
         self.run_block()
         while continue_fn(self):
@@ -558,22 +566,18 @@ class BobEngine(_Party):
     """Receiver-side state machine.
 
     It receives the hit record in each Block; its decisions read only
-    this party's bits and the messages. ``steps()`` is the whole
+    this party's bits and the messages, and it keeps no session tally.
+    ``steps()`` is the whole
     session as a generator that yields before each read, which waits on
     the sender. ``run_session`` advances it from the sender's
     ``peer_step`` in one thread; ``run`` (TCP) exhausts it, and each
     receive blocks on the socket. ``final`` is the Done that ended the
-    session.
+    session; a Done "config" raises SessionAbort.
     """
 
     def __init__(self, cfg: SessionConfig, pipe: MessagePipe):
         super().__init__(cfg, pipe, cfg.seed_bob)
-        self.zeros_total = 0
-        self.sifted_total = 0
         self.final: dict | None = None
-
-    def _bias(self) -> float | None:
-        return self.zeros_total / self.sifted_total if self.sifted_total else None
 
     def run_block(self, block: dict) -> None:
         """One block: it answers the sender's Block, which ``steps()``
@@ -582,15 +586,14 @@ class BobEngine(_Party):
         # _sift, _split and apply_block_verdicts check the counts of the other lists
         key = _sift(bits, block["results"])
         self.sifted_blocks.append(key)
-        self.zeros_total += len(key) - np.count_nonzero(key)
-        self.sifted_total += len(key)
 
         sample, trimmed = _split(key, block["sample"] == 1)
         mine = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
         if len(parities := block["parities"]) != len(mine):
             raise ProtocolDesyncError(f"parities of {len(parities)} bits, expected {len(mine)}")
         drop = (mine != parities).astype(np.uint8)
-        self.pipe.send("Answer", {"values": sample, "bias": self._bias(), "discard": drop})
+        zeros = len(key) - np.count_nonzero(key)
+        self.pipe.send("Answer", {"values": sample, "zeros": zeros, "discard": drop})
         self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
 
     def steps(self):
@@ -602,6 +605,8 @@ class BobEngine(_Party):
             yield
             msg = self.pipe.recv("Block", "Done")
             if "reason" in msg:  # the Done
+                if msg["reason"] == "config":
+                    raise SessionAbort("the sender refused the Hello: configuration mismatch")
                 if not self.sifted_blocks:
                     raise ProtocolDesyncError("Done before any Block")
                 self.final = msg
@@ -626,9 +631,9 @@ def run_session(
     sender's ``peer_step`` advances the receiver's ``steps()`` before
     each of its reads, of the Hello and of each block's Answer,
     1 + n_blocks steps in all, and the receiver then runs to its end,
-    reading the Done. ``channel`` may supply a
-    (alice_transport, bob_transport) pair so tests can watch the
-    frames; by default a loopback pair is built. The round record goes
+    reading the Done; the report's verdict is the sender's. ``channel``
+    may supply a (alice_transport, bob_transport) pair so tests can
+    watch the frames; by default a loopback pair is built. The round record goes
     to ``logs`` if given, and nowhere otherwise: any object whose
     ``extend(alice_bits, bob_bits, photon_counts, eve_guesses, hits)``
     is called once per block, with arrays it may keep. A failure of the
@@ -652,7 +657,7 @@ def run_session(
 
     sifted_a = alice.sifted_key()
     n_rounds = alice.rounds_sent
-    bias = bob._bias()
+    bias = alice.bias
     return SessionReport(
         sifted_key_alice=sifted_a,
         sifted_key_bob=bob.sifted_key(),

@@ -1,12 +1,11 @@
 """Payloads and broken payload bytes built from the layout table of
 ``b92sim.channel``, for the tests that hand a read well-formed and
 broken frames."""
-import math
 import struct
 
 import numpy as np
 
-from b92sim.channel import BITS, DOUBLE, OPTIONAL, PAYLOADS, UINT, encode_frame
+from b92sim.channel import BITS, PAYLOADS, UINT, encode_frame
 
 # one value of each JSON type, to put where a field takes another
 JSON_VALUES = (None, True, 7, 0.5, "x", [1], {"a": 1})
@@ -24,12 +23,13 @@ def fmt(codec) -> str:
     return "B" if type(codec) is tuple else codec
 
 
+# one value of each codec that is not an enum
+SAMPLES = {UINT: 7, BITS: np.array([1, 0, 1], np.uint8)}
+
+
 def sample(codec):
     """One value the codec takes."""
-    if type(codec) is tuple:
-        return codec[-1]
-    return {UINT: 7, DOUBLE: 0.5, OPTIONAL: 0.5,
-            BITS: np.array([1, 0, 1], np.uint8)}[codec]
+    return codec[-1] if type(codec) is tuple else SAMPLES[codec]
 
 
 def well_formed(fields: dict) -> dict:
@@ -77,8 +77,7 @@ def broken(kind, payload):
     """(case, payload bytes) pairs: ``payload``, a ``kind`` payload,
     encoded and then given one fault that its layout does not take: a
     byte missing, a byte trailing, and for each field a value its codec
-    does not take (a flag byte of 2, an enum code out of range,
-    a non-finite double, None carrying a double, a bit count past the
+    does not take (an enum code out of range, a bit count past the
     bytes left, a set pad bit). An unsigned integer takes every value of
     its four bytes, so it has only the first two."""
     raw = payload_bytes(kind, payload)
@@ -90,14 +89,6 @@ def broken(kind, payload):
         at = field_at(kind, name)
         if type(codec) is tuple:
             yield f"{name}_code", put(raw, at, bytes([len(codec)]))
-        elif codec is DOUBLE:
-            yield f"{name}_nan", put(raw, at, struct.pack(">d", math.nan))
-            yield f"{name}_inf", put(raw, at, struct.pack(">d", -math.inf))
-        elif codec is OPTIONAL:
-            yield f"{name}_flag", put(raw, at, b"\x02")
-            yield f"{name}_nan", put(raw, at, b"\x01" + struct.pack(">d", math.nan))
-            yield f"{name}_none_with_a_double", put(raw, at, b"\x00" + struct.pack(">d", 0.5))
-            yield f"{name}_none_with_minus_zero", put(raw, at, b"\x00" + struct.pack(">d", -0.0))
         elif codec is BITS:
             n = len(payload[name])
             yield f"{name}_count", put(raw, at, struct.pack(">I", 8 * (len(raw) - data) + 1))

@@ -27,8 +27,7 @@ def frame(kind, payload, session_id, sequence):
 
 
 # a receiver's Hello as the layout table declares it
-HELLO = {"wire_version": 4, "bits_per_block": 1024, "mode": "ideal", "eve": "none",
-         "reconcile_block_size": 8, "error_sample_fraction": 0.25}
+HELLO = {"wire_version": 5, "bits_per_block": 1024, "mode": "ideal", "eve": "none"}
 
 
 def read_ciphertext(count: int, data: bytes):
@@ -116,7 +115,7 @@ GOOD_FRAME = encode_frame(frame("Done", DONE, session_id=5, sequence=1))[4:]
     # kind codes outside the table
     GOOD_FRAME[:8] + bytes([len(PAYLOADS) + 1]) + GOOD_FRAME[9:],
     GOOD_FRAME[:8] + b"\xff" + GOOD_FRAME[9:], GOOD_FRAME[:8] + b"\x00" + GOOD_FRAME[9:],
-    # payloads that are not a Done's one code byte, 0 to 7, or a Hello's 22 bytes
+    # payloads that are not a Done's one code byte, 0 to 8, or a Hello's 10 bytes
     GOOD_FRAME + b"\x01", GOOD_FRAME[:9] + b"x",
     GOOD_FRAME[:8] + bytes([list(PAYLOADS).index("Hello") + 1]) + bytes(16),
 ], ids=["list", "string", "number", "null",
@@ -237,7 +236,7 @@ def test_large_bit_lists_stay_under_frame_limit():
         decoded = decode_frame(data[4:])
         assert all(np.array_equal(decoded["payload"][k], v) for k, v in msg["payload"].items())
         sizes.append(len(data))
-    assert sizes[1] < sizes[0] == MAX_FRAME_BYTES
+    assert sizes[1] < sizes[0] == MAX_FRAME_BYTES == 1_062_525
 
 
 def test_a_frame_at_the_bound_is_taken_and_one_byte_over_is_refused():

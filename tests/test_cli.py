@@ -561,12 +561,14 @@ def test_chat_sender_refuses_a_message_before_it_listens(capsys, message, error)
     assert out == ""
 
 
-def run_chat_processes(message, flags, timeout=20):
-    """Both roles of ``b92sim chat`` as OS processes over 127.0.0.1;
-    returns (sender, receiver) as (exit code, stdout) pairs."""
+def run_chat_processes(message, flags, timeout=20, alice_flags=()):
+    """Both roles of ``b92sim chat`` as OS processes over 127.0.0.1,
+    the sender with ``alice_flags`` too; returns (sender, receiver) as
+    (exit code, stdout, stderr) triples."""
     chat = [sys.executable, "-m", "b92sim", "chat"]
     alice = subprocess.Popen(
-        [*chat, "--role", "alice", "--listen", "127.0.0.1:0", "--message", message, *flags],
+        [*chat, "--role", "alice", "--listen", "127.0.0.1:0", "--message", message, *flags,
+         *alice_flags],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     try:
@@ -575,28 +577,42 @@ def run_chat_processes(message, flags, timeout=20):
             [*chat, "--role", "bob", "--connect", f"127.0.0.1:{port}", *flags],
             capture_output=True, text=True, timeout=timeout,
         )
-        alice_out, _ = alice.communicate(timeout=timeout)
+        alice_out, alice_err = alice.communicate(timeout=timeout)
     finally:
         if alice.poll() is None:
             alice.kill()
             alice.communicate()
-    return (alice.returncode, alice_out), (bob.returncode, bob.stdout)
+    return (alice.returncode, alice_out, alice_err), (bob.returncode, bob.stdout, bob.stderr)
 
 
 def test_chat_on_a_link_that_sifts_nothing_stops_on_the_alarm():
     # the sender stops once the alarm has been up over CHAT_EMPTY_BLOCKS
     # blocks in a row that sifted no bit, and both parties report it
-    (a_code, a_out), (b_code, b_out) = run_chat_processes("hi", EMPTY_SAMPLE_FLAGS, timeout=10)
+    (a_code, a_out, _), (b_code, b_out, _) = run_chat_processes("hi", EMPTY_SAMPLE_FLAGS,
+                                                                timeout=10)
     assert a_code == b_code == 1
     assert "alarm (sample): key discarded, nothing sent" in a_out
     assert "alarm (sample): key discarded" in b_out
     assert "decrypted" not in b_out
 
 
+def test_chat_receiver_learns_why_its_hello_was_refused():
+    # the sender runs 512-pulse blocks, the receiver the default 1024:
+    # the sender refuses the Hello with a Done before it closes, so the
+    # receiver names the refusal rather than a closed connection
+    (a_code, a_out, a_err), (b_code, b_out, b_err) = run_chat_processes(
+        "hi", [], timeout=10, alice_flags=["--bits-per-block", "512"])
+    assert a_code == b_code == 3
+    assert a_err.startswith("transport error: peer configuration mismatch: ")
+    assert b_err == "transport error: the sender refused the Hello: configuration mismatch\n"
+    assert "ciphertext" not in a_out and b_out == ""
+
+
 def test_physical_chat_at_the_defaults_delivers_a_multi_block_message():
     # the key needs many blocks, and the sample alarm is up until one of
     # them sifts 4 bits; the empty-block stop must not end the chat
-    (a_code, a_out), (b_code, b_out) = run_chat_processes("HELLO BOB", ["--mode", "physical"])
+    (a_code, a_out, _), (b_code, b_out, _) = run_chat_processes("HELLO BOB",
+                                                                ["--mode", "physical"])
     assert a_code == b_code == 0, (a_out, b_out)
     assert int(a_out.split("blocks: ")[1].split()[0]) > CHAT_EMPTY_BLOCKS
     assert "decrypted: HELLO BOB" in b_out

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from b92sim.channel import (
-    DOUBLE,
     MAX_FRAME_BYTES,
     PAYLOADS,
     MessagePipe,
@@ -21,6 +20,7 @@ from b92sim.channel import (
     loopback_pair,
 )
 from b92sim.errors import (
+    ChannelError,
     ConfigError,
     ModelValidityError,
     ProtocolDesyncError,
@@ -41,6 +41,7 @@ from b92sim.hardware import (
     with_fields,
 )
 from b92sim.protocol import (
+    ALARM_BIAS_THRESHOLD,
     MAX_BITS_PER_BLOCK,
     AliceEngine,
     BobEngine,
@@ -331,16 +332,53 @@ class RewritingTransport:
         self.inner.close()
 
 
-def bias_transport(inner, bias):
-    """The receiver's transport, with the bias it sends replaced."""
-    return RewritingTransport(inner, "Answer", lambda p: {**p, "bias": bias})
+def zeros_transport(inner, logs, cfg, zeros_of):
+    """The receiver's transport, with the zero count of each Answer
+    replaced by ``zeros_of(sifted)``: ``sifted`` is the length of the
+    block's sifted key, the hits of the block's record in ``logs``."""
+    def payload(p):
+        sifted = int(np.count_nonzero(logs.hits[-cfg.bits_per_block:]))
+        return {**p, "zeros": zeros_of(sifted)}
+    return RewritingTransport(inner, "Answer", payload)
 
 
-@pytest.mark.parametrize("bias", ["x", -0.1, 1.5, True, float("nan"), [0.5]])
-def test_invalid_bias_on_error_check_values_aborts(bias):
+def test_a_zero_count_over_the_sifted_length_aborts():
+    # the receiver's key is as long as the sender's, so one zero more
+    # than the block sifted is a count no honest receiver sends
+    cfg = make_cfg(bits_per_block=1024)
+    s = len(run_session(cfg).sifted_key_alice)
+    logs = RoundLogs()
     t_a, t_b = loopback_pair()
-    with pytest.raises(SessionAbort, match="bias"):
-        run_session(make_cfg(bits_per_block=1024), channel=(t_a, bias_transport(t_b, bias)))
+    with pytest.raises(SessionAbort, match=f"zeros {s + 1} exceed the {s} sifted bits") as info:
+        run_session(cfg, channel=(t_a, zeros_transport(t_b, logs, cfg, lambda n: n + 1)),
+                    logs=logs)
+    assert isinstance(info.value.__cause__, ProtocolDesyncError)
+
+
+def test_a_zero_count_of_every_sifted_bit_trips_the_bias_alarm():
+    cfg = make_cfg(bits_per_block=1024)
+    logs = RoundLogs()
+    t_a, t_b = loopback_pair()
+    rep = run_session(cfg, channel=(t_a, zeros_transport(t_b, logs, cfg, lambda n: n)),
+                      n_blocks=3, logs=logs)
+    assert rep.zero_bias == 1.0
+    assert rep.alarm and rep.alarm_reason == "bias"
+
+
+def test_no_answer_leaves_a_sifted_key_unjudged_on_bias():
+    # the Answer's only word on the bias is a count the sender bounds by
+    # its own sifted length: each count it takes is a bias in [0, 1] that
+    # is judged, and none switches the check off
+    cfg = make_cfg(bits_per_block=64)
+    s = len(run_session(cfg).sifted_key_alice)
+    assert s > 0
+    for zeros in range(s + 1):
+        t_a, t_b = loopback_pair()
+        rewrite = RewritingTransport(t_b, "Answer", lambda p, z=zeros: {**p, "zeros": z})
+        rep = run_session(cfg, channel=(t_a, rewrite))
+        assert rep.zero_bias == zeros / s
+        judged = "bias" in (rep.alarm_reason or "").split("+")
+        assert judged == (abs(zeros / s - 0.5) > ALARM_BIAS_THRESHOLD), (zeros, s)
 
 
 def with_bytes(kind, name, new: bytes):
@@ -362,7 +400,7 @@ def double_in(kind, name):
 @pytest.mark.parametrize("kind, payload, message", [
     ("Done", lambda p: b"", "malformed frame: Done of 0 bytes"),
     ("Done", lambda p: b"x", "Done reason code 120 is out of range"),
-    ("Done", with_bytes("Done", "reason", b"\x08"), "reason code 8 is out of range"),
+    ("Done", with_bytes("Done", "reason", b"\x09"), "reason code 9 is out of range"),
 ], ids=["done_list", "done_string", "reason"])
 def test_mistyped_frame_to_the_receiver_aborts(kind, payload, message):
     t_a, t_b = loopback_pair()
@@ -392,6 +430,41 @@ def test_a_session_leaves_no_frame_unread(n_blocks):
     for t in (t_a, t_b):
         with pytest.raises(ProtocolDesyncError, match="nothing queued"):
             t.recv_frame()
+
+
+class SendFailsTransport:
+    """A transport whose sends fail, as on a channel the peer has closed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def send_frame(self, data):
+        raise ChannelError("send failed: broken pipe")
+
+    def recv_frame(self):
+        return self.inner.recv_frame()
+
+    def close(self):
+        self.inner.close()
+
+
+def test_a_refused_hello_gets_a_done_that_names_the_refusal():
+    # the sender tells the receiver why it stops, and raises the mismatch
+    # even where that Done cannot be sent
+    cfg = make_cfg(bits_per_block=1024)
+    for wrap in (lambda t: t, SendFailsTransport):
+        t_a, t_b = loopback_pair()
+        bob = BobEngine(replace(cfg, bits_per_block=512), MessagePipe(t_b, cfg.session_id()))
+        steps = bob.steps()
+        alice = AliceEngine(cfg, MessagePipe(wrap(t_a), cfg.session_id()),
+                            lambda: next(steps, None))
+        with pytest.raises(SessionAbort, match="^peer configuration mismatch: "):
+            alice.run(lambda eng: False)
+        if wrap is SendFailsTransport:
+            continue
+        with pytest.raises(SessionAbort, match="^the sender refused the Hello: configuration"):
+            next(steps)
+        assert bob.final is None and not bob.sifted_blocks
 
 
 def test_a_done_before_any_block_aborts(monkeypatch):
@@ -425,14 +498,11 @@ def hello_cases():
     """(row, id) for each field of the receiver's Hello with bytes of
     another type and with the field's bytes missing, and for a Hello
     with a trailing byte. Another type is a code past the table for an
-    enum, NaN for a double, and a double's eight bytes for an integer,
-    which takes every value of its own four."""
+    enum and a double's eight bytes for an integer, which takes every
+    value of its own four."""
     for key, codec in PAYLOADS["Hello"].items():
         if type(codec) is tuple:
             wrong, message = with_bytes("Hello", key, bytes([len(codec)])), f"{key} code"
-        elif codec is DOUBLE:
-            wrong = with_bytes("Hello", key, struct.pack(">d", math.nan))
-            message = f"{key} nan is not finite"
         else:
             wrong, message = double_in("Hello", key), "malformed frame: 4 bytes trail"
         size = struct.calcsize(">" + fmt(codec))
@@ -442,7 +512,7 @@ def hello_cases():
             return raw[:at] + raw[at + size:]
 
         yield ("bob", "Hello", wrong, message), f"hello_{key}_type"
-        yield ("bob", "Hello", missing, "fewer than the 22 of its fields"), f"hello_{key}_missing"
+        yield ("bob", "Hello", missing, "fewer than the 10 of its fields"), f"hello_{key}_missing"
     yield (("bob", "Hello", lambda p: payload_bytes("Hello", p) + b"\x00",
             "1 bytes trail the Hello payload"), "hello_extra")
 
@@ -466,12 +536,12 @@ HELLO_ROWS, HELLO_IDS = zip(*hello_cases())
     ("bob", "Answer", lengthened("discard"), r"verdicts for \d+ blocks, key has \d+"),
     ("bob", "Hello", lambda p: {**p, "wire_version": 1}, "peer configuration mismatch"),
     ("bob", "Hello", double_in("Hello", "bits_per_block"), "4 bytes trail the Hello payload"),
-    ("bob", "Hello", double_in("Hello", "reconcile_block_size"), "4 bytes trail the Hello payload"),
+    ("bob", "Hello", double_in("Hello", "wire_version"), "4 bytes trail the Hello payload"),
     *HELLO_ROWS,
 ], ids=["results", "results_long", "indices", "indices_long", "values", "values_long",
         "parities", "parities_long", "parities_not_hex",
         "discard", "discard_long", "hello_wire_version",
-        "hello_bits_per_block_float", "hello_reconcile_block_size_float",
+        "hello_bits_per_block_float", "hello_wire_version_float",
         *HELLO_IDS])
 def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
     # each list is well formed on its own but does not fit the block it
@@ -536,15 +606,6 @@ def test_results_with_set_pad_bits_abort():
         run_session(make_cfg(bits_per_block=1020),
                     channel=(RewritingTransport(t_a, "Block", with_pad_bits_set), t_b))
     assert isinstance(info.value.__cause__, ProtocolDesyncError)
-
-
-def test_valid_bias_on_error_check_values_is_judged():
-    t_a, t_b = loopback_pair()
-    rep = run_session(make_cfg(bits_per_block=1024), channel=(t_a, bias_transport(t_b, 1)))
-    assert rep.alarm_reason == "bias"
-    t_a, t_b = loopback_pair()
-    rep = run_session(make_cfg(bits_per_block=1024), channel=(t_a, bias_transport(t_b, None)))
-    assert not rep.alarm
 
 
 def test_estimate_ber_identical_and_opposite():
@@ -836,28 +897,28 @@ def test_golden_digests_of_key_and_hits(name):
 # sha256 of all frames each party sends in the GOLDEN_SESSIONS, one
 # stream per direction (each frame carries its length prefix), with the
 # frame count: (sender to receiver, receiver to sender). Computed with
-# the binary frames of wire version 4; the wire format must not move by
+# the binary frames of wire version 5; the wire format must not move by
 # one byte.
 GOLDEN_FRAMES = {
     "ideal": (
         (4, "d2a767789bb68a422ad4edf02f36be7d75534de9f1dcb51945d711033925d9e0"),
-        (4, "734a8ac109157fe30d10035811c9faca63e7bee16a417f6fce1b81f19869ce74"),
+        (4, "60327c09d6ae5eb4ed56e84d3f694def147e536363cc04b55a6acb1acb1256b8"),
     ),
     "ideal_fixed_projection": (
         (3, "5fc027168417260489b063dd62acb77969e4a134ee02bb8dae36fb9aa7e38193"),
-        (3, "ee0eaa1fdb47440b09740f7d22197457ec3fcda5b2b45640f0a9efa5fb0156c8"),
+        (3, "d75aae1893a6bb7aa3c2f778e6209d6f3777d6ea355b4f9d88ddbf2dea7c66d5"),
     ),
     "physical_afterpulse": (
         (4, "0bf71acabcaa71448df134ff88a13c5d15f92c5ffd00b51bcb4455efbe98f6f1"),
-        (4, "50443087d86c0619098262fe46ec8dc3d16c0f355bff1ba5a66fea5090ccf631"),
+        (4, "2ab15b9e613d19a1b477ac75cdc8e52495f75eb7fb561ea99bc80fde3a2341f4"),
     ),
     "physical_fixed_projection": (
         (3, "6688ec5b9e8519c572778ce5face0692e3ccb3fa7bc2d5e3173afdb02d0b1877"),
-        (3, "5261dc7c2f0a78b73dfae2bc4ffea81a83b4fcb9bec2ae471c8082b52d11f27e"),
+        (3, "8693c63c1bffe3bdd6ae1f187e53aa70af37da0ea13485869078df73fd1e3b12"),
     ),
     "physical_multiphoton": (
         (3, "87a03166f2e31dba7b472826865913a92c3f8e29561daab77e5acb408c1406b0"),
-        (3, "d336417533b2fda46cb20b15ec6064efb4a9c79247793de83aae497fce12c643"),
+        (3, "8e333df2f450466113656f1112d212c88d8727e02eabc5725c805f3f106be9df"),
     ),
 }
 
@@ -964,10 +1025,9 @@ def test_session_monte_carlo_rate_matches_prediction():
 
 
 ALLOWED_PAYLOAD_KEYS = {
-    "Hello": {"wire_version", "bits_per_block", "mode", "eve", "reconcile_block_size",
-              "error_sample_fraction"},
+    "Hello": {"wire_version", "bits_per_block", "mode", "eve"},
     "Block": {"results", "sample", "parities"},
-    "Answer": {"values", "bias", "discard"},
+    "Answer": {"values", "zeros", "discard"},
     "Done": {"reason"},
     "Ciphertext": {"bits"},
 }

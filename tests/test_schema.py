@@ -1,9 +1,9 @@
 """The payload layout table of ``b92sim.channel``: each read refuses a
 payload a byte short or long, or with a value its field's codec does
 not take; the table and the code agree on the kinds; well-formed
-messages round-trip; and each message has exactly one frame."""
+messages round-trip; each message has exactly one frame; and every
+codec of the channel is an integer or bits that some field uses."""
 import ast
-import math
 import pathlib
 import struct
 
@@ -12,11 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b92sim import errors
+from b92sim import channel, errors
 from b92sim.channel import (
     BITS,
-    DOUBLE,
-    OPTIONAL,
     PAYLOADS,
     UINT,
     MessagePipe,
@@ -29,6 +27,7 @@ from b92sim.protocol import EveStrategy, Mode, _evaluate_alarm
 
 from payloads import (
     JSON_VALUES,
+    SAMPLES,
     SHAPE_IDS,
     SHAPES,
     broken,
@@ -91,15 +90,12 @@ ANSWER = payload_with("Answer")
 
 @pytest.mark.parametrize("raw, message", [
     # the payload stops inside its last field
-    (ANSWER[:16], "Answer of 16 bytes, fewer than the 17 of its fields"),
-    # an integer's four bytes where bias's double goes: the payload is short
-    (ANSWER[:5] + struct.pack(">I", 0) + ANSWER[13:],
-     "Answer of 15 bytes, fewer than the 17 of its fields"),
-    # the integer 2 where bias's flag byte, 0 or 1, goes
-    (payload_with("Answer", bias=b"\x02"),
-     "Answer bias flag 2 with 0.5 is neither None nor a double"),
+    (ANSWER[:11], "Answer of 11 bytes, fewer than the 12 of its fields"),
+    # a double's eight bytes where the four of zeros go: the struct reads
+    # the double's low half as the discard count 0, and the rest trails
+    (ANSWER[:4] + struct.pack(">d", 8.0) + ANSWER[8:], "5 bytes trail the Answer payload"),
     (ANSWER + b"\x00", "1 bytes trail the Answer payload"),
-], ids=["missing", "int_for_float", "int_for_bool", "extra"])
+], ids=["missing", "float_for_int", "extra"])
 def test_a_refused_field_is_named(raw, message):
     with pytest.raises(ProtocolDesyncError, match=f"^malformed frame: {message}$"):
         read_bytes("Answer", raw)
@@ -113,18 +109,6 @@ def test_decode_frame_refuses_a_fifth_field():
         decode_frame(data[4:] + b"\x01\x02")
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
-def test_a_number_that_json_lacks_is_refused_by_name(constant):
-    # a double that is not finite, what each of these reads as, is refused
-    # in a double field and in an optional one, as JSON refuses them
-    value = float(constant)
-    for kind, field, new in [("Answer", "bias", b"\x01" + struct.pack(">d", value)),
-                             ("Hello", "error_sample_fraction", struct.pack(">d", value))]:
-        with pytest.raises(ProtocolDesyncError,
-                           match=f"^malformed frame: {kind} {field} {value!r} is not finite$"):
-            read_bytes(kind, payload_with(kind, **{field: new}))
-
-
 def test_encode_refuses_a_payload_off_its_layout():
     # the writer sends no frame that the read would refuse or read
     # differently: a field missing or extra, a bool in a number field
@@ -134,10 +118,10 @@ def test_encode_refuses_a_payload_off_its_layout():
         ("Done", {}, "is not of the fields"),
         ("Done", {"reason": None, "note": 1}, "is not of the fields"),
         ("Hello", {**hello, "bits_per_block": True}, "Hello bits_per_block True is not of codec"),
-        ("Hello", {**hello, "error_sample_fraction": False},
-         "Hello error_sample_fraction False is not of codec"),
-        ("Answer", {**answer, "bias": True}, "Answer bias True is not of codec"),
-        ("Hello", {**hello, "error_sample_fraction": "x"}, "Hello payload does not fit its layout"),
+        ("Answer", {**answer, "zeros": False}, "Answer zeros False is not of codec"),
+        ("Hello", {**hello, "bits_per_block": "x"}, "Hello payload does not fit its layout"),
+        ("Answer", {**answer, "zeros": 0.5}, "Answer payload does not fit its layout"),
+        ("Answer", {**answer, "zeros": -1}, "Answer payload does not fit its layout"),
         ("Done", {"reason": "ber+sample"}, "Done reason 'ber\\+sample' is not of codec"),
     ]:
         with pytest.raises(ChannelError, match=message):
@@ -176,9 +160,30 @@ def test_every_kind_in_the_code_has_a_schema_and_every_schema_is_sent():
 def test_the_enums_of_the_table_are_the_values_the_engines_send():
     assert PAYLOADS["Hello"]["mode"] == tuple(m.value for m in Mode)
     assert PAYLOADS["Hello"]["eve"] == tuple(e.value for e in EveStrategy)
-    reasons = {_evaluate_alarm(disclosed, ber, bias)[1]
+    reasons = {_evaluate_alarm(disclosed, ber, bias)
                for disclosed in (0, 1) for ber in (0.0, 0.5) for bias in (None, 0.5, 0.9)}
-    assert reasons == set(PAYLOADS["Done"]["reason"])
+    # and the sender's refusal of a Hello, appended so that the alarm's codes keep their bytes
+    assert set(PAYLOADS["Done"]["reason"]) == reasons | {"config"}
+    assert PAYLOADS["Done"]["reason"][-1] == "config"
+
+
+def table_codecs():
+    """The codecs that the fields of ``PAYLOADS`` use, enums aside."""
+    return {codec for fields in PAYLOADS.values() for codec in fields.values()
+            if type(codec) is not tuple}
+
+
+def test_every_codec_is_an_integer_or_bits_that_some_field_uses():
+    # a codec no field uses is dead code in the encoder and the reader
+    defined = {value for name, value in vars(channel).items()
+               if name.isupper() and isinstance(value, str)}
+    assert defined == table_codecs() == {UINT, BITS}
+    # the public discussion is positions, bits and counts: no layout
+    # holds a floating-point format
+    for kind, (_, layout, _) in channel._PLANS.items():
+        assert not set(layout.format) & set("efd"), (kind, layout.format)
+    # the test payloads and the generated values cover the table's codecs exactly
+    assert set(SAMPLES) == set(VALUES) == table_codecs()
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +192,6 @@ def test_the_enums_of_the_table_are_the_values_the_engines_send():
 BIT_LISTS = st.lists(st.integers(0, 1), max_size=40).map(lambda b: np.array(b, np.uint8))
 VALUES = {
     UINT: st.integers(0, 2**32 - 1),
-    DOUBLE: st.floats(allow_nan=False, allow_infinity=False),  # the read refuses both
-    OPTIONAL: st.none() | st.floats(allow_nan=False, allow_infinity=False),
     BITS: BIT_LISTS,
 }
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -321,18 +324,14 @@ BLOCK_FRAME = encode_frame(frame("Block", BLOCK))
     (put(BLOCK_FRAME, 12, b"\x00"), "unknown kind code 0"),
     (put(BLOCK_FRAME, 4, struct.pack(">I", 9)), "session_id 9 does not match 2"),
     (put(BLOCK_FRAME, 8, struct.pack(">I", 2)), "sequence 2, expected 1"),
-    (framed("Answer", payload_with("Answer", bias=b"\xff")),
-     "Answer bias flag 255 with 0.5 is neither None nor a double"),
-    (framed("Done", b"\x08"), "Done reason code 8 is out of range"),
-    (framed("Hello", payload_with("Hello", error_sample_fraction=struct.pack(">d", math.inf))),
-     "Hello error_sample_fraction inf is not finite"),
+    (framed("Done", b"\x09"), "Done reason code 9 is out of range"),
     (framed("Block", block_bytes()[:-3] + b"\x11\x00\x80"),
      "Block results sets pad bits beyond bit 12"),
     (framed("Block", block_bytes(parities=struct.pack(">I", 9))),
      "Block parities of 9 bits runs past the 1 bytes left"),
     (framed("Block", block_bytes() + b"\x00"), "1 bytes trail the Block payload"),
-], ids=["length", "length_long", "kind", "kind_zero", "session", "sequence", "flag",
-        "enum", "double", "pad", "count", "trailing"])
+], ids=["length", "length_long", "kind", "kind_zero", "session", "sequence",
+        "enum", "pad", "count", "trailing"])
 def test_each_fault_class_is_refused(data, message):
     # a payload is decoded before the pipe compares its kind with the one it expects
     t_a, t_b = loopback_pair()
