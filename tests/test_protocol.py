@@ -355,6 +355,21 @@ def test_a_zero_count_over_the_sifted_length_aborts():
     assert isinstance(info.value.__cause__, ProtocolDesyncError)
 
 
+@pytest.mark.parametrize("bias", [-0.1, 1.5])
+def test_invalid_bias_on_error_check_values_aborts(bias):
+    # the receiver's bias reaches the sender as bias times the sifted
+    # length in zeros: one above 1 is a count over that length, one below
+    # 0 the four bytes of a negative count, which read as a count over it
+    cfg = make_cfg(bits_per_block=1024)
+    s = len(run_session(cfg).sifted_key_alice)
+    zeros = struct.pack(">i", math.floor(bias * s))
+    t_a, t_b = loopback_pair()
+    rewrite = RewritingTransport(t_b, "Answer", with_bytes("Answer", "zeros", zeros))
+    with pytest.raises(SessionAbort, match=f"exceed the {s} sifted bits") as info:
+        run_session(cfg, channel=(t_a, rewrite))
+    assert isinstance(info.value.__cause__, ProtocolDesyncError)
+
+
 def test_a_zero_count_of_every_sifted_bit_trips_the_bias_alarm():
     cfg = make_cfg(bits_per_block=1024)
     logs = RoundLogs()
