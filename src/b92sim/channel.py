@@ -1,6 +1,6 @@
 """Classical public channel: binary frames and the transports that carry them.
 
-Wire format (``WIRE_VERSION`` 5, which the Hello carries). A frame is a
+Wire format (``WIRE_VERSION`` 6, which the Hello carries). A frame is a
 ``>I`` length of the bytes after it; the ``>IIB`` session id, sequence
 and kind code (the kind's place in ``PAYLOADS``, from 1); and the
 payload: one ``struct`` of its fields in ``PAYLOADS`` order, followed
@@ -34,7 +34,7 @@ from .errors import ChannelError, ProtocolDesyncError
 # Eve at this size peaked at 266 MB resident (235 MB above the import)
 MAX_BITS_PER_BLOCK = 4_000_000
 # the format of the frames and payloads below, which the Hello carries
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 # a codec that is not a tuple is its struct format; BITS, four bytes as >I, is a list's count
 UINT, BITS = "I", "L"

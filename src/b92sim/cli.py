@@ -294,13 +294,14 @@ def _chat_continue(needed: int):
     """The chat sender's continue function: run blocks until the
     reconciled key covers ``needed`` bits, but stop once the alarm has
     been up over CHAT_EMPTY_BLOCKS blocks in a row that sifted no bit.
-    It runs once after each block, so it counts the key as it grows."""
+    It is asked after each pass, and as its answer is a bool each pass
+    is one block, so it counts the key as it grows."""
     empty = have = 0
 
     def more(eng) -> bool:
         nonlocal empty, have
-        have += len(eng.reconciled_blocks[-1])
-        empty = empty + 1 if eng.alarm and not len(eng.sifted_blocks[-1]) else 0
+        have += len(eng.reconciled_passes[-1])
+        empty = empty + 1 if eng.alarm and not len(eng.sifted_passes[-1]) else 0
         return empty < CHAT_EMPTY_BLOCKS and have < needed
 
     return more

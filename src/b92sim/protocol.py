@@ -11,24 +11,30 @@ block parities reconcile the remainder.
 A wire cannot carry a qubit, so a session has one shape: the sender's
 side owns the physics. It rebuilds the receiver's bit stream from the
 shared seed, simulates the whole quantum layer, and sends the hit
-flags in each block's Block message; the receiver learns nothing
-beyond what the message schema carries. The receiver opens with its
-Hello, and the sender's first Block accepts it (or a Done "config"
-refuses it). A block is one exchange of two frames: the sender's Block
-carries the hit record, the error sample's mask and the parities, and
-the receiver's Answer carries the sample's values, its block's count of
-zeros and the discard list. The sender keeps every session tally. One
-Done from the sender ends the session with the alarm's reason. The
-sender calls an injected ``peer_step`` before each read, of the Hello
-and of each block's Answer; the receiver's session is a generator that
-yields before each read, which takes a Block or the Done.
-``run_session`` drives both in one thread over a loopback channel;
-``b92sim chat`` runs each in its own process over TCP, where every
-receive blocks on the socket instead.
+flags in a Block message; the receiver learns nothing beyond what the
+message schema carries. The receiver opens with its Hello, and the
+sender's first Block accepts it (or a Done "config" refuses it).
+
+The public discussion runs in passes of one or more blocks, at most
+``PASS_PULSES`` pulses (or one block, if a block is larger). A pass is
+one exchange of two frames: the sender's Block carries the pass's hit
+record, its error sample's mask and its parities, and the receiver's
+Answer carries the sample's values, the pass's count of zeros and the
+discard list. Each block keeps its own sample and its own parity
+segments, so a pass of k blocks gives the keys of k passes of one.
+The sender's stop rule sets how many blocks the next pass may hold:
+``run_session`` runs full passes, ``b92sim chat`` one block a pass.
+The sender keeps every session tally. One Done from the sender ends
+the session with the alarm's reason. The sender calls an injected
+``peer_step`` before each read, of the Hello and of each pass's
+Answer; the receiver's session is a generator that yields before each
+read, which takes a Block or the Done. ``run_session`` drives both in
+one thread over a loopback channel; ``b92sim chat`` runs each in its
+own process over TCP, where every receive blocks on the socket instead.
 
 Each party's decisions depend only on its own bits plus schema-level
 messages, and sessions are bit-for-bit reproducible from the
-(alice, bob, physics) seed triple.
+(alice, bob, physics) seed triple, whatever the passes.
 """
 from __future__ import annotations
 
@@ -96,8 +102,12 @@ class EveStrategy(Enum):
 
 
 # Protocol constants. The wire version fixes the reconciliation block
-# size: the Hello carries the version, which the sender checks.
+# size and the pass bound: the Hello carries the version, which the
+# sender checks.
 RECONCILE_BLOCK_SIZE = 8
+# pulses of a pass, unless one block is larger: it bounds the arrays a
+# pass holds at once
+PASS_PULSES = 1 << 15
 ALARM_BER_THRESHOLD = 0.05
 ALARM_BIAS_THRESHOLD = 0.05
 
@@ -157,7 +167,10 @@ class SessionConfig:
 
 
 def _joined(blocks: list[np.ndarray], dtype=np.uint8) -> np.ndarray:
-    """Per-block arrays as one; an empty list gives an empty ``dtype`` array."""
+    """Per-block arrays as one: a single array as it is, and an empty
+    list as an empty ``dtype`` array."""
+    if len(blocks) == 1:
+        return blocks[0]
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype)
 
 
@@ -222,16 +235,22 @@ class SessionReport:
 # elementary protocol operations
 
 
-def generate_bits(n: int, rng: np.random.Generator) -> np.ndarray:
+def generate_bits(n: int, rng: np.random.Generator, blocks: int = 1) -> np.ndarray:
     """n independent fair bits from the given stream: the top bit of
     each byte of full-range 32-bit words, low byte first. That is what
     numpy's ``integers(0, 2, size=n, dtype=np.uint8)`` returns, from the
     same words and with the same generator state after
-    (``test_generate_bits_equals_numpys_uint8_draw``)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    words = rng.integers(0, 1 << 32, size=(n + 3) // 4, dtype=np.uint32)
-    bits = words.astype("<u4", copy=False).view(np.uint8)[:n]
+    (``test_generate_bits_equals_numpys_uint8_draw``). With ``blocks``,
+    the n bits of each of that many blocks, one after another, in one
+    draw: each block takes whole words, the spare bytes of its last one
+    dropped, so the bits and the state after are those of ``blocks``
+    calls."""
+    if n <= 0 or blocks <= 0:
+        raise ValueError("n and blocks must be positive")
+    words = rng.integers(0, 1 << 32, size=blocks * ((n + 3) // 4), dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.uint8)
+    if n % 4:  # each block's last word has spare bytes
+        bits = bits.reshape(blocks, -1)[:, :n].reshape(-1)
     bits >>= 7  # in place: a new array for the result made a 2M-bit draw about twice as slow
     return bits
 
@@ -310,6 +329,8 @@ class PhysicsKernel:
 
     A block's round record goes to ``logs`` (see ``run_session``) if
     one is given, and the detector state it leaves to ``detector_state``.
+    Ideal mode's uniforms may come from ``uniforms``, a draw for a whole
+    pass; Physical mode draws a block at a time.
     """
 
     def __init__(self, cfg: SessionConfig, rng: np.random.Generator, logs=None):
@@ -318,32 +339,50 @@ class PhysicsKernel:
         self.detector_state = DetectorState()
         self.logs = logs
 
-    def transmit_block(self, alice_bits: np.ndarray, bob_bits: np.ndarray) -> np.ndarray:
+    def uniforms(self, blocks: int) -> list:
+        """The uniforms ``transmit_block`` draws in Ideal mode, for
+        ``blocks`` blocks in one draw, as a list of a row a block: n of
+        them, or 2n with Eve (hers, then the hits'). None for each block
+        where ``transmit_block`` draws its own: a lone block, as it then
+        holds no more than its own draw, and every block of Physical mode."""
+        if self.cfg.mode is Mode.PHYSICAL or blocks == 1:
+            return [None] * blocks
+        per_pulse = 1 if self.cfg.eve is EveStrategy.NONE else 2
+        return list(self.rng.random((blocks, per_pulse * self.cfg.bits_per_block)))
+
+    def transmit_block(self, alice_bits: np.ndarray, bob_bits: np.ndarray,
+                       uniforms: np.ndarray | None = None) -> np.ndarray:
         """One block through the quantum link; returns its hits (uint8 0/1).
         Draws run in this order: Poisson photon counts (Physical), the
         eavesdropper, fiber thinning, then the detector. Ideal mode is
         the lossless limit: one photon per pulse and one uniform per
-        pulse, a hit where it falls below the pulse's pass probability."""
+        pulse, a hit where it falls below the pulse's pass probability;
+        its uniforms are the block's row of ``uniforms`` if given, else
+        drawn here."""
         if len(alice_bits) != len(bob_bits):
             raise ProtocolDesyncError("bit blocks differ in length")
         hw = self.cfg.hardware
         n = len(alice_bits)
         physical = self.cfg.mode is Mode.PHYSICAL
+        eve = self.cfg.eve is not EveStrategy.NONE
         if physical:
             counts = (np.ones(n, dtype=np.int64) if hw.source.ideal_single_photon
                       else self.rng.poisson(hw.source.mean_photons, size=n))
+        elif uniforms is None:
+            uniforms = self.rng.random(2 * n if eve else n)
         # Born pass probability q of each pulse is table[2*sent + bob_bits],
         # sent being the index of the state on the link
-        if self.cfg.eve is EveStrategy.NONE:
+        if not eve:
             table, cells, sent = _PASS_TABLE, _PASS_CELLS, alice_bits
         else:
             # Eve measures the logical signal ahead of fiber loss; her
             # statistics commute with per-photon survival. A fail is a
             # 1-guess, and the guess indexes the state she forwards.
-            sent = _born_passes(self.rng.random(n), alice_bits, _EVE_CELLS) ^ 1
+            u = self.rng.random(n) if physical else uniforms[:n]
+            sent = _born_passes(u, alice_bits, _EVE_CELLS) ^ 1
             table, cells = _FWD_PASS, _FWD_CELLS
         if not physical:
-            hits = _born_passes(self.rng.random(n), 2 * sent + bob_bits, cells)
+            hits = _born_passes(uniforms[-n:], 2 * sent + bob_bits, cells)
         else:
             nonempty = np.flatnonzero(counts)
             k = self.rng.binomial(counts[nonempty], fiber_transmission(hw.fiber))
@@ -359,7 +398,7 @@ class PhysicsKernel:
             )
         if self.logs is not None:
             # one photon a pulse in Ideal mode; no guess without Eve or from an empty pulse
-            if self.cfg.eve is EveStrategy.NONE:
+            if not eve:
                 guesses = np.full(n, -1, dtype=np.int8)
             else:
                 guesses = sent.astype(np.int8)
@@ -396,44 +435,46 @@ def _split(key: np.ndarray, sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return key.compress(sample), key.compress(~sample)
 
 
-def block_parities(key: np.ndarray, block_size: int) -> np.ndarray:
-    """Per-block parity bits; a trailing partial block counts too."""
+def block_parities(key: np.ndarray, block_size: int, lengths=None) -> np.ndarray:
+    """Parity bits of a key's segments, ``block_size`` bits each from the
+    start of each of its blocks of ``lengths`` bits (the whole key one
+    block if None), so that each block's trailing partial segment counts
+    too."""
     if block_size < 2:
         raise ValueError("block_size must be >= 2")
     key = np.asarray(key, dtype=np.uint8)
-    return np.bitwise_xor.reduceat(key, np.arange(0, len(key), block_size)) & 1
+    if lengths is None or len(lengths) < 2:
+        starts = np.arange(0, len(key), block_size)
+    else:
+        ends = np.cumsum(lengths).tolist()
+        starts = _joined([np.arange(e - m, e, block_size) for e, m in zip(ends, lengths)], np.intp)
+    return np.bitwise_xor.reduceat(key, starts) & 1
 
 
-def apply_block_verdicts(key: np.ndarray, drop_mask: np.ndarray, block_size: int) -> np.ndarray:
-    """Drop flagged blocks whole; unflagged blocks lose their last bit
-    (paying for the parity that went over the public channel)."""
+def apply_block_verdicts(key: np.ndarray, drop_mask: np.ndarray, block_size: int,
+                         lengths=None) -> np.ndarray:
+    """Drop flagged segments whole; unflagged segments lose their last
+    bit (paying for the parity that went over the public channel). The
+    segments are those of ``block_parities`` with the same ``lengths``."""
     n = len(key)
-    n_blocks = math.ceil(n / block_size)
-    if len(drop_mask) != n_blocks:
-        raise ProtocolDesyncError(f"verdicts for {len(drop_mask)} blocks, key has {n_blocks}")
-    keep = np.repeat(np.asarray(drop_mask) == 0, block_size)[:n]
-    keep[block_size - 1::block_size] = False
-    keep[n - 1:] = False  # the last bit of a trailing partial block
+    lengths = [n] if lengths is None else lengths
+    segments = [-(-m // block_size) for m in lengths]
+    if len(drop_mask) != sum(segments):
+        raise ProtocolDesyncError(f"verdicts for {len(drop_mask)} blocks, key has {sum(segments)}")
+    # every segment padded to block_size slots; a block's bits fill its first slots
+    slots = np.repeat(np.asarray(drop_mask) == 0, block_size)
+    slots[block_size - 1::block_size] = False
+    if len(lengths) < 2:
+        keep = slots[:n]
+        keep[n - 1:] = False  # the last bit of a trailing partial segment
+    else:
+        keep, at = [], 0
+        for m, g in zip(lengths, segments):
+            keep.append(slots[at:at + m])
+            keep[-1][-1:] = False
+            at += g * block_size
+        keep = np.concatenate(keep)
     return np.asarray(key).compress(keep)
-
-
-def reconcile_block_parity(
-    alice_key: np.ndarray, bob_key: np.ndarray, block_size: int
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Block-parity error rejection over both keys at once.
-
-    Blocks whose parities disagree are discarded entirely; agreeing
-    blocks keep all but their last bit. Returns the two surviving keys
-    plus (bits_discarded_per_key, blocks_dropped).
-    """
-    if len(alice_key) != len(bob_key):
-        raise ProtocolDesyncError("keys differ in length")
-    pa = block_parities(alice_key, block_size)
-    pb = block_parities(bob_key, block_size)
-    drop = (pa != pb).astype(np.uint8)
-    a2 = apply_block_verdicts(alice_key, drop, block_size)
-    b2 = apply_block_verdicts(bob_key, drop, block_size)
-    return a2, b2, len(alice_key) - len(a2), int(drop.sum())
 
 
 def _evaluate_alarm(disclosed: int, ber: float, bias: float | None) -> str | None:
@@ -464,36 +505,36 @@ def _hello_payload(cfg: SessionConfig) -> dict:
 
 class _Party:
     """What both parties keep: the configuration, the public channel,
-    the party's own bit stream, and the per-block keys."""
+    the party's own bit stream, and the keys, one array a pass."""
 
     def __init__(self, cfg: SessionConfig, pipe: MessagePipe, seed: int):
         self.cfg = cfg
         self.pipe = pipe
         self.rng = np.random.default_rng(seed)
-        self.sifted_blocks: list[np.ndarray] = []
-        self.reconciled_blocks: list[np.ndarray] = []
+        self.sifted_passes: list[np.ndarray] = []
+        self.reconciled_passes: list[np.ndarray] = []
 
     def sifted_key(self) -> np.ndarray:
-        return _joined(self.sifted_blocks)
+        return _joined(self.sifted_passes)
 
     def reconciled_key(self) -> np.ndarray:
-        return _joined(self.reconciled_blocks)
+        return _joined(self.reconciled_passes)
 
 
 class AliceEngine(_Party):
     """Sender-side state machine; it owns the physics.
 
-    Each block it draws its bits, rebuilds the receiver's from the
-    shared seed, runs both through the PhysicsKernel, and sends the
-    hit flags, its sample's mask and its parities as one Block. Its
-    running counts of sifted bits, the receiver's zeros (of a key as long
-    as its own), disclosed bits and mismatches give ``ber``, ``bias``,
-    ``alarm_reason`` and ``alarm``. ``peer_step`` is called before each
-    read, where the sender waits for the receiver: its Hello and each
-    block's Answer. ``run_session`` passes one that advances the
-    receiver's ``steps()`` in the same thread; over TCP the receiver
-    runs in its own process and the default does nothing. ``logs`` goes
-    to the kernel.
+    Each pass it rebuilds the receiver's bits from the shared seed and
+    runs each block's own bits and the receiver's through the
+    PhysicsKernel; it sends the pass's hit flags, its sample's mask and
+    its parities as one Block. Its running counts of sifted bits, the
+    receiver's zeros (of a key as long as its own), disclosed bits and
+    mismatches give ``ber``, ``bias``, ``alarm_reason`` and ``alarm``.
+    ``peer_step`` is called before each read, where the sender waits
+    for the receiver: its Hello and each pass's Answer. ``run_session``
+    passes one that advances the receiver's ``steps()`` in the same
+    thread; over TCP the receiver runs in its own process and the
+    default does nothing. ``logs`` goes to the kernel.
     """
 
     def __init__(self, cfg: SessionConfig, pipe: MessagePipe, peer_step=lambda: None, logs=None):
@@ -501,12 +542,12 @@ class AliceEngine(_Party):
         self.peer_step = peer_step
         self.kernel = PhysicsKernel(cfg, np.random.default_rng(cfg.seed_physics), logs)
         self._bob_replica_rng = np.random.default_rng(cfg.seed_bob)
+        self.blocks_done = 0
         self.sifted_total = 0
         self.zeros_total = 0
         self.disclosed_total = 0
         self.mismatch_total = 0
 
-    blocks_done = property(lambda self: len(self.reconciled_blocks))
     rounds_sent = property(lambda self: self.blocks_done * self.cfg.bits_per_block)
     # the session's verdict so far, which ``run``'s continue_fn sees
     ber = property(lambda self: self.mismatch_total / self.disclosed_total
@@ -517,47 +558,64 @@ class AliceEngine(_Party):
                                                          self.bias))
     alarm = property(lambda self: self.alarm_reason is not None)
 
-    def run_block(self) -> None:
-        cfg = self.cfg
-        bits = generate_bits(cfg.bits_per_block, self.rng)
-        bob_bits = generate_bits(cfg.bits_per_block, self._bob_replica_rng)
-        hits = self.kernel.transmit_block(bits, bob_bits)
-        key = _sift(bits, hits)
-        self.sifted_blocks.append(key)
+    def run_block(self, count: int) -> None:
+        """One pass of ``count`` blocks: one Block and one Answer. The
+        sender's own stream runs a block at a time, as its sample's draw
+        follows each block's bits; the receiver's replica and the Ideal
+        kernel's uniforms are drawn once for the pass, exactly its
+        blocks' worth."""
+        n = self.cfg.bits_per_block
+        bob_bits = generate_bits(n, self._bob_replica_rng, count)
+        rows = self.kernel.uniforms(count)
+        hit_rows, keys, masks, lengths = [], [], [], []
+        for i in range(count):
+            bits = generate_bits(n, self.rng)
+            hit_rows.append(self.kernel.transmit_block(bits, bob_bits[i * n:(i + 1) * n], rows[i]))
+            keys.append(_sift(bits, hit_rows[-1]))
+            s = len(keys[-1])
+            k = int(self.cfg.error_sample_fraction * s)
+            masks.append(np.zeros(s, dtype=bool))
+            if k > 0:
+                masks[-1][self.rng.choice(s, size=k, replace=False)] = True
+            lengths.append(s - k)  # the block's key bits left after its sample
+        hits, key, mask = _joined(hit_rows), _joined(keys), _joined(masks, bool)
+        self.sifted_passes.append(key)
 
-        k = int(cfg.error_sample_fraction * len(key))
-        mask = np.zeros(len(key), dtype=bool)
-        if k > 0:
-            mask[self.rng.choice(len(key), size=k, replace=False)] = True
         mine, trimmed = _split(key, mask)
-        parities = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
+        parities = block_parities(trimmed, RECONCILE_BLOCK_SIZE, lengths)
         self.pipe.send("Block", {"results": hits, "sample": mask, "parities": parities})
         self.peer_step()
         answer = self.pipe.recv("Answer")
         values, zeros, drop = answer["values"], answer["zeros"], answer["discard"]
         if zeros > len(key):
             raise ProtocolDesyncError(f"zeros {zeros} exceed the {len(key)} sifted bits")
-        if len(values) != k:
-            raise ProtocolDesyncError(f"values of {len(values)} bits, expected {k}")
-        self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
+        if len(values) != len(mine):
+            raise ProtocolDesyncError(f"values of {len(values)} bits, expected {len(mine)}")
+        self.reconciled_passes.append(
+            apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE, lengths))
+        self.blocks_done += count
         self.sifted_total += len(key)
         self.zeros_total += zeros
-        self.disclosed_total += k
+        self.disclosed_total += len(mine)
         self.mismatch_total += np.count_nonzero(mine != values)
 
     def run(self, continue_fn) -> "AliceEngine":
-        """The whole session: the receiver's Hello, then blocks until
-        ``continue_fn(self)`` is false, then the Done. A Hello unlike
-        its own gets a Done with reason "config" before SessionAbort."""
+        """The whole session: the receiver's Hello, then a pass of one
+        block, then passes while ``continue_fn(self)`` allows: it gives
+        how many more blocks may run before it is asked again (a bool
+        counts as 0 or 1), and a pass holds at most ``PASS_PULSES``
+        pulses of them, or one block. Then the Done. A Hello unlike its
+        own gets a Done with reason "config" before SessionAbort."""
         self.peer_step()
         hello = self.pipe.recv("Hello")
         if hello != (mine := _hello_payload(self.cfg)):
             with contextlib.suppress(ChannelError):  # the mismatch is the error to report
                 self.pipe.send("Done", {"reason": "config"})
             raise SessionAbort(f"peer configuration mismatch: {hello} != {mine}")
-        self.run_block()
-        while continue_fn(self):
-            self.run_block()
+        most, more = max(1, PASS_PULSES // self.cfg.bits_per_block), 1
+        while more > 0:
+            self.run_block(min(more, most))
+            more = int(continue_fn(self))
         self.pipe.send("Done", {"reason": self.alarm_reason})
         return self
 
@@ -565,14 +623,14 @@ class AliceEngine(_Party):
 class BobEngine(_Party):
     """Receiver-side state machine.
 
-    It receives the hit record in each Block; its decisions read only
-    this party's bits and the messages, and it keeps no session tally.
-    ``steps()`` is the whole
-    session as a generator that yields before each read, which waits on
-    the sender. ``run_session`` advances it from the sender's
-    ``peer_step`` in one thread; ``run`` (TCP) exhausts it, and each
-    receive blocks on the socket. ``final`` is the Done that ended the
-    session; a Done "config" raises SessionAbort.
+    It receives the hit record of a pass in each Block; its decisions
+    read only this party's bits and the messages, and it keeps no
+    session tally. ``steps()`` is the whole session as a generator that
+    yields before each read, which waits on the sender. ``run_session``
+    advances it from the sender's ``peer_step`` in one thread; ``run``
+    (TCP) exhausts it, and each receive blocks on the socket. ``final``
+    is the Done that ended the session; a Done "config" raises
+    SessionAbort.
     """
 
     def __init__(self, cfg: SessionConfig, pipe: MessagePipe):
@@ -580,21 +638,35 @@ class BobEngine(_Party):
         self.final: dict | None = None
 
     def run_block(self, block: dict) -> None:
-        """One block: it answers the sender's Block, which ``steps()``
-        has read, so neither party writes while the other does."""
-        bits = generate_bits(self.cfg.bits_per_block, self.rng)
+        """One pass: it answers the sender's Block, which ``steps()``
+        has read, so neither party writes while the other does. The hit
+        record's length gives the pass's count of blocks, which it
+        bounds before it draws a bit."""
+        n = self.cfg.bits_per_block
+        results, most = block["results"], max(PASS_PULSES, n)
+        count, spare = divmod(len(results), n)
+        if not count or spare or len(results) > most:
+            raise ProtocolDesyncError(f"hit record of {len(results)} entries against {n} bits "
+                                      f"a block, at most {most} a pass")
         # _sift, _split and apply_block_verdicts check the counts of the other lists
-        key = _sift(bits, block["results"])
-        self.sifted_blocks.append(key)
+        key = _sift(generate_bits(n, self.rng, count), results)
+        self.sifted_passes.append(key)
 
-        sample, trimmed = _split(key, block["sample"] == 1)
-        mine = block_parities(trimmed, RECONCILE_BLOCK_SIZE)
+        sample = block["sample"] == 1
+        values, trimmed = _split(key, sample)
+        lengths = [len(trimmed)]
+        if count > 1:  # each block's end in the key, less the sample bits before it
+            ends = np.cumsum(results.reshape(count, n).sum(axis=1, dtype=np.int64))
+            kept = ends - np.searchsorted(np.flatnonzero(sample), ends)
+            lengths = np.diff(kept, prepend=0).tolist()
+        mine = block_parities(trimmed, RECONCILE_BLOCK_SIZE, lengths)
         if len(parities := block["parities"]) != len(mine):
             raise ProtocolDesyncError(f"parities of {len(parities)} bits, expected {len(mine)}")
         drop = (mine != parities).astype(np.uint8)
         zeros = len(key) - np.count_nonzero(key)
-        self.pipe.send("Answer", {"values": sample, "zeros": zeros, "discard": drop})
-        self.reconciled_blocks.append(apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE))
+        self.pipe.send("Answer", {"values": values, "zeros": zeros, "discard": drop})
+        self.reconciled_passes.append(
+            apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE, lengths))
 
     def steps(self):
         """The whole session; yields before each read that waits on the
@@ -607,7 +679,7 @@ class BobEngine(_Party):
             if "reason" in msg:  # the Done
                 if msg["reason"] == "config":
                     raise SessionAbort("the sender refused the Hello: configuration mismatch")
-                if not self.sifted_blocks:
+                if not self.sifted_passes:
                     raise ProtocolDesyncError("Done before any Block")
                 self.final = msg
                 return
@@ -629,9 +701,10 @@ def run_session(
 
     Both parties speak the wire protocol of ``b92sim chat``: the
     sender's ``peer_step`` advances the receiver's ``steps()`` before
-    each of its reads, of the Hello and of each block's Answer,
-    1 + n_blocks steps in all, and the receiver then runs to its end,
-    reading the Done; the report's verdict is the sender's. ``channel``
+    each of its reads, of the Hello and of each pass's Answer, and the
+    receiver then runs to its end, reading the Done; the report's
+    verdict is the sender's. After a first pass of one block, each pass
+    holds as many of the blocks left as ``PASS_PULSES`` allows. ``channel``
     may supply a (alice_transport, bob_transport) pair so tests can
     watch the frames; by default a loopback pair is built. The round record goes
     to ``logs`` if given, and nowhere otherwise: any object whose
@@ -649,7 +722,7 @@ def run_session(
     bob_steps = bob.steps()
     alice = AliceEngine(cfg, MessagePipe(t_a, sid), lambda: next(bob_steps, None), logs)
     try:
-        alice.run(lambda eng: eng.blocks_done < n_blocks)
+        alice.run(lambda eng: n_blocks - eng.blocks_done)
         for _ in bob_steps:
             pass
     except (ChannelError, ProtocolDesyncError, SessionAbort) as exc:

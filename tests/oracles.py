@@ -4,16 +4,19 @@
 one pulse, one gate or one state at a time, on the same random stream
 where a test compares draws. Each writes its law out rather than
 calling the kernel's helpers, so a test that compares the two checks
-the kernel independently.
+the kernel independently. ``reconcile_block_parity`` is the one that
+calls the engines' own steps: it reconciles a whole key as one block,
+the single-pass reference that the tests hold to a list-by-list brute
+force and that multi-block passes are compared with.
 """
 import math
 
 import numpy as np
 
-from b92sim.errors import ConfigError
+from b92sim.errors import ConfigError, ProtocolDesyncError
 from b92sim.hardware import DetectorParams, DetectorState, SourceParams
 from b92sim.photonics import b92_phase
-from b92sim.protocol import EveStrategy
+from b92sim.protocol import EveStrategy, apply_block_verdicts, block_parities
 from b92sim.qstate import ATOL, P_UP, StateVector, inner, measure
 
 
@@ -72,3 +75,23 @@ def eve_intercept(
 def states_equal(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
     """Equality up to an unobservable global phase: |<a|b>| = 1."""
     return abs(abs(inner(a, b)) - 1.0) <= atol
+
+
+def reconcile_block_parity(
+    alice_key: np.ndarray, bob_key: np.ndarray, block_size: int
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Block-parity error rejection over both keys at once, each key one
+    block: the single-pass reference for the engines' reconciliation.
+
+    Segments whose parities disagree are discarded entirely; agreeing
+    segments keep all but their last bit. Returns the two surviving keys
+    plus (bits_discarded_per_key, segments_dropped).
+    """
+    if len(alice_key) != len(bob_key):
+        raise ProtocolDesyncError("keys differ in length")
+    pa = block_parities(alice_key, block_size)
+    pb = block_parities(bob_key, block_size)
+    drop = (pa != pb).astype(np.uint8)
+    a2 = apply_block_verdicts(alice_key, drop, block_size)
+    b2 = apply_block_verdicts(bob_key, drop, block_size)
+    return a2, b2, len(alice_key) - len(a2), int(drop.sum())

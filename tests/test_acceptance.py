@@ -40,7 +40,6 @@ from b92sim.protocol import (
     bob_projector,
     generate_bits,
     predict_key_rate,
-    reconcile_block_parity,
     run_session,
 )
 from b92sim.qstate import (
@@ -54,6 +53,8 @@ from b92sim.qstate import (
     measure,
     pass_probability,
 )
+
+from oracles import reconcile_block_parity
 
 BIT_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

@@ -464,7 +464,7 @@ def test_chat_receiver_refuses_an_empty_ciphertext(capsys):
 def test_chat_receiver_refuses_a_done_before_any_block(capsys, monkeypatch):
     # a sender that takes the Hello and ends the session at once: every
     # session runs a block, so the receiver refuses the Done
-    monkeypatch.setattr(AliceEngine, "run_block", lambda self: None)
+    monkeypatch.setattr(AliceEngine, "run_block", lambda self, count: None)
     code, out, err = chat_receiver_against_one_block([], capsys)
     assert code == 3
     assert err == "transport error: Done before any Block\n"

@@ -22,10 +22,9 @@ def test_star_import_binds_exactly_the_exports():
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "b92sim"
 
-# Scalar references that only the tests call live in tests/oracles.py;
-# this one stays in src/ because acceptance criterion 12 imports it from
-# b92sim.protocol.
-TEST_ORACLES = {"reconcile_block_parity"}
+# Scalar references that only the tests call live in tests/oracles.py,
+# and none stays in src/.
+TEST_ORACLES = set()
 
 # Other names that only the tests read, each with the reason it stays.
 TESTED_ONLY = {

@@ -60,7 +60,6 @@ from b92sim.protocol import (
     bob_projector,
     generate_bits,
     predict_key_rate,
-    reconcile_block_parity,
     run_session,
 )
 from b92sim.photonics import central_window
@@ -69,6 +68,7 @@ from b92sim.qstate import DOWN, P_LEFT, RIGHT, UP, inner, pass_probability
 from oracles import (
     effective_hit_prob,
     eve_intercept,
+    reconcile_block_parity,
     sample_photon_count,
     states_equal,
     thin_photons,
@@ -134,6 +134,26 @@ def test_generate_bits_equals_numpys_uint8_draw(n, before):
 def test_generate_bits_rejects_zero():
     with pytest.raises(ValueError):
         generate_bits(0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        generate_bits(8, np.random.default_rng(0), blocks=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1023, 1024, 1025])
+@pytest.mark.parametrize("before", ["fresh", "choice"])
+def test_generate_bits_of_a_pass_equal_one_call_a_block(n, before):
+    # a pass's draw gives each block its own whole 32-bit words: where
+    # n % 4 != 0 a block's last word has spare bytes, which a call of its
+    # own drops, so the rows and the state after are those of k calls
+    for seed in (0, 5):
+        whole, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        if before == "choice":  # half a 64-bit word buffered
+            for rng in (whole, single):
+                rng.choice(1000, size=10, replace=False)
+        got = generate_bits(n, whole, blocks=6)
+        want = np.concatenate([generate_bits(n, single) for _ in range(6)])
+        assert got.dtype == np.uint8 and got.shape == (6 * n,)
+        assert np.array_equal(got, want)
+        assert whole.bit_generator.state == single.bit_generator.state
 
 
 def test_preparation_and_measurement_tables():
@@ -335,9 +355,12 @@ class RewritingTransport:
 def zeros_transport(inner, logs, cfg, zeros_of):
     """The receiver's transport, with the zero count of each Answer
     replaced by ``zeros_of(sifted)``: ``sifted`` is the length of the
-    block's sifted key, the hits of the block's record in ``logs``."""
+    pass's sifted key, the hits ``logs`` took since the last Answer."""
+    seen = [0]
+
     def payload(p):
-        sifted = int(np.count_nonzero(logs.hits[-cfg.bits_per_block:]))
+        hits = logs.hits
+        sifted, seen[0] = int(np.count_nonzero(hits[seen[0]:])), len(hits)
         return {**p, "zeros": zeros_of(sifted)}
     return RewritingTransport(inner, "Answer", payload)
 
@@ -424,13 +447,13 @@ def test_mistyped_frame_to_the_receiver_aborts(kind, payload, message):
                     channel=(RewritingTransport(t_a, kind, payload), t_b))
 
 
-def first_only(rewrite):
-    """``rewrite`` for the first payload it is given; later ones pass unchanged."""
+def only_the(number, rewrite):
+    """``rewrite`` for the ``number``-th payload it is given; the others pass unchanged."""
     seen = []
 
     def payload(p):
         seen.append(p)
-        return rewrite(p) if len(seen) == 1 else p
+        return rewrite(p) if len(seen) == number else p
 
     return payload
 
@@ -479,13 +502,13 @@ def test_a_refused_hello_gets_a_done_that_names_the_refusal():
             continue
         with pytest.raises(SessionAbort, match="^the sender refused the Hello: configuration"):
             next(steps)
-        assert bob.final is None and not bob.sifted_blocks
+        assert bob.final is None and not bob.sifted_passes
 
 
 def test_a_done_before_any_block_aborts(monkeypatch):
     # the receiver's read after its Hello takes a Block or a Done, and
     # every session runs a block: a sender that ends at once breaks the protocol
-    def send_done(self):
+    def send_done(self, count):
         self.pipe.send("Done", {"reason": None})
         self.peer_step()
 
@@ -538,6 +561,13 @@ HELLO_ROWS, HELLO_IDS = zip(*hello_cases())
 @pytest.mark.parametrize("sender, kind, payload, message", [
     ("alice", "Block", shortened("results"), "hit record of 1016 entries against 1024 bits"),
     ("alice", "Block", lengthened("results"), "hit record of 1032 entries against 1024 bits"),
+    ("alice", "Block", lambda p: {**p, "results": np.zeros(0, np.uint8)},
+     "hit record of 0 entries against 1024 bits a block, at most 32768 a pass"),
+    ("alice", "Block", lambda p: {**p, "results": np.zeros(33 * 1024, np.uint8)},
+     "hit record of 33792 entries against 1024 bits a block, at most 32768 a pass"),
+    # two whole blocks, which the sample mask of one does not fit
+    ("alice", "Block", lambda p: {**p, "results": np.tile(p["results"], 2)},
+     "error-check mask does not match the key length"),
     ("alice", "Block", shortened("sample"), "error-check mask does not match the key length"),
     ("alice", "Block", lengthened("sample"), "error-check mask does not match the key length"),
     ("bob", "Answer", shortened("values"), WRONG_COUNT),
@@ -553,7 +583,8 @@ HELLO_ROWS, HELLO_IDS = zip(*hello_cases())
     ("bob", "Hello", double_in("Hello", "bits_per_block"), "4 bytes trail the Hello payload"),
     ("bob", "Hello", double_in("Hello", "wire_version"), "4 bytes trail the Hello payload"),
     *HELLO_ROWS,
-], ids=["results", "results_long", "indices", "indices_long", "values", "values_long",
+], ids=["results", "results_long", "results_empty", "results_past_a_pass", "results_two_blocks",
+        "indices", "indices_long", "values", "values_long",
         "parities", "parities_long", "parities_not_hex",
         "discard", "discard_long", "hello_wire_version",
         "hello_bits_per_block_float", "hello_wire_version_float",
@@ -572,6 +603,27 @@ def test_inconsistent_frame_from_a_peer_aborts(sender, kind, payload, message):
     # a configuration verdict is the engine's own; every other check is a desync
     cause = SessionAbort if "configuration" in message else ProtocolDesyncError
     assert isinstance(info.value.__cause__, cause)
+
+
+def test_an_answer_is_held_to_its_whole_pass():
+    # three blocks run as passes of one and two: the second Answer must
+    # count the zeros and give the verdicts of both of its blocks
+    cfg = make_cfg(bits_per_block=1024)
+    to_bob = []
+    t_a, t_b = loopback_pair()
+    alice, _ = run_in_process(cfg, full_passes(3), channel=(RecordingTransport(t_a, to_bob), t_b))
+    sifted = len(alice.sifted_passes[1])
+    segments = len(decode_frame(to_bob[1][4:])["payload"]["parities"])
+    assert len(alice.sifted_passes[0]) < sifted
+    for rewrite, message in (
+        (lambda p: {**p, "zeros": sifted + 1}, f"zeros {sifted + 1} exceed the {sifted} sifted"),
+        (lengthened("discard"), f"verdicts for {segments + 8} blocks, key has {segments}"),
+        (shortened("discard"), f"verdicts for {segments - 8} blocks, key has {segments}"),
+    ):
+        t_a, t_b = loopback_pair()
+        with pytest.raises(ProtocolDesyncError, match=message):
+            run_in_process(cfg, full_passes(3),
+                           channel=(t_a, RewritingTransport(t_b, "Answer", only_the(2, rewrite))))
 
 
 # (sender, kind) for every message a session sends
@@ -593,7 +645,7 @@ def test_a_message_off_its_schema_aborts_the_session(sender, kind):
                 channel=(watch, t_b) if sender == "alice" else (t_a, watch))
     causes = {}
     for case in dict(broken(kind, seen[0])):
-        rewrite = first_only(lambda p, case=case: dict(broken(kind, p))[case])
+        rewrite = only_the(1, lambda p, case=case: dict(broken(kind, p))[case])
         t_a, t_b = loopback_pair()
         if sender == "alice":
             t_a = RewritingTransport(t_a, kind, rewrite)
@@ -750,6 +802,29 @@ def test_reconcile_edge_cases_match_brute_force_oracle(block_size):
         assert assert_matches_oracle(alice, bob, block_size) == n_blocks
         bob = alice ^ (rng.random(n) < 0.2).astype(np.uint8)
         assert_matches_oracle(alice, bob, block_size)
+
+
+@pytest.mark.parametrize("block_size", [2, 3, 8])
+def test_segments_of_a_pass_are_those_of_each_block_alone(block_size):
+    # with the blocks' lengths, parities and verdicts run over a pass's
+    # key as over each block's key alone: segments start at each block's
+    # start, and a block's trailing partial segment is its own; empty
+    # blocks hold no segment
+    rng = np.random.default_rng(block_size)
+    lengths = [0, 1, block_size - 1, block_size, block_size + 1, 0, 17, 3 * block_size, 0]
+    blocks = [rng.integers(0, 2, m, dtype=np.uint8) for m in lengths]
+    key = np.concatenate(blocks)
+    parities = block_parities(key, block_size, lengths)
+    alone = [block_parities(b, block_size) for b in blocks]
+    assert parities.dtype == np.uint8
+    assert parities.tolist() == np.concatenate(alone).tolist()
+    drop = rng.integers(0, 2, len(parities), dtype=np.uint8)
+    cuts = np.cumsum([len(p) for p in alone])[:-1]
+    want = [apply_block_verdicts(b, d, block_size) for b, d in zip(blocks, np.split(drop, cuts))]
+    got = apply_block_verdicts(key, drop, block_size, lengths)
+    assert got.tolist() == np.concatenate(want).tolist()
+    with pytest.raises(ProtocolDesyncError, match="verdicts for"):
+        apply_block_verdicts(key, drop[1:], block_size, lengths)
 
 
 def test_apply_block_verdicts_checks_the_verdict_count():
@@ -912,28 +987,28 @@ def test_golden_digests_of_key_and_hits(name):
 # sha256 of all frames each party sends in the GOLDEN_SESSIONS, one
 # stream per direction (each frame carries its length prefix), with the
 # frame count: (sender to receiver, receiver to sender). Computed with
-# the binary frames of wire version 5; the wire format must not move by
-# one byte.
+# the binary frames of wire version 6, where a pass of the sessions of
+# three blocks holds two; the wire format must not move by one byte.
 GOLDEN_FRAMES = {
     "ideal": (
-        (4, "d2a767789bb68a422ad4edf02f36be7d75534de9f1dcb51945d711033925d9e0"),
-        (4, "60327c09d6ae5eb4ed56e84d3f694def147e536363cc04b55a6acb1acb1256b8"),
+        (3, "81a679b959df8db27d6c81115f19a6b15039247c552ac533e10ca0243485fa12"),
+        (3, "5b6012c3f2016a0f45bc5d2a5675b37bea5680a2dc6402806f9c756ff1b500e0"),
     ),
     "ideal_fixed_projection": (
         (3, "5fc027168417260489b063dd62acb77969e4a134ee02bb8dae36fb9aa7e38193"),
-        (3, "d75aae1893a6bb7aa3c2f778e6209d6f3777d6ea355b4f9d88ddbf2dea7c66d5"),
+        (3, "8bee679c48c6e5e2c4c74a5fa126a5787cb912d3ada51cc2f5f71b76dc804228"),
     ),
     "physical_afterpulse": (
-        (4, "0bf71acabcaa71448df134ff88a13c5d15f92c5ffd00b51bcb4455efbe98f6f1"),
-        (4, "2ab15b9e613d19a1b477ac75cdc8e52495f75eb7fb561ea99bc80fde3a2341f4"),
+        (3, "81583180bb79fdcaa2350399dd8e56835bd3b65db189c3c98cae1a61cd282adb"),
+        (3, "83c04cf3bef7db0863359adacd3bfadb3d9f87f2e8060a84108acb1ace799634"),
     ),
     "physical_fixed_projection": (
         (3, "6688ec5b9e8519c572778ce5face0692e3ccb3fa7bc2d5e3173afdb02d0b1877"),
-        (3, "8693c63c1bffe3bdd6ae1f187e53aa70af37da0ea13485869078df73fd1e3b12"),
+        (3, "24bc7ba88e5bb847f502c2efc20f486e97746bf98a1f80c17e73c426ff3c1cf2"),
     ),
     "physical_multiphoton": (
         (3, "87a03166f2e31dba7b472826865913a92c3f8e29561daab77e5acb408c1406b0"),
-        (3, "8e333df2f450466113656f1112d212c88d8727e02eabc5725c805f3f106be9df"),
+        (3, "375a81dcd9969130f7dd487d01463660b7e3e3e51075131e6ded954dd99f54c9"),
     ),
 }
 
@@ -1092,13 +1167,39 @@ def socket_pair(buffer=None, timeout=30.0):
     return SocketTransport(s_a, timeout=timeout), SocketTransport(s_b, timeout=timeout)
 
 
+def full_passes(n_blocks):
+    """run_session's stop rule: as many of the blocks left as a pass holds."""
+    return lambda eng: n_blocks - eng.blocks_done
+
+
+def one_block_a_pass(n_blocks):
+    """A stop rule that answers a bool, as the chat's does: one block a pass."""
+    return lambda eng: eng.blocks_done < n_blocks
+
+
+def run_in_process(cfg, rule, channel=None, logs=None):
+    """Both engines in one thread, as ``run_session`` runs them, with
+    the sender's stop rule ``rule``; returns the two engines."""
+    t_a, t_b = channel if channel is not None else loopback_pair()
+    sid = cfg.session_id()
+    bob = BobEngine(cfg, MessagePipe(t_b, sid))
+    steps = bob.steps()
+    alice = AliceEngine(cfg, MessagePipe(t_a, sid), lambda: next(steps, None), logs)
+    alice.run(rule)
+    for _ in steps:
+        pass
+    return alice, bob
+
+
 def run_two_process(cfg, n_blocks=1, record_to_bob=None, record_to_alice=None, logs=None,
-                    buffer=None, timeout=30.0, transcript=None):
+                    buffer=None, timeout=30.0, transcript=None, rule=full_passes):
     """Both engines in wire mode (sender owns the physics), each in its
     own thread over a socket pair, where every receive blocks; the
     sender's round log goes to ``logs``, if given. ``buffer`` and
     ``timeout`` go to ``socket_pair``; ``transcript``, if given, is a
-    list that takes each party's frames as ``TranscriptTransport`` logs them."""
+    list that takes each party's frames as ``TranscriptTransport`` logs
+    them. ``rule(n_blocks)`` is the sender's stop rule, by default
+    ``run_session``'s."""
     t_a, t_b = socket_pair(buffer, timeout)
     if record_to_bob is not None:
         t_a = RecordingTransport(t_a, record_to_bob)
@@ -1114,7 +1215,7 @@ def run_two_process(cfg, n_blocks=1, record_to_bob=None, record_to_alice=None, l
 
     def alice_main():
         try:
-            alice.run(lambda eng: eng.blocks_done < n_blocks)
+            alice.run(rule(n_blocks))
         except Exception as exc:
             failures.append(exc)
             t_a.close()
@@ -1165,6 +1266,57 @@ def test_two_process_mode_equals_in_process():
         assert alice.ber == rep.ber_estimate
 
 
+def stream_states(alice, bob):
+    """The state of the sender's stream, its replica of the receiver's,
+    the physics stream and the receiver's own."""
+    return [rng.bit_generator.state for rng in
+            (alice.rng, alice._bob_replica_rng, alice.kernel.rng, bob.rng)]
+
+
+PASS_CASES = {
+    "ideal": (make_cfg(), 70),
+    "ideal_eve_fixed": (make_cfg(eve=EveStrategy.FIXED_PROJECTION), 40),
+    "physical_afterpulse": (
+        make_cfg(mode=Mode.PHYSICAL, hardware=afterpulsing_hw(), bits_per_block=2048), 40),
+    "physical_eve_fixed": (
+        make_cfg(mode=Mode.PHYSICAL, eve=EveStrategy.FIXED_PROJECTION, bits_per_block=4096,
+                 hardware=HardwareProfile(source=SourceParams(mean_photons=3.0))), 20),
+    "bits_1": (make_cfg(bits_per_block=1), 200),
+    "bits_7": (make_cfg(bits_per_block=7), 300),
+    "bits_1023": (make_cfg(bits_per_block=1023), 70),
+}
+
+
+@pytest.mark.parametrize("name", list(PASS_CASES))
+def test_passes_of_many_blocks_equal_one_block_a_pass(name):
+    # the same session run in full passes and with a one-block stop
+    # rule: the same keys of both parties, the same verdict, the same
+    # round log and the same end state of all four streams
+    cfg, n_blocks = PASS_CASES[name]
+    assert protocol.PASS_PULSES // cfg.bits_per_block > 1
+    runs = []
+    for rule in (full_passes, one_block_a_pass):
+        logs = RoundLogs()
+        runs.append((*run_in_process(cfg, rule(n_blocks), logs=logs), logs))
+    (alice, bob, logs), (alice_1, bob_1, logs_1) = runs
+    assert len(alice.sifted_passes) < len(alice_1.sifted_passes) == n_blocks
+    assert alice.blocks_done == alice_1.blocks_done == n_blocks
+    for get in (AliceEngine.sifted_key, AliceEngine.reconciled_key):
+        for party, party_1 in ((alice, alice_1), (bob, bob_1)):
+            assert np.array_equal(get(party), get(party_1))
+    assert len(alice.sifted_key()) > 0  # a 1-bit block's segment pays its only bit
+    assert (alice.ber, alice.bias, alice.alarm_reason) == (
+        alice_1.ber, alice_1.bias, alice_1.alarm_reason)
+    for column in LOG_DTYPES:
+        assert np.array_equal(getattr(logs, column), getattr(logs_1, column)), column
+    assert stream_states(alice, bob) == stream_states(alice_1, bob_1)
+    assert alice.kernel.detector_state == alice_1.kernel.detector_state
+    # and run_session's report is that of the full passes
+    rep = run_session(cfg, n_blocks=n_blocks)
+    assert np.array_equal(rep.reconciled_key, alice.reconciled_key())
+    assert np.array_equal(rep.sifted_key_bob, bob.sifted_key())
+
+
 def test_a_large_block_over_small_socket_buffers_does_not_stall():
     # a 2M-pulse Block is many times a 4 kB socket buffer: the receiver
     # reads the whole Block before it answers, so the two never write
@@ -1197,10 +1349,22 @@ class TranscriptTransport:
         self.inner.close()
 
 
-def test_each_block_is_one_exchange(monkeypatch):
-    # two frames a block, the sender's Block and the receiver's Answer;
-    # the first Block accepts the Hello, and one Done ends the session
-    log, steps = [], []
+def exchanges(passes):
+    """The transcript of a session of these passes: two frames a pass,
+    after the Hello, and one Done at the end."""
+    expected = [("bob", "send", "Hello"), ("alice", "recv", "Hello")]
+    for _ in passes:
+        expected += [("alice", "send", "Block"), ("bob", "recv", "Block"),
+                     ("bob", "send", "Answer"), ("alice", "recv", "Answer")]
+    return expected + [("alice", "send", "Done"), ("bob", "recv", "Done")]
+
+
+def test_each_pass_is_one_exchange(monkeypatch):
+    # two frames a pass, the sender's Block and the receiver's Answer;
+    # the first Block, of one block, accepts the Hello, each later pass
+    # holds as many of the blocks left as PASS_PULSES allows, and one
+    # Done ends the session
+    log, steps, to_bob = [], [], []
 
     class CountingSender(AliceEngine):
         def __init__(self, cfg, pipe, peer_step, logs):
@@ -1209,22 +1373,30 @@ def test_each_block_is_one_exchange(monkeypatch):
     monkeypatch.setattr(protocol, "AliceEngine", CountingSender)
     t_a, t_b = loopback_pair()
     cfg = make_cfg(bits_per_block=1024)
-    run_session(cfg, n_blocks=3, channel=(
-        TranscriptTransport(t_a, "alice", log), TranscriptTransport(t_b, "bob", log)))
-    expected = [("bob", "send", "Hello"), ("alice", "recv", "Hello")]
-    for _ in range(3):
-        expected += [("alice", "send", "Block"), ("bob", "recv", "Block"),
-                     ("bob", "send", "Answer"), ("alice", "recv", "Answer")]
-    expected += [("alice", "send", "Done"), ("bob", "recv", "Done")]
-    assert log == expected
-    assert len(steps) == 1 + 3
+    passes = [1, protocol.PASS_PULSES // 1024, 7]
+    rep = run_session(cfg, n_blocks=sum(passes), channel=(
+        TranscriptTransport(RecordingTransport(t_a, to_bob), "alice", log),
+        TranscriptTransport(t_b, "bob", log)))
+    assert rep.n_rounds == 1024 * sum(passes)
+    assert log == exchanges(passes)
+    assert len(steps) == 1 + len(passes)
+    blocks = [decode_frame(raw[4:])["payload"]["results"] for raw in to_bob[:-1]]
+    assert [len(results) for results in blocks] == [1024 * k for k in passes]
     assert not inspect.isgeneratorfunction(BobEngine.run_block)
+    # a stop rule that answers a bool, as the chat's does, runs one block a pass
+    log.clear()
+    t_a, t_b = loopback_pair()
+    run_in_process(cfg, one_block_a_pass(3), channel=(
+        TranscriptTransport(t_a, "alice", log), TranscriptTransport(t_b, "bob", log)))
+    assert log == exchanges([1, 1, 1])
     # over sockets each party runs in its own thread: the order of each
     # party's own sends and reads is the same
-    over_sockets = []
-    run_two_process(cfg, n_blocks=3, transcript=over_sockets)
-    for party in ("alice", "bob"):
-        assert [e for e in over_sockets if e[0] == party] == [e for e in expected if e[0] == party]
+    for rule, passes in ((full_passes, [1, 2]), (one_block_a_pass, [1, 1, 1])):
+        over_sockets = []
+        run_two_process(cfg, n_blocks=3, transcript=over_sockets, rule=rule)
+        for party in ("alice", "bob"):
+            assert ([e for e in over_sockets if e[0] == party]
+                    == [e for e in exchanges(passes) if e[0] == party])
 
 
 def test_message_schema_and_results_content():
@@ -1262,9 +1434,8 @@ def test_a_round_log_touches_no_draw(cfg):
     for logs in (None, RoundLogs()):
         frames = []
         alice, bob = run_two_process(cfg, n_blocks=3, record_to_bob=frames, logs=logs)
-        streams = [rng.bit_generator.state for rng in
-                   (alice.rng, alice._bob_replica_rng, alice.kernel.rng, bob.rng)]
-        runs.append((alice.reconciled_key(), bob.reconciled_key(), frames, streams))
+        runs.append((alice.reconciled_key(), bob.reconciled_key(), frames,
+                     stream_states(alice, bob)))
     (key_a, key_b, frames, streams), logged = runs
     assert np.array_equal(key_a, logged[0]) and np.array_equal(key_b, logged[1])
     assert frames == logged[2] and streams == logged[3]
