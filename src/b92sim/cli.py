@@ -52,6 +52,7 @@ from .protocol import (
     Mode,
     SessionConfig,
     analytic_ber,
+    block_yield,
     checked_seed,
     predict_key_rate,
     run_session,
@@ -282,7 +283,8 @@ def _render_ciphertext(bits: np.ndarray) -> str:
 # the chat sender stops: the key of such a link would never grow. A
 # 1024-pulse block sifts nothing with a chance of about 0.27 at the
 # defaults and 0.8 at 25 km; in-process chats out to 30 km never
-# reached 64 such blocks in a row.
+# reached 64 such blocks in a row. No pass runs past this stop: it
+# holds at most the empty blocks still left before it.
 CHAT_EMPTY_BLOCKS = 64
 
 # characters of a chat message: its Ciphertext, 8 bits a character, is
@@ -290,25 +292,40 @@ CHAT_EMPTY_BLOCKS = 64
 MAX_CHAT_CHARS = MAX_BITS_PER_BLOCK // 8
 
 
-def _chat_continue(needed: int):
+def _chat_continue(needed: int, top: int):
     """The chat sender's continue function: run blocks until the
     reconciled key covers ``needed`` bits, but stop once the alarm has
     been up over CHAT_EMPTY_BLOCKS blocks in a row that sifted no bit.
-    It is asked after each pass, and as its answer is a bool each pass
-    is one block, so it counts the key as it grows."""
+    It is asked after each pass, and it asks only for blocks that this
+    rule, asked after every block, would run: no more than the empty
+    blocks left before the stop, and too few, at the ``top`` bits a
+    block yields at most, to cover ``needed`` before the last of them.
+    So the chat runs the blocks, and distills the keys, of one block a
+    pass, in fewer exchanges."""
     empty = have = 0
 
-    def more(eng) -> bool:
+    def more(eng) -> int:
         nonlocal empty, have
         have += len(eng.reconciled_passes[-1])
-        empty = empty + 1 if eng.alarm and not len(eng.sifted_passes[-1]) else 0
-        return empty < CHAT_EMPTY_BLOCKS and have < needed
+        # a block that sifts nothing moves no tally, so the pass's
+        # trailing run of them saw the alarm as the pass left it
+        for kept in eng.pass_lengths:
+            empty = 0 if kept else empty + 1
+        empty = empty if eng.alarm else 0
+        if empty >= CHAT_EMPTY_BLOCKS or have >= needed:
+            return 0
+        return min(CHAT_EMPTY_BLOCKS - empty, -(-(needed - have) // top))
 
     return more
 
 
 def _cmd_chat(args) -> int:
     cfg = _session_config(args)
+    n = cfg.bits_per_block
+    sample, top = block_yield(n, cfg.error_sample_fraction)
+    if not sample:  # at the sample fraction of 1/4 that takes n >= 4, so top >= 2
+        raise ConfigError(f"--bits-per-block {n} is too small for a chat: a block of {n} "
+                          f"pulses discloses no error-sample bit, so the alarm would never clear")
     if args.role == "alice":
         if not args.listen:
             raise ConfigError("--role alice requires --listen HOST:PORT")
@@ -329,15 +346,15 @@ def _cmd_chat(args) -> int:
         pipe = MessagePipe(SocketTransport(accept_one(listener)), cfg.session_id())
         try:
             alice = AliceEngine(cfg, pipe)
-            alice.run(_chat_continue(needed))
+            alice.run(_chat_continue(needed, top))
             if alice.alarm:
                 print(f"alarm ({alice.alarm_reason}): key discarded, nothing sent")
                 return 1
             pad = pad_from_key(alice.reconciled_key(), n_symbols=needed)
             cipher, _ = encrypt(plain, pad)
             pipe.send("Ciphertext", {"bits": cipher.symbols})
-            print(f"blocks: {alice.blocks_done}  key bits: {len(alice.reconciled_key())} "
-                  f"ber: {alice.ber:.4f}")
+            print(f"blocks: {alice.blocks_done}  passes: {len(alice.reconciled_passes)}  "
+                  f"key bits: {len(alice.reconciled_key())} ber: {alice.ber:.4f}")
             print(f"ciphertext: {_render_ciphertext(cipher.symbols)}")
         finally:
             pipe.close()

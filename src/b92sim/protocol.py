@@ -23,7 +23,9 @@ Answer carries the sample's values, the pass's count of zeros and the
 discard list. Each block keeps its own sample and its own parity
 segments, so a pass of k blocks gives the keys of k passes of one.
 The sender's stop rule sets how many blocks the next pass may hold:
-``run_session`` runs full passes, ``b92sim chat`` one block a pass.
+``run_session`` runs full passes; ``b92sim chat`` asks only for blocks
+that a stop rule asked after every block would run, so it runs that
+rule's blocks in fewer passes.
 The sender keeps every session tally. One Done from the sender ends
 the session with the alarm's reason. The sender calls an injected
 ``peer_step`` before each read, of the Hello and of each pass's
@@ -477,6 +479,17 @@ def apply_block_verdicts(key: np.ndarray, drop_mask: np.ndarray, block_size: int
     return np.asarray(key).compress(keep)
 
 
+def block_yield(n: int, sample_fraction: float) -> tuple[int, int]:
+    """The most error-sample bits and reconciled bits that one block of
+    ``n`` pulses gives: every pulse hits, the sample takes its fraction
+    of them, rounded down, and each segment of the rest pays one bit to
+    ``apply_block_verdicts`` (none is dropped). A block that sifts fewer
+    bits gives no more of either."""
+    sample = int(sample_fraction * n)
+    rest = n - sample
+    return sample, rest - -(-rest // RECONCILE_BLOCK_SIZE)
+
+
 def _evaluate_alarm(disclosed: int, ber: float, bias: float | None) -> str | None:
     """The alarm's reasons, or None. With no disclosed sample the error
     rate is unknown, so the session fails closed with reason "sample"."""
@@ -543,6 +556,9 @@ class AliceEngine(_Party):
         self.kernel = PhysicsKernel(cfg, np.random.default_rng(cfg.seed_physics), logs)
         self._bob_replica_rng = np.random.default_rng(cfg.seed_bob)
         self.blocks_done = 0
+        # each block of the last pass: its key bits left after its
+        # sample, 0 exactly for a block that sifted nothing
+        self.pass_lengths: list[int] = []
         self.sifted_total = 0
         self.zeros_total = 0
         self.disclosed_total = 0
@@ -593,6 +609,7 @@ class AliceEngine(_Party):
             raise ProtocolDesyncError(f"values of {len(values)} bits, expected {len(mine)}")
         self.reconciled_passes.append(
             apply_block_verdicts(trimmed, drop, RECONCILE_BLOCK_SIZE, lengths))
+        self.pass_lengths = lengths
         self.blocks_done += count
         self.sifted_total += len(key)
         self.zeros_total += zeros
@@ -601,11 +618,14 @@ class AliceEngine(_Party):
 
     def run(self, continue_fn) -> "AliceEngine":
         """The whole session: the receiver's Hello, then a pass of one
-        block, then passes while ``continue_fn(self)`` allows: it gives
-        how many more blocks may run before it is asked again (a bool
-        counts as 0 or 1), and a pass holds at most ``PASS_PULSES``
-        pulses of them, or one block. Then the Done. A Hello unlike its
-        own gets a Done with reason "config" before SessionAbort."""
+        block, then passes while ``continue_fn(self)`` allows: asked
+        after each pass, it gives how many more blocks may run before it
+        is asked again (a bool counts as 0 or 1), and a pass holds at
+        most ``PASS_PULSES`` pulses of them, or one block. A rule that
+        judges each block, as the chat's does, asks only for blocks it
+        would run one at a time: the pass gives the same keys. Then the
+        Done. A Hello unlike its own gets a Done with reason "config"
+        before SessionAbort."""
         self.peer_step()
         hello = self.pipe.recv("Hello")
         if hello != (mine := _hello_payload(self.cfg)):

@@ -608,14 +608,34 @@ def test_chat_receiver_learns_why_its_hello_was_refused():
     assert "ciphertext" not in a_out and b_out == ""
 
 
+def blocks_and_passes(sender_out: str) -> tuple[int, int]:
+    """The counts of the sender's ``blocks: N  passes: P  key bits: …`` line."""
+    words = sender_out.split("blocks: ")[1].split()
+    assert words[1] == "passes:"
+    return int(words[0]), int(words[2])
+
+
 def test_physical_chat_at_the_defaults_delivers_a_multi_block_message():
     # the key needs many blocks, and the sample alarm is up until one of
     # them sifts 4 bits; the empty-block stop must not end the chat
     (a_code, a_out, _), (b_code, b_out, _) = run_chat_processes("HELLO BOB",
                                                                 ["--mode", "physical"])
     assert a_code == b_code == 0, (a_out, b_out)
-    assert int(a_out.split("blocks: ")[1].split()[0]) > CHAT_EMPTY_BLOCKS
+    blocks, passes = blocks_and_passes(a_out)
+    assert blocks > CHAT_EMPTY_BLOCKS
+    assert passes <= blocks
     assert "decrypted: HELLO BOB" in b_out
+
+
+def test_ideal_chat_of_1800_characters_runs_many_blocks_a_pass():
+    # the 86 blocks that asking after every block runs, in at most 16
+    # exchanges; the message still arrives
+    message = "QKD " * 450
+    (a_code, a_out, _), (b_code, b_out, _) = run_chat_processes(message, [])
+    assert a_code == b_code == 0, (a_out, b_out)
+    blocks, passes = blocks_and_passes(a_out)
+    assert passes <= 16 and blocks > 80
+    assert f"decrypted: {message}\n" in b_out
 
 
 def test_model_validity_error_exits_2_with_its_cause(capsys):
@@ -778,6 +798,28 @@ def test_chat_port_out_of_range_exits_2_before_any_socket(capsys, argv, port):
     assert f"port {port} " in err
     assert out == ""
     assert time.monotonic() - start < 0.5
+
+
+@pytest.mark.parametrize("role", [
+    ["--role", "alice", "--listen", "127.0.0.1:0", "--message", "hi"],
+    ["--role", "bob", "--connect", "127.0.0.1:9"],
+], ids=["alice", "bob"])
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_chat_block_too_small_to_deliver_exits_2_before_any_socket(capsys, monkeypatch,
+                                                                   role, bits):
+    # a block of fewer than 4 pulses discloses no sample bit, so the
+    # sample alarm never clears; at 1 pulse no block keeps a key bit and
+    # the sender would never stop
+    def no_socket(*args, **kwargs):
+        raise AssertionError("opened a socket")
+
+    for name in ("open_listener", "connect_with_retry"):
+        monkeypatch.setattr(cli, name, no_socket)
+    code, out, err = run_cli(["chat", *role, "--bits-per-block", str(bits)], capsys)
+    assert code == 2
+    assert err == (f"error: --bits-per-block {bits} is too small for a chat: a block of {bits} "
+                   f"pulses discloses no error-sample bit, so the alarm would never clear\n")
+    assert out == ""
 
 
 def test_chat_connection_killed_mid_session_exits_3():

@@ -27,6 +27,7 @@ from b92sim.errors import (
     SessionAbort,
 )
 from b92sim import hardware, protocol
+from b92sim.cli import CHAT_EMPTY_BLOCKS, _chat_continue
 from b92sim.hardware import (
     DetectorParams,
     DetectorState,
@@ -43,6 +44,7 @@ from b92sim.hardware import (
 from b92sim.protocol import (
     ALARM_BIAS_THRESHOLD,
     MAX_BITS_PER_BLOCK,
+    RECONCILE_BLOCK_SIZE,
     AliceEngine,
     BobEngine,
     EveStrategy,
@@ -57,6 +59,7 @@ from b92sim.protocol import (
     apply_block_verdicts,
     ber_crossing_distance,
     block_parities,
+    block_yield,
     bob_projector,
     generate_bits,
     predict_key_rate,
@@ -837,6 +840,23 @@ def test_apply_block_verdicts_checks_the_verdict_count():
             apply_block_verdicts(key, np.zeros(wrong, np.uint8), 8)
 
 
+@pytest.mark.parametrize("n", [4, 7, 8, 9, 1023, 1024])
+def test_block_yield_is_what_an_all_hit_block_keeps(n):
+    # every pulse hits and no segment is dropped: the sample takes its
+    # fraction, and the verdicts keep the rest less a bit a segment; a
+    # block that sifts fewer bits keeps no more
+    fraction = make_cfg().error_sample_fraction
+    sample, top = block_yield(n, fraction)
+    assert sample == int(fraction * n) > 0
+    kept = []
+    for s in range(n + 1):
+        rest = np.ones(s - int(fraction * s), np.uint8)
+        segments = len(block_parities(rest, RECONCILE_BLOCK_SIZE))
+        kept.append(len(apply_block_verdicts(rest, np.zeros(segments, np.uint8),
+                                             RECONCILE_BLOCK_SIZE)))
+    assert top == kept[n] == max(kept)
+
+
 LOG_DTYPES = {
     "alice_bits": np.uint8,
     "bob_bits": np.uint8,
@@ -1177,6 +1197,20 @@ def one_block_a_pass(n_blocks):
     return lambda eng: eng.blocks_done < n_blocks
 
 
+def chat_one_block_a_pass(needed):
+    """The chat's stop rule asked after every block, as a bool: one
+    block a pass, the reference that the chat's passes are held to."""
+    empty = have = 0
+
+    def more(eng):
+        nonlocal empty, have
+        have += len(eng.reconciled_passes[-1])
+        empty = empty + 1 if eng.alarm and not len(eng.sifted_passes[-1]) else 0
+        return empty < CHAT_EMPTY_BLOCKS and have < needed
+
+    return more
+
+
 def run_in_process(cfg, rule, channel=None, logs=None):
     """Both engines in one thread, as ``run_session`` runs them, with
     the sender's stop rule ``rule``; returns the two engines."""
@@ -1315,6 +1349,80 @@ def test_passes_of_many_blocks_equal_one_block_a_pass(name):
     rep = run_session(cfg, n_blocks=n_blocks)
     assert np.array_equal(rep.reconciled_key, alice.reconciled_key())
     assert np.array_equal(rep.sifted_key_bob, bob.sifted_key())
+
+
+CHAT_CASES = {  # a session and its message's characters
+    "ideal_1800_chars": (make_cfg(), 1800),
+    "physical_hi": (make_cfg(mode=Mode.PHYSICAL), 2),
+    "ideal_eve_fixed": (make_cfg(eve=EveStrategy.FIXED_PROJECTION), 200),
+    # the sample alarm stays up: passes of many blocks end on the empty-block stop
+    "physical_60_km": (make_cfg(mode=Mode.PHYSICAL, bits_per_block=64, hardware=with_fields(
+        HardwareProfile(), length_km=60.0, mean_photons=0.1)), 200),
+    "bits_7": (make_cfg(bits_per_block=7), 20),
+}
+
+
+@pytest.mark.parametrize("name", list(CHAT_CASES))
+def test_the_chat_runs_the_blocks_of_one_block_a_pass(name):
+    # over 20 seed triples the chat's passes run the blocks that its
+    # rule asked after every block runs: the same keys of both parties,
+    # the same verdict and the same four tallies, in fewer exchanges
+    cfg, chars = CHAT_CASES[name]
+    top = block_yield(cfg.bits_per_block, cfg.error_sample_fraction)[1]
+    runs = []
+    for i in range(20):
+        seeded = replace(cfg, seed_alice=100 + i, seed_bob=200 + i, seed_physics=300 + i)
+        alice, bob = run_in_process(seeded, _chat_continue(8 * chars, top))
+        alice_1, bob_1 = run_in_process(seeded, chat_one_block_a_pass(8 * chars))
+        assert alice.blocks_done == alice_1.blocks_done == len(alice_1.sifted_passes)
+        for get in (AliceEngine.sifted_key, AliceEngine.reconciled_key):
+            for party, party_1 in ((alice, alice_1), (bob, bob_1)):
+                assert np.array_equal(get(party), get(party_1))
+        tallies = [(eng.alarm_reason, eng.sifted_total, eng.zeros_total, eng.disclosed_total,
+                    eng.mismatch_total) for eng in (alice, alice_1)]
+        assert tallies[0] == tallies[1]
+        short = len(alice.reconciled_key()) < 8 * chars  # so it stopped on empty blocks
+        runs.append((len(alice.reconciled_passes), alice.blocks_done, short))
+    if name == "ideal_1800_chars":  # 86 blocks one a pass
+        assert max(passes for passes, _, _ in runs) <= 16
+    if name == "physical_60_km":
+        assert any(passes < blocks and short for passes, blocks, short in runs)
+
+
+def test_the_chat_rule_asks_only_for_blocks_it_would_run_one_at_a_time():
+    # scripted blocks, not sessions, so that the alarm is also down over
+    # 64 empty blocks in a row: each pass the rule asks for, the rule
+    # asked after every block continues after each block of it but the
+    # last, and stops after that one exactly when the pass's rule stops
+    rng = np.random.default_rng(7)
+    top = 5
+    for _ in range(300):
+        needed, p_empty, alarm, script = int(rng.integers(1, 300)), rng.random() ** 0.1, True, []
+        for _ in range(600):  # (key bits after the sample, reconciled bits, alarm after it)
+            if rng.random() < p_empty:  # a block that sifts nothing moves no tally
+                script.append((0, 0, alarm))
+            else:
+                reconciled, alarm = int(rng.integers(0, top + 1)), bool(rng.integers(0, 2))
+                script.append((reconciled + 1, reconciled, alarm))
+        rule, rule_1 = _chat_continue(needed, top), chat_one_block_a_pass(needed)
+        at, count = 0, 1
+        while count and at + count <= len(script):
+            for i, block in enumerate(script[at:at + count]):
+                more_1 = rule_1(ScriptedPass([block]))
+                assert more_1 or i == count - 1
+            at, count = at + count, rule(ScriptedPass(script[at:at + count]))
+            assert bool(count) == more_1
+
+
+class ScriptedPass:
+    """What the chat's stop rules read of a sender after a pass of these
+    scripted blocks."""
+
+    def __init__(self, blocks):
+        self.pass_lengths = [kept for kept, _, _ in blocks]
+        self.sifted_passes = [np.zeros(sum(self.pass_lengths), np.uint8)]
+        self.reconciled_passes = [np.zeros(sum(r for _, r, _ in blocks), np.uint8)]
+        self.alarm = blocks[-1][2]
 
 
 def test_a_large_block_over_small_socket_buffers_does_not_stall():
