@@ -279,12 +279,11 @@ def _render_ciphertext(bits: np.ndarray) -> str:
     return f"{raw.hex()} ({chars})"
 
 
-# blocks in a row that sift no bit while the alarm is up, after which
-# the chat sender stops: the key of such a link would never grow. A
+# the sender's ``empty_run`` of blocks that sifted no bit at which the
+# chat sender stops, if the alarm is up: the key would never grow. A
 # 1024-pulse block sifts nothing with a chance of about 0.27 at the
 # defaults and 0.8 at 25 km; in-process chats out to 30 km never
-# reached 64 such blocks in a row. No pass runs past this stop: it
-# holds at most the empty blocks still left before it.
+# reached 64 such blocks in a row.
 CHAT_EMPTY_BLOCKS = 64
 
 # characters of a chat message: its Ciphertext, 8 bits a character, is
@@ -294,24 +293,20 @@ MAX_CHAT_CHARS = MAX_BITS_PER_BLOCK // 8
 
 def _chat_continue(needed: int, top: int):
     """The chat sender's continue function: run blocks until the
-    reconciled key covers ``needed`` bits, but stop once the alarm has
-    been up over CHAT_EMPTY_BLOCKS blocks in a row that sifted no bit.
-    It is asked after each pass, and it asks only for blocks that this
-    rule, asked after every block, would run: no more than the empty
-    blocks left before the stop, and too few, at the ``top`` bits a
-    block yields at most, to cover ``needed`` before the last of them.
+    reconciled key covers ``needed`` bits, but stop once the alarm is
+    up over the last CHAT_EMPTY_BLOCKS blocks, all of which sifted no
+    bit. It reads only the sender's tallies, and asks only for blocks
+    that this rule, asked after every block, would run: no more than the
+    empty blocks left before the stop, and too few, at the ``top`` bits
+    a block yields at most, to cover ``needed`` before the last of them.
     So the chat runs the blocks, and distills the keys, of one block a
     pass, in fewer exchanges."""
-    empty = have = 0
 
     def more(eng) -> int:
-        nonlocal empty, have
-        have += len(eng.reconciled_passes[-1])
-        # a block that sifts nothing moves no tally, so the pass's
-        # trailing run of them saw the alarm as the pass left it
-        for kept in eng.pass_lengths:
-            empty = 0 if kept else empty + 1
-        empty = empty if eng.alarm else 0
+        have = eng.reconciled_total
+        # a block that sifts nothing moves no tally, so the alarm has
+        # not changed over the trailing run of such blocks
+        empty = eng.empty_run if eng.alarm else 0
         if empty >= CHAT_EMPTY_BLOCKS or have >= needed:
             return 0
         return min(CHAT_EMPTY_BLOCKS - empty, -(-(needed - have) // top))

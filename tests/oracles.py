@@ -78,7 +78,7 @@ def states_equal(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
 
 
 def reconcile_block_parity(
-    alice_key: np.ndarray, bob_key: np.ndarray, block_size: int
+    alice_key: np.ndarray, bob_key: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Block-parity error rejection over both keys at once, each key one
     block: the single-pass reference for the engines' reconciliation.
@@ -89,9 +89,10 @@ def reconcile_block_parity(
     """
     if len(alice_key) != len(bob_key):
         raise ProtocolDesyncError("keys differ in length")
-    pa = block_parities(alice_key, block_size)
-    pb = block_parities(bob_key, block_size)
+    lengths = [len(alice_key)]
+    pa = block_parities(alice_key, lengths)
+    pb = block_parities(bob_key, lengths)
     drop = (pa != pb).astype(np.uint8)
-    a2 = apply_block_verdicts(alice_key, drop, block_size)
-    b2 = apply_block_verdicts(bob_key, drop, block_size)
+    a2 = apply_block_verdicts(alice_key, drop, lengths)
+    b2 = apply_block_verdicts(bob_key, drop, lengths)
     return a2, b2, len(alice_key) - len(a2), int(drop.sum())

@@ -382,7 +382,7 @@ def test_c12_reconciliation_oracle():
     rng = np.random.default_rng(707)
     alice = generate_bits(100_000, rng)
     bob = alice ^ (rng.random(100_000) < 0.01).astype(np.uint8)
-    a2, b2, _, dropped = reconcile_block_parity(alice, bob, 8)
+    a2, b2, _, dropped = reconcile_block_parity(alice, bob)
     ref_a, ref_b, ref_dropped = brute_force_block_parity(alice, bob, 8)
     ok = (a2.tolist() == ref_a and b2.tolist() == ref_b and dropped == ref_dropped)
     assert report(

@@ -336,6 +336,33 @@ def test_socket_peer_announcing_an_oversized_frame_is_refused():
         b.close()
 
 
+def test_listening_on_a_port_in_use_is_refused():
+    listener = open_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    try:
+        with pytest.raises(ChannelError, match=f"cannot listen on 127.0.0.1:{port}"):
+            open_listener("127.0.0.1", port)
+    finally:
+        listener.close()
+
+
+def test_accept_with_no_peer_times_out():
+    listener = open_listener("127.0.0.1", 0)
+    with pytest.raises(ChannelError, match="accept failed"):
+        accept_one(listener, timeout=0.1)
+    assert listener.fileno() == -1  # closed either way
+
+
+def test_socket_read_from_a_silent_peer_times_out():
+    a, b = socket.socketpair()
+    try:
+        with pytest.raises(ChannelError, match="receive timed out"):
+            SocketTransport(b, timeout=0.1).recv_frame()
+    finally:
+        a.close()
+        b.close()
+
+
 def test_connect_refused():
     # grab a port and close it again so nothing is listening there
     probe = socket.socket()

@@ -781,21 +781,24 @@ def test_chat_requires_endpoints(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv, port", [
-    (["--role", "alice", "--listen", "127.0.0.1:99999", "--message", "hi"], "99999"),
-    (["--role", "alice", "--listen", "127.0.0.1:65536", "--message", "hi"], "65536"),
-    (["--role", "bob", "--connect", "127.0.0.1:70000"], "70000"),
-    (["--role", "bob", "--connect", "127.0.0.1:0"], "0"),
+@pytest.mark.parametrize("argv, expected", [
+    (["--role", "alice", "--listen", "127.0.0.1:99999", "--message", "hi"], "port 99999 "),
+    (["--role", "alice", "--listen", "127.0.0.1:65536", "--message", "hi"], "port 65536 "),
+    (["--role", "bob", "--connect", "127.0.0.1:70000"], "port 70000 "),
+    (["--role", "bob", "--connect", "127.0.0.1:0"], "port 0 "),
     # digits that str.isdigit takes but int refuses, or reads as 80
-    (["--role", "bob", "--connect", "localhost:\u00b2"], "\u00b2"),
-    (["--role", "bob", "--connect", "localhost:\u0668\u0660"], "\u0668\u0660"),
+    (["--role", "bob", "--connect", "localhost:\u00b2"], "port \u00b2 "),
+    (["--role", "bob", "--connect", "localhost:\u0668\u0660"], "port \u0668\u0660 "),
+    # no port, or no host
+    (["--role", "bob", "--connect", "localhost"], "expected HOST:PORT, got 'localhost'"),
+    (["--role", "bob", "--connect", ":9"], "expected HOST:PORT, got ':9'"),
 ], ids=["alice_99999", "alice_65536", "bob_70000", "bob_0", "bob_superscript_2",
-        "bob_arabic_indic_80"])
-def test_chat_port_out_of_range_exits_2_before_any_socket(capsys, argv, port):
+        "bob_arabic_indic_80", "bob_no_port", "bob_no_host"])
+def test_chat_port_out_of_range_exits_2_before_any_socket(capsys, argv, expected):
     start = time.monotonic()
     code, out, err = run_cli(["chat", *argv], capsys)
     assert code == 2
-    assert f"port {port} " in err
+    assert expected in err
     assert out == ""
     assert time.monotonic() - start < 0.5
 

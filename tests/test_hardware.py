@@ -307,6 +307,20 @@ def test_param_validation():
         DetectorParams(efficiency=1.5)
 
 
+@pytest.mark.parametrize("group, field, value", [
+    (SourceParams, "pulse_rate", 0.0),
+    (SourceParams, "pulse_rate", math.inf),
+    (SourceParams, "pulse_rate", math.nan),
+    (DetectorParams, "afterpulse_prob0", -0.1),
+    (DetectorParams, "afterpulse_prob0", 1.5),
+], ids=["pulse_rate_0", "pulse_rate_inf", "pulse_rate_nan", "afterpulse_prob0_below_0",
+        "afterpulse_prob0_above_1"])
+def test_params_refuse_a_value_out_of_range(group, field, value):
+    # chained comparisons are False for NaN, so NaN is refused too
+    with pytest.raises(ConfigError, match=f"^{field} must"):
+        group(**{field: value})
+
+
 def test_mean_photons_stays_where_numpy_can_draw_it(tmp_path):
     # numpy's Poisson sampler refuses a mean above about 9.2e18, which
     # a session would meet only at its first Physical block
@@ -373,6 +387,17 @@ def test_with_fields_routes_each_field_to_its_group():
     assert (wide.interferometer.pulse_width, wide.interferometer.delta_t) == (9e-9, 10e-9)
     with pytest.raises(ConfigError, match="unknown profile key 'wavelength_nm'"):
         with_fields(hw, wavelength_nm=1300.0)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("mean_photons 0.1", ":2: expected key=value, got 'mean_photons 0.1'"),
+    ("length_km = two", "cannot parse length_km='two' as a number"),
+])
+def test_load_profile_rejects_a_malformed_line(tmp_path, line, message):
+    path = tmp_path / "malformed.profile"
+    path.write_text(f"# bench setup\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_profile(path)
 
 
 def test_load_profile_rejects_bad_bool(tmp_path):

@@ -64,6 +64,20 @@ def test_symbol_range_checked():
         Pad([-1], 26)
 
 
+def test_message_refuses_a_base_below_2():
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        Message([0], 1)
+
+
+@pytest.mark.parametrize("msg, message", [
+    (Message([7, 4, 11, 11, 14], 26), "expected a base-2 message, got base 26"),
+    (Message([0, 1] * 6, 2), "bit count 12 is not a multiple of 8"),
+], ids=["base_26", "12_bits"])
+def test_ascii_decode_refuses_what_is_not_whole_bytes_of_bits(msg, message):
+    with pytest.raises(EncodingError, match=message):
+        ascii_decode(msg)
+
+
 def test_pad_single_use():
     pad = Pad(np.arange(10) % 26, 26)
     encrypt(letters_msg("HELLO"), pad)

@@ -161,6 +161,13 @@ def test_interferometer_config_validation():
         InterferometerConfig(long_path_loss_a=-0.1)
 
 
+def test_arrival_histogram_refuses_a_nan_mean():
+    # the CLI's --mu refuses NaN earlier, in SourceParams
+    with pytest.raises(ConfigError, match="mean_photons must be finite and >= 0, got nan"):
+        arrival_histogram(PhasePair(0, 0), InterferometerConfig(), 10, math.nan,
+                          np.random.default_rng(25))
+
+
 def test_arrival_histogram_balanced_phases():
     cfg = InterferometerConfig()
     rng = np.random.default_rng(21)

@@ -171,6 +171,15 @@ def test_preparation_and_measurement_tables():
         assert pass_probability(alice_prepare(b), bob_projector(b)) == pytest.approx(
             0.5, abs=1e-12
         )
+    for table in (alice_prepare, bob_projector):
+        with pytest.raises(ValueError, match="bit must be 0 or 1, got 2"):
+            table(2)
+
+
+def test_transmit_block_refuses_bit_blocks_of_unequal_length():
+    kernel = PhysicsKernel(make_cfg(bits_per_block=8), np.random.default_rng(77))
+    with pytest.raises(ProtocolDesyncError, match="bit blocks differ in length"):
+        kernel.transmit_block(np.zeros(8, np.uint8), np.zeros(7, np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +332,7 @@ def test_selections_refuse_a_mask_of_the_wrong_length(n):
     n_blocks = math.ceil(n / 8)
     for m in (n_blocks - 1, n_blocks + 1):
         with pytest.raises(ProtocolDesyncError, match="verdicts"):
-            apply_block_verdicts(key, np.zeros(m, np.uint8), 8)
+            apply_block_verdicts(key, np.zeros(m, np.uint8), [n])
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +739,7 @@ def brute_force_block_parity(alice, bob, block_size):
 def test_reconcile_identical_keys():
     rng = np.random.default_rng(12)
     key = generate_bits(1024, rng)
-    a2, b2, discarded, dropped = reconcile_block_parity(key, key.copy(), 8)
+    a2, b2, discarded, dropped = reconcile_block_parity(key, key.copy())
     assert len(a2) == 896  # each block of 8 pays one bit
     assert dropped == 0
     assert discarded == 128
@@ -742,17 +751,17 @@ def test_reconcile_single_error_drops_block():
     key = generate_bits(64, rng)
     bob = key.copy()
     bob[19] ^= 1
-    a2, b2, _, dropped = reconcile_block_parity(key, bob, 8)
+    a2, b2, _, dropped = reconcile_block_parity(key, bob)
     assert dropped == 1
     assert len(a2) == 7 * 7
     assert np.array_equal(a2, b2)
 
 
 def test_reconcile_trailing_partial_block():
-    key = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-    a2, b2, discarded, dropped = reconcile_block_parity(key, key.copy(), 4)
-    # full block keeps 3 bits, the 1-bit tail pays its only bit
-    assert a2.tolist() == [1, 0, 1]
+    key = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
+    a2, b2, discarded, dropped = reconcile_block_parity(key, key.copy())
+    # full segment keeps 7 bits, the 1-bit tail pays its only bit
+    assert a2.tolist() == [1, 0, 1, 1, 0, 0, 1]
     assert dropped == 0
     assert discarded == 2
 
@@ -762,82 +771,85 @@ def test_reconcile_matches_brute_force_oracle():
     alice = generate_bits(100_000, rng)
     flips = rng.random(100_000) < 0.01
     bob = alice ^ flips.astype(np.uint8)
-    a2, b2, _, dropped = reconcile_block_parity(alice, bob, 8)
+    a2, b2, _, dropped = reconcile_block_parity(alice, bob)
     ref_a, ref_b, ref_dropped = brute_force_block_parity(alice, bob, 8)
     assert a2.tolist() == ref_a
     assert b2.tolist() == ref_b
     assert dropped == ref_dropped
     assert a2.dtype == b2.dtype == np.uint8
-    for block_size in (2, 3, 7, 9):
-        alice = generate_bits(20_000, rng)
-        bob = alice ^ (rng.random(20_000) < 0.05).astype(np.uint8)
-        assert_matches_oracle(alice, bob, block_size)
+    for n in (20_000, 20_001, 20_003, 20_007):  # no tail, and tails of 1, 3 and 7 bits
+        alice = generate_bits(n, rng)
+        bob = alice ^ (rng.random(n) < 0.05).astype(np.uint8)
+        assert_matches_oracle(alice, bob)
 
 
-def assert_matches_oracle(alice, bob, block_size):
+def assert_matches_oracle(alice, bob):
     """reconcile_block_parity and block_parities against the list-by-list
     reference; returns the number of dropped blocks."""
-    a2, b2, discarded, dropped = reconcile_block_parity(alice, bob, block_size)
+    block_size = RECONCILE_BLOCK_SIZE
+    a2, b2, discarded, dropped = reconcile_block_parity(alice, bob)
     ref_a, ref_b, ref_dropped = brute_force_block_parity(alice, bob, block_size)
     assert a2.dtype == b2.dtype == np.uint8
     assert a2.tolist() == ref_a
     assert b2.tolist() == ref_b
     assert dropped == ref_dropped
     assert discarded == len(alice) - len(ref_a)
-    parities = block_parities(alice, block_size)
+    parities = block_parities(alice, [len(alice)])
     assert parities.dtype == np.uint8
     blocks = [alice[i:i + block_size].tolist() for i in range(0, len(alice), block_size)]
     assert parities.tolist() == [sum(b) % 2 for b in blocks]
     return dropped
 
 
-@pytest.mark.parametrize("block_size", [2, 3, 7, 8, 9])
-def test_reconcile_edge_cases_match_brute_force_oracle(block_size):
-    rng = np.random.default_rng(100 + block_size)
-    # empty, one bit, an exact multiple, a trailing 1-bit block, a
-    # trailing block one bit short
-    for n in (0, 1, 5 * block_size, 5 * block_size + 1, 6 * block_size - 1):
-        n_blocks = math.ceil(n / block_size)
+@pytest.mark.parametrize("segments", [2, 3, 7, 8, 9])
+def test_reconcile_edge_cases_match_brute_force_oracle(segments):
+    rng = np.random.default_rng(100 + segments)
+    size = RECONCILE_BLOCK_SIZE
+    # empty, one bit, an exact multiple, a trailing 1-bit segment, a
+    # trailing segment one bit short
+    for n in (0, 1, segments * size, segments * size + 1, (segments + 1) * size - 1):
+        n_blocks = math.ceil(n / size)
         alice = rng.integers(0, 2, n, dtype=np.uint8)
-        assert assert_matches_oracle(alice, alice.copy(), block_size) == 0
+        assert assert_matches_oracle(alice, alice.copy()) == 0
         bob = alice.copy()
-        bob[::block_size] ^= 1  # one error in every block
-        assert assert_matches_oracle(alice, bob, block_size) == n_blocks
+        bob[::size] ^= 1  # one error in every segment
+        assert assert_matches_oracle(alice, bob) == n_blocks
         bob = alice ^ (rng.random(n) < 0.2).astype(np.uint8)
-        assert_matches_oracle(alice, bob, block_size)
+        assert_matches_oracle(alice, bob)
 
 
-@pytest.mark.parametrize("block_size", [2, 3, 8])
-def test_segments_of_a_pass_are_those_of_each_block_alone(block_size):
+@pytest.mark.parametrize("scale", [2, 3, 8])
+def test_segments_of_a_pass_are_those_of_each_block_alone(scale):
     # with the blocks' lengths, parities and verdicts run over a pass's
     # key as over each block's key alone: segments start at each block's
     # start, and a block's trailing partial segment is its own; empty
-    # blocks hold no segment
-    rng = np.random.default_rng(block_size)
-    lengths = [0, 1, block_size - 1, block_size, block_size + 1, 0, 17, 3 * block_size, 0]
+    # blocks hold no segment. Blocks around ``scale`` bits are shorter
+    # than a segment at 2 and 3, and fill one exactly at 8.
+    rng = np.random.default_rng(scale)
+    lengths = [0, 1, scale - 1, scale, scale + 1, 0, 17, 3 * scale, 0]
     blocks = [rng.integers(0, 2, m, dtype=np.uint8) for m in lengths]
     key = np.concatenate(blocks)
-    parities = block_parities(key, block_size, lengths)
-    alone = [block_parities(b, block_size) for b in blocks]
+    parities = block_parities(key, lengths)
+    alone = [block_parities(b, [len(b)]) for b in blocks]
     assert parities.dtype == np.uint8
     assert parities.tolist() == np.concatenate(alone).tolist()
     drop = rng.integers(0, 2, len(parities), dtype=np.uint8)
     cuts = np.cumsum([len(p) for p in alone])[:-1]
-    want = [apply_block_verdicts(b, d, block_size) for b, d in zip(blocks, np.split(drop, cuts))]
-    got = apply_block_verdicts(key, drop, block_size, lengths)
+    want = [apply_block_verdicts(b, d, [len(b)]) for b, d in zip(blocks, np.split(drop, cuts))]
+    got = apply_block_verdicts(key, drop, lengths)
     assert got.tolist() == np.concatenate(want).tolist()
     with pytest.raises(ProtocolDesyncError, match="verdicts for"):
-        apply_block_verdicts(key, drop[1:], block_size, lengths)
+        apply_block_verdicts(key, drop[1:], lengths)
 
 
 def test_apply_block_verdicts_checks_the_verdict_count():
     key = np.ones(17, dtype=np.uint8)
-    assert apply_block_verdicts(key, np.ones(3, np.uint8), 8).dtype == np.uint8
-    assert len(apply_block_verdicts(key, np.ones(3, np.uint8), 8)) == 0
-    assert len(apply_block_verdicts(key, np.zeros(3, np.uint8), 8)) == 14
+    assert apply_block_verdicts(key, np.ones(3, np.uint8), [17]).dtype == np.uint8
+    assert len(apply_block_verdicts(key, np.ones(3, np.uint8), [17])) == 0
+    assert len(apply_block_verdicts(key, np.zeros(3, np.uint8), [17])) == 14
     for wrong in (2, 4):
         with pytest.raises(ProtocolDesyncError):
-            apply_block_verdicts(key, np.zeros(wrong, np.uint8), 8)
+            apply_block_verdicts(key, np.zeros(wrong, np.uint8), [17])
 
 
 @pytest.mark.parametrize("n", [4, 7, 8, 9, 1023, 1024])
@@ -851,9 +863,8 @@ def test_block_yield_is_what_an_all_hit_block_keeps(n):
     kept = []
     for s in range(n + 1):
         rest = np.ones(s - int(fraction * s), np.uint8)
-        segments = len(block_parities(rest, RECONCILE_BLOCK_SIZE))
-        kept.append(len(apply_block_verdicts(rest, np.zeros(segments, np.uint8),
-                                             RECONCILE_BLOCK_SIZE)))
+        segments = len(block_parities(rest, [len(rest)]))
+        kept.append(len(apply_block_verdicts(rest, np.zeros(segments, np.uint8), [len(rest)])))
     assert top == kept[n] == max(kept)
 
 
@@ -1298,6 +1309,7 @@ def test_two_process_mode_equals_in_process():
         assert np.array_equal(alice.reconciled_key(), rep.reconciled_key)
         assert np.array_equal(wire_logs.hits, logs.hits)
         assert alice.ber == rep.ber_estimate
+        assert alice.reconciled_total == len(rep.reconciled_key)
 
 
 def stream_states(alice, bob):
@@ -1405,23 +1417,31 @@ def test_the_chat_rule_asks_only_for_blocks_it_would_run_one_at_a_time():
                 reconciled, alarm = int(rng.integers(0, top + 1)), bool(rng.integers(0, 2))
                 script.append((reconciled + 1, reconciled, alarm))
         rule, rule_1 = _chat_continue(needed, top), chat_one_block_a_pass(needed)
-        at, count = 0, 1
+        at, count, sender = 0, 1, None
         while count and at + count <= len(script):
             for i, block in enumerate(script[at:at + count]):
                 more_1 = rule_1(ScriptedPass([block]))
                 assert more_1 or i == count - 1
-            at, count = at + count, rule(ScriptedPass(script[at:at + count]))
+            sender = ScriptedPass(script[at:at + count], sender)
+            at, count = at + count, rule(sender)
             assert bool(count) == more_1
 
 
 class ScriptedPass:
     """What the chat's stop rules read of a sender after a pass of these
-    scripted blocks."""
+    scripted blocks, which follows the passes of ``before``, if given."""
 
-    def __init__(self, blocks):
-        self.pass_lengths = [kept for kept, _, _ in blocks]
-        self.sifted_passes = [np.zeros(sum(self.pass_lengths), np.uint8)]
+    def __init__(self, blocks, before=None):
+        kept = [kept for kept, _, _ in blocks]
+        self.sifted_passes = [np.zeros(sum(kept), np.uint8)]
         self.reconciled_passes = [np.zeros(sum(r for _, r, _ in blocks), np.uint8)]
+        self.reconciled_total = len(self.reconciled_passes[0])
+        self.empty_run = 0
+        if before is not None:
+            self.reconciled_total += before.reconciled_total
+            self.empty_run = before.empty_run
+        for k in kept:  # blocks since the last one that sifted a bit
+            self.empty_run = 0 if k else self.empty_run + 1
         self.alarm = blocks[-1][2]
 
 

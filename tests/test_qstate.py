@@ -67,6 +67,8 @@ def test_projector_validation():
         Projector(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         Projector(0.5 * np.eye(2))  # not idempotent
+    with pytest.raises(ValueError, match=r"must be 2x2, got \(3, 3\)"):
+        Projector(np.eye(3) / 3)
 
 
 @pytest.mark.parametrize(
